@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "kernel/image complement properties")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism hint (accepted, currently serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a lattice JSON file")

@@ -680,7 +680,10 @@ def chk_ricind2(ctx):
     if L.n < 2:
         return _skip("one-element lattice")
     soc, rad = socle_radical(L)
-    assert soc != L.bottom and rad != L.top
+    if soc == L.bottom or rad == L.top:
+        raise ConsistencyError(
+            f"{L.name} has socle {L.names[soc]!r} and radical {L.names[rad]!r} "
+            f"although it has more than one element")
     indecomposable = ctx.comp_set == {L.bottom, L.top}
     lhs = indecomposable and ctx.rickart
     rhs = L.n == 2

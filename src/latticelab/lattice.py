@@ -40,14 +40,19 @@ def _bits(mask: int) -> Iterator[int]:
 class Lattice:
     """A validated finite bounded lattice.
 
-    Instances are immutable after construction and safe to share between
-    threads; all query methods are pure table lookups.
+    Instances are immutable after construction; all query methods are pure
+    table lookups. Derived facts (numpy tables, the modularity verdict, the
+    complement table, interval views, certified projections) are memoized on
+    the instance the first time they are computed. They depend only on the
+    tables, so racing writers store equal values and instances stay safe to
+    share between threads.
     """
 
     __slots__ = (
         "name", "n", "names", "bottom", "top", "rank",
         "_up", "_down", "_join", "_meet", "_covers",
         "_name_to_id", "_np_tables", "_interval_cache", "_key",
+        "_modular", "_complements", "_projections",
     )
 
     def __init__(self, *, name, names, up, down, join, meet, bottom, top, rank, covers):
@@ -67,6 +72,10 @@ class Lattice:
         self._np_tables = None
         self._interval_cache: dict[tuple[int, int], IntervalView] = {}
         self._key: bytes | None = None
+        self._modular: Verdict | None = None
+        self._complements: tuple[tuple[int, ...], ...] | None = None
+        # (x, x') -> certified projection; filled by morphisms.projection
+        self._projections: dict | None = None
 
     # -- order queries ----------------------------------------------------
 
@@ -340,14 +349,30 @@ def lattice_to_json(L: Lattice, indent: int | None = 2) -> str:
 
 
 def lattice_from_json(text: str, max_size: int | None = None) -> Lattice:
+    """Parse and build a lattice; a malformed document raises ValueError.
+
+    `elements` must be a list of strings and `covers` a list of
+    [lower, upper] string pairs.
+    """
     doc = json.loads(text)
     try:
         name = doc["name"]
         elements = doc["elements"]
-        covers = [tuple(pair) for pair in doc["covers"]]
+        covers = doc["covers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed lattice JSON: {exc}") from exc
-    return build_lattice(elements, covers, name=name, max_size=max_size)
+    if not (isinstance(elements, list)
+            and all(isinstance(e, str) for e in elements)):
+        raise ValueError("malformed lattice JSON: elements must be a list of strings")
+    if not isinstance(covers, list):
+        raise ValueError("malformed lattice JSON: covers must be a list of pairs")
+    for pair in covers:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(e, str) for e in pair)):
+            raise ValueError(f"malformed lattice JSON: cover {pair!r} is not "
+                             f"a pair of element names")
+    return build_lattice(elements, [tuple(pair) for pair in covers],
+                         name=name, max_size=max_size)
 
 
 def lattice_to_dot(L: Lattice) -> str:
@@ -364,8 +389,8 @@ def lattice_to_dot(L: Lattice) -> str:
 # -- structural predicates ---------------------------------------------------
 
 
-def is_modular(L: Lattice) -> Verdict:
-    """Modular law: a <= b implies a v (c ^ b) = (a v c) ^ b, all a, b, c."""
+def _modular_law(L: Lattice) -> Verdict:
+    """The modular-law test itself, uncached: O(n^3) table comparisons."""
     leq, join, meet = L.tables_np
     for b in range(L.n):
         below = np.nonzero(leq[:, b])[0]
@@ -381,17 +406,34 @@ def is_modular(L: Lattice) -> Verdict:
     return Verdict("modular", True)
 
 
+def is_modular(L: Lattice) -> Verdict:
+    """Modular law: a <= b implies a v (c ^ b) = (a v c) ^ b, all a, b, c.
+
+    Decided once per lattice; later calls return the stored verdict.
+    """
+    if L._modular is None:
+        L._modular = _modular_law(L)
+    return L._modular
+
+
+def _complement_table(L: Lattice) -> tuple[tuple[int, ...], ...]:
+    if L._complements is None:
+        bottom, top = L.bottom, L.top
+        L._complements = tuple(
+            tuple(b for b in range(L.n)
+                  if row_m[b] == bottom and row_j[b] == top)
+            for row_m, row_j in zip(L._meet, L._join))
+    return L._complements
+
+
 def complements_of(L: Lattice, a: int) -> tuple[int, ...]:
     """All b with a ^ b = bottom and a v b = top."""
-    row_m = L._meet[a]
-    row_j = L._join[a]
-    return tuple(b for b in range(L.n)
-                 if row_m[b] == L.bottom and row_j[b] == L.top)
+    return _complement_table(L)[a]
 
 
 def complemented_elements(L: Lattice) -> tuple[int, ...]:
     """C(L): the elements that have at least one complement."""
-    return tuple(a for a in range(L.n) if complements_of(L, a))
+    return tuple(a for a, comps in enumerate(_complement_table(L)) if comps)
 
 
 def is_distributive(L: Lattice) -> Verdict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotClosedError, SizeLimitExceededError
-from .lattice import Lattice, complemented_elements, complements_of
+from .lattice import Lattice, complemented_elements, complements_of, is_modular
 from .morphisms import (
     LinearMorphism,
     enumerate_linmors,
@@ -116,19 +116,15 @@ class EndoMonoid:
 
     @property
     def has_all_projections(self) -> bool:
-        """Whether every projection, for every complement choice, is a member."""
+        """Whether every projection, for every complement choice, is a member.
+
+        False on a non-modular lattice, where projections are not defined.
+        """
         if self._has_all_projections is None:
             L = self.lattice
-            ok = True
-            for a in complemented_elements(L):
-                for ap in complements_of(L, a):
-                    table = tuple(L.meet_of(L.join_of(t, ap), a) for t in range(L.n))
-                    if table not in self._index:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._has_all_projections = ok
+            self._has_all_projections = is_modular(L).holds and all(
+                projection(L, a, ap).map in self._index
+                for a in complemented_elements(L) for ap in complements_of(L, a))
         return self._has_all_projections
 
     def idempotent_indices(self) -> tuple[int, ...]:
@@ -213,14 +209,17 @@ def monoid_from_spec(L: Lattice, spec) -> EndoMonoid:
     {"kind": "explicit", "members": [...]}."""
     if spec == "full" or spec == {"kind": "full"}:
         return full_monoid(L)
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in ("generated", "explicit"):
+        raise ValueError(f"unknown monoid spec: {spec!r}")
+    field = "generators" if kind == "generated" else "members"
+    docs = spec.get(field, [])
+    if not isinstance(docs, list):
+        raise ValueError(f"monoid spec field {field!r} must be a list of morphisms")
+    morphisms = [morphism_from_json(doc, L) for doc in docs]
     if kind == "generated":
-        gens = [morphism_from_json(doc, L) for doc in spec.get("generators", [])]
-        return generated_monoid(L, gens, bool(spec.get("with_projections", False)))
-    if kind == "explicit":
-        mem = [morphism_from_json(doc, L) for doc in spec.get("members", [])]
-        return explicit_monoid(L, mem)
-    raise ValueError(f"unknown monoid spec: {spec!r}")
+        return generated_monoid(L, morphisms, bool(spec.get("with_projections", False)))
+    return explicit_monoid(L, morphisms)
 
 
 # -- annihilators ---------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import config
 from .errors import (
+    ConsistencyError,
     DomainMismatchError,
     NoKernelError,
     NotAComplementError,
@@ -174,16 +175,31 @@ def compose(phi: LinearMorphism, psi: LinearMorphism) -> LinearMorphism:
 
 
 def projection(L: Lattice, x: int, x_prime: int) -> LinearMorphism:
-    """a -> (a v x') ^ x for a chosen complement x' of x; kernel is x'."""
-    mod = is_modular(L)
-    if not mod.holds:
-        raise NotModularError(f"{L.name} is not modular: {mod.witness}")
+    """a -> (a v x') ^ x for a chosen complement x' of x; kernel is x'.
+
+    The first call on a lattice checks modularity; the first call for each
+    pair checks the complement and certifies the table. The certified
+    projection is kept on the lattice, so repeat calls are lookups.
+    """
+    memo = L._projections
+    if memo is None:
+        mod = is_modular(L)
+        if not mod.holds:
+            raise NotModularError(f"{L.name} is not modular: {mod.witness}")
+        memo = L._projections = {}
+    phi = memo.get((x, x_prime))
+    if phi is not None:
+        return phi
     if x_prime not in complements_of(L, x):
         raise NotAComplementError(
             f"{L.names[x_prime]!r} is not a complement of {L.names[x]!r}")
     table = tuple(L.meet_of(L.join_of(a, x_prime), x) for a in range(L.n))
     phi = validate_linear(L, L, table)
-    assert phi.kernel == x_prime
+    if phi.kernel != x_prime:
+        raise ConsistencyError(
+            f"projection onto {L.names[x]!r} along {L.names[x_prime]!r} "
+            f"certified with kernel {L.names[phi.kernel]!r}")
+    memo[(x, x_prime)] = phi
     return phi
 
 
@@ -319,7 +335,9 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[tuple[tuple[int, ...], int, 
                               for x in range(L.n))
                 found.append((table, k, a))
     found.sort(key=lambda t: t[0])
-    assert len({t[0] for t in found}) == len(found)
+    if len({t[0] for t in found}) != len(found):
+        raise ConsistencyError(
+            f"two factorizations give the same map from {L.name} to {M.name}")
     result = tuple(found)
     _LINMOR_CACHE[key] = result
     return result
@@ -372,7 +390,10 @@ def extend_from_interval(phi: LinearMorphism, dom_view: IntervalView,
         for a in range(L.n))
     ext = validate_linear(L, L, table)
     expected = L.join_of(dom_view.members[phi.kernel], x_prime)
-    assert ext.kernel == expected
+    if ext.kernel != expected:
+        raise ConsistencyError(
+            f"extension has kernel {L.names[ext.kernel]!r}, "
+            f"not ker v x' = {L.names[expected]!r}")
     return ext
 
 
@@ -397,10 +418,20 @@ def morphism_from_json(text_or_doc, domain: Lattice,
     """Load a morphism; kernel and image top are recomputed, never trusted."""
     doc = json.loads(text_or_doc) if isinstance(text_or_doc, str) else text_or_doc
     cod = codomain if codomain is not None else domain
+    if not isinstance(doc, dict):
+        raise ValueError("morphism JSON must be an object")
     if doc.get("domain") != domain.name or doc.get("codomain") != cod.name:
         raise ValueError("morphism JSON names a different domain or codomain")
-    name_map = doc["map"]
+    name_map = doc.get("map")
+    if not isinstance(name_map, dict):
+        raise ValueError("morphism JSON needs a \"map\" object")
     if set(name_map) != set(domain.names):
         raise ValueError("morphism map must cover every domain element once")
+    known = set(cod.names)
+    unknown = sorted({repr(v) for v in name_map.values()
+                      if not isinstance(v, str) or v not in known})
+    if unknown:
+        raise ValueError(f"morphism map sends elements to names not in "
+                         f"{cod.name!r}: {', '.join(unknown)}")
     table = tuple(cod.id_of(name_map[nm]) for nm in domain.names)
     return validate_linear(domain, cod, table)

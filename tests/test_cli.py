@@ -89,6 +89,60 @@ class TestAnalyze:
         assert doc["results"][0]["holds"] is False
 
 
+class TestMalformedInput:
+    """Bad input files exit 2 with one error line, never a traceback."""
+
+    def run_error(self, capsys, argv):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_string_cover_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps(
+            {"name": "c", "elements": ["0", "1"], "covers": ["01"]}))
+        self.run_error(capsys, ["validate", str(bad)])
+
+    def test_string_elements_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps(
+            {"name": "c", "elements": "01", "covers": [["0", "1"]]}))
+        self.run_error(capsys, ["validate", str(bad)])
+
+    def test_list_element_name_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps(
+            {"name": "c", "elements": [["0"], "1"], "covers": []}))
+        self.run_error(capsys, ["validate", str(bad)])
+
+    def spec_run(self, tmp_path, capsys, spec):
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(spec))
+        return self.run_error(capsys, [
+            "analyze", str(FIXTURES / "c3.json"), "--monoid", str(path),
+            "--props", "rickart"])
+
+    def test_generator_with_unknown_codomain_name(self, tmp_path, capsys):
+        err = self.spec_run(tmp_path, capsys, {"kind": "generated", "generators": [
+            {"domain": "c3", "codomain": "c3",
+             "map": {"0": "0", "n": "0", "1": "nope"}}]})
+        assert "'nope'" in err
+
+    def test_generator_that_is_not_an_object(self, tmp_path, capsys):
+        self.spec_run(tmp_path, capsys, {"kind": "generated", "generators": [7]})
+
+    def test_generators_that_are_not_a_list(self, tmp_path, capsys):
+        self.spec_run(tmp_path, capsys, {"kind": "explicit", "members": "x"})
+
+    def test_spec_that_is_not_an_object(self, tmp_path, capsys):
+        self.spec_run(tmp_path, capsys, ["generated"])
+
+    def test_threads_flag_is_gone(self, capsys):
+        assert run(["--threads", "2", "validate", str(FIXTURES / "c3.json")]) == 2
+
+
 class TestEndos:
     def test_count(self, capsys):
         code, out = run_capture(capsys, ["endos", str(FIXTURES / "c3.json")])

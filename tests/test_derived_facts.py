@@ -1,0 +1,129 @@
+"""Derived facts memoized on Lattice, and the routes that read them.
+
+The modularity verdict, the complement table and each certified projection
+are computed once per lattice object. These tests pin the memo itself, the
+equivalence that lets check_rickpix skip re-certifying compose(phi, pi), and
+the invariants that raise ConsistencyError instead of asserting.
+"""
+
+import dataclasses
+
+import pytest
+
+from latticelab import fixtures as fx
+from latticelab import lattice as lattice_mod
+from latticelab import morphisms as morphisms_mod
+from latticelab.conformance import run_conformance
+from latticelab.errors import ConsistencyError, NotModularError
+from latticelab.lattice import complemented_elements, complements_of, is_modular
+from latticelab.monoid import full_monoid
+from latticelab.morphisms import compose, projection
+
+EQUIVALENCE_FIXTURES = {
+    "c3": fx.c3, "b2": fx.b2, "b3": fx.b3, "m3": fx.m3,
+    "m4": lambda: fx.mk(4), "excip": fx.excip,
+}
+
+
+def all_projections(L):
+    return [projection(L, x, xp)
+            for x in complemented_elements(L) for xp in complements_of(L, x)]
+
+
+class TestMemo:
+    def test_modularity_verdict_is_stored(self):
+        L = fx.m3()
+        assert is_modular(L) is is_modular(L)
+
+    def test_non_modular_verdict_is_stored(self):
+        L = fx.n5()
+        v = is_modular(L)
+        assert not v.holds and is_modular(L) is v
+
+    def test_complement_table_matches_definition(self, excip):
+        for a in range(excip.n):
+            want = tuple(b for b in range(excip.n)
+                         if excip.meet_of(a, b) == excip.bottom
+                         and excip.join_of(a, b) == excip.top)
+            assert complements_of(excip, a) == want
+        assert complemented_elements(excip) == tuple(
+            a for a in range(excip.n) if complements_of(excip, a))
+
+    def test_projection_is_built_once(self):
+        L = fx.b2()
+        a, b = L.id_of("a"), L.id_of("b")
+        assert projection(L, a, b) is projection(L, a, b)
+
+    def test_projection_on_non_modular_lattice_still_raises(self):
+        L = fx.n5()
+        with pytest.raises(NotModularError):
+            projection(L, L.id_of("a"), L.id_of("c"))
+        with pytest.raises(NotModularError):
+            projection(L, L.id_of("a"), L.id_of("c"))
+
+    def test_non_modular_monoid_has_no_projections(self, n5):
+        assert not full_monoid(n5).has_all_projections
+
+
+def test_modular_law_runs_at_most_once_per_lattice(monkeypatch):
+    real = lattice_mod._modular_law
+    seen: dict[int, list] = {}
+
+    def counting(L):
+        entry = seen.setdefault(id(L), [L, 0])  # holding L pins its id
+        entry[1] += 1
+        return real(L)
+
+    monkeypatch.setattr(lattice_mod, "_modular_law", counting)
+    report = run_conformance([fx.mk(5)])
+    assert report.total_failures == 0
+    assert seen
+    assert max(count for _, count in seen.values()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIXTURES))
+def test_table_test_matches_certified_composition(name):
+    """compose(phi, pi) certifies, and equals phi exactly when the table
+    test used by check_rickpix holds."""
+    L = EQUIVALENCE_FIXTURES[name]()
+    projections = all_projections(L)
+    assert projections
+    agreeing = 0
+    for phi in full_monoid(L).members:
+        for pi in projections:
+            composite = compose(phi, pi)  # raises if it does not certify
+            table_test = all(phi.map[pi.map[x]] == phi.map[x] for x in range(L.n))
+            assert (composite.map == phi.map) == table_test
+            agreeing += table_test
+    assert agreeing > 0
+
+
+class TestConsistencyErrors:
+    def test_projection_kernel_mismatch(self, monkeypatch):
+        L = fx.b2()
+        a, b = L.id_of("a"), L.id_of("b")
+        real = morphisms_mod.validate_linear
+
+        def wrong_kernel(domain, codomain, mapping):
+            return dataclasses.replace(real(domain, codomain, mapping),
+                                       kernel=domain.bottom)
+
+        monkeypatch.setattr(morphisms_mod, "validate_linear", wrong_kernel)
+        with pytest.raises(ConsistencyError):
+            projection(L, a, b)
+        monkeypatch.undo()
+        assert projection(L, a, b).kernel == b  # the bad result was not kept
+
+    def test_extension_kernel_mismatch(self, monkeypatch, b2):
+        a, b = b2.id_of("a"), b2.id_of("b")
+        vx = lattice_mod.interval(b2, b2.bottom, a)
+        phi = morphisms_mod.identity_morphism(vx.as_lattice)
+        real = morphisms_mod.validate_linear
+
+        def wrong_kernel(domain, codomain, mapping):
+            return dataclasses.replace(real(domain, codomain, mapping),
+                                       kernel=domain.top)
+
+        monkeypatch.setattr(morphisms_mod, "validate_linear", wrong_kernel)
+        with pytest.raises(ConsistencyError):
+            morphisms_mod.extend_from_interval(phi, vx, vx, b)

@@ -349,6 +349,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             lattice_from_json(json.dumps({"name": "x"}))
 
+    @pytest.mark.parametrize("elements, covers", [
+        (["0", "1"], ["01"]),                 # a string is not a cover pair
+        (["0", "1"], [["0", "1", "1"]]),
+        (["0", "1"], [["0", 1]]),
+        (["0", "1"], {"0": "1"}),
+        ("01", [["0", "1"]]),                 # a string is not an element list
+        ([["0"], "1"], [["1", "1"]]),
+        ([0, 1], [[0, 1]]),
+    ])
+    def test_malformed_shapes_rejected(self, elements, covers):
+        doc = {"name": "x", "elements": elements, "covers": covers}
+        with pytest.raises(ValueError):
+            lattice_from_json(json.dumps(doc))
+
     def test_dot_export(self, c3):
         dot = lattice_to_dot(c3)
         assert dot.startswith('digraph "c3"')

@@ -306,6 +306,17 @@ class TestMorphismJson:
         with pytest.raises(ValueError):
             morphism_from_json(morphism_to_json(phi), b2)
 
+    @pytest.mark.parametrize("doc", [
+        {"domain": "c3", "codomain": "c3", "map": {"0": "0", "n": "0", "1": "zz"}},
+        {"domain": "c3", "codomain": "c3", "map": {"0": "0", "n": "0", "1": ["n"]}},
+        {"domain": "c3", "codomain": "c3", "map": ["0", "0", "n"]},
+        {"domain": "c3", "codomain": "c3"},
+        ["c3", "c3"],
+    ])
+    def test_malformed_documents_raise_value_error(self, c3, doc):
+        with pytest.raises(ValueError):
+            morphism_from_json(doc, c3)
+
 
 def brute_force_isos(A, B):
     """Independent oracle: all bijections preserving order both ways."""
