@@ -54,7 +54,6 @@ from .lattice import (
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
-    order_query,
     socle_radical,
 )
 from .monoid import (
@@ -63,7 +62,6 @@ from .monoid import (
     annihilator,
     build_monoid,
     full_monoid,
-    idempotents,
     monoid_from_spec,
     monoid_predicate,
 )
@@ -78,7 +76,6 @@ from .morphisms import (
     identity_morphism,
     interval_inclusion,
     interval_quotient,
-    kernel_of,
     morphism_from_json,
     morphism_to_json,
     projection,

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm, prod
 
 import numpy as np
 
 from . import config
 from .errors import ConsistencyError, SizeLimitExceededError
-from .lattice import Lattice, _assemble, complemented_elements, is_modular
+from .lattice import Lattice, _assemble, close_under, complemented_elements, is_modular
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, validate_linear
 from .properties import check_rickart_family
@@ -130,6 +131,22 @@ def _span(g: AbelianGroup, mask: int) -> int:
     return span
 
 
+def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
+    """Sum of two subgroups given as masks, via the addition table; memoized."""
+    data = _group_data(g)
+    memo = data.setdefault("sum_memo", {})
+    key = (a, b) if a <= b else (b, a)
+    hit = memo.get(key)
+    if hit is None:
+        ea = [i for i in range(g.order) if a >> i & 1]
+        eb = [i for i in range(g.order) if b >> i & 1]
+        hit = 0
+        for v in np.unique(data["add"][np.ix_(ea, eb)]):
+            hit |= 1 << int(v)
+        memo[key] = hit
+    return hit
+
+
 # -- subgroups and the subgroup lattice ----------------------------------------
 
 
@@ -138,20 +155,10 @@ def _subgroup_data(g: AbelianGroup) -> dict:
     if "sub_masks" in data:
         return data
     n = g.order
-    found = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for e in range(1, n):
-                if h >> e & 1:
-                    continue
-                k = _span(g, h | (1 << e))
-                if k not in found:
-                    found.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    # every subgroup is a sum of cyclic subgroups
+    cyclic = dict.fromkeys((_span(g, 1 << e) for e in range(n)), ())
+    masks = sorted(close_under(cyclic, partial(_pair_sum, g)),
+                   key=lambda m: (m.bit_count(), m))
     data["sub_masks"] = tuple(masks)
     data["sub_index"] = {m: i for i, m in enumerate(masks)}
     data["sub_elems"] = tuple(
@@ -206,14 +213,13 @@ def subgroup_lattice(g: AbelianGroup) -> Lattice:
             cand = up[i] & up[j]
             join[i][j] = (cand & -cand).bit_length() - 1
     names = _subgroup_names(g, masks, data["sub_elems"])
-    lat = _assemble(f"sub({g.spec_string()})", names, up, down, join, meet,
-                    canonicalize=True)
+    lat, order = _assemble(f"sub({g.spec_string()})", names, up, down, join,
+                           meet, canonicalize=True)
     mod = is_modular(lat)
     if not mod.holds:
         raise ConsistencyError(f"subgroup lattice of {g.spec_string()} "
                                f"failed the modularity check: {mod.witness}")
-    # the canonical reindex permuted elements; rebuild the mask alignment
-    order = [names.index(nm) for nm in lat.names]
+    # the canonical reindex permuted elements; carry the masks along
     data["lattice"] = lat
     data["lat_masks"] = tuple(masks[o] for o in order)
     data["lat_mask_index"] = {m: i for i, m in enumerate(data["lat_masks"])}
@@ -502,52 +508,6 @@ def _kernel_image_sets_by_type(g: AbelianGroup) -> tuple[set[int], set[int]]:
 # -- the bridge verdicts -----------------------------------------------------------
 
 
-def _mask_meet_closure(masks: set[int]) -> set[int]:
-    closed = set(masks)
-    frontier = set(masks)
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            for b in list(closed):
-                c = a & b
-                if c not in closed:
-                    nxt.add(c)
-        closed |= nxt
-        frontier = nxt
-    return closed
-
-
-def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
-    """Sum of two subgroups given as masks, via the addition table; memoized."""
-    data = _group_data(g)
-    memo = data.setdefault("sum_memo", {})
-    key = (a, b) if a <= b else (b, a)
-    hit = memo.get(key)
-    if hit is None:
-        ea = [i for i in range(g.order) if a >> i & 1]
-        eb = [i for i in range(g.order) if b >> i & 1]
-        hit = 0
-        for v in np.unique(data["add"][np.ix_(ea, eb)]):
-            hit |= 1 << int(v)
-        memo[key] = hit
-    return hit
-
-
-def _mask_join_closure(g: AbelianGroup, masks: set[int]) -> set[int]:
-    closed = set(masks)
-    frontier = set(masks)
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            for b in list(closed):
-                c = _pair_sum(g, a, b)
-                if c not in closed:
-                    nxt.add(c)
-        closed |= nxt
-        frontier = nxt
-    return closed
-
-
 def _module_side_summand(g: AbelianGroup, kmask: int) -> bool:
     """Direct-summand test by complement search over subgroups: a trivial
     intersection of the right size forces the sum to be everything."""
@@ -584,22 +544,18 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
     # module side: kernel/image masks straight from homomorphism tables
     if method == "enumerate":
         sweep = _endo_sweep(g)
-        kernel_masks = set(sweep["kernel_masks"])
-        image_masks = set(sweep["image_masks"])
+        kernel_masks, image_masks = sweep["kernel_masks"], sweep["image_masks"]
     else:
         kernel_masks, image_masks = _kernel_image_sets_by_type(g)
 
-    if kind == "rickart":
-        module_targets = kernel_masks
-    elif kind == "baer":
-        module_targets = _mask_meet_closure(kernel_masks)
-    elif kind == "dual_rickart":
-        module_targets = image_masks
-    else:
-        module_targets = _mask_join_closure(g, image_masks)
-    module_ok = all(_module_side_summand(g, m) for m in module_targets)
+    module_targets = kernel_masks if kind in ("rickart", "baer") else image_masks
+    # baer kinds: intersections of kernels, sums of images
+    op = {"baer": int.__and__, "dual_baer": partial(_pair_sum, g)}.get(kind)
+    if op is not None:
+        module_targets = set(close_under(dict.fromkeys(module_targets, ()), op))
     module_witness = next((m for m in sorted(module_targets)
                            if not _module_side_summand(g, m)), None)
+    module_ok = module_witness is None
 
     # lattice side
     if method == "enumerate":
@@ -608,14 +564,11 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
         lattice_ok = lattice_verdict.holds
         notes = "lattice side via induced monoid enumeration"
     else:
+        # the type route feeds both sides the same masks; this side tests
+        # complements in the lattice instead of summands in the group
         idx = data["lat_mask_index"]
         comp = set(complemented_elements(lat))
-        base = kernel_masks if kind in ("rickart", "baer") else image_masks
-        if kind == "baer":
-            base = _mask_meet_closure(base)
-        elif kind == "dual_baer":
-            base = _mask_join_closure(g, base)
-        lattice_ok = all(idx[m] in comp for m in base)
+        lattice_ok = all(idx[m] in comp for m in module_targets)
         notes = "lattice side via quotient-type kernel/image sets"
 
     if module_ok != lattice_ok:
@@ -624,6 +577,6 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
             f"disagree for {g.spec_string()} / {kind}")
 
     witness = None
-    if not module_ok and module_witness is not None:
+    if not module_ok:
         witness = {"subgroup": lat.names[data["lat_mask_index"][module_witness]]}
     return Verdict(kind, module_ok, witness=witness, notes=notes)

@@ -8,9 +8,10 @@ ENV_MAX_SIZE = "LATTICELAB_MAX_SIZE"
 
 DEFAULT_LATTICE_CAP = 64
 DEFAULT_ENUM_CAP = 20
+# abelian._endo_sweep packs subgroups into np.uint64 element masks, one bit
+# per group element, so this cap must stay at most 64
 DEFAULT_GROUP_ORDER_CAP = 64
 DEFAULT_ENDO_CAP = 262144
-DEFAULT_MONOID_CAP = 200000
 
 
 def lattice_size_cap(override: int | None = None) -> int:

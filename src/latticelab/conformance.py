@@ -29,6 +29,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     build_lattice,
+    close_under,
     complemented_elements,
     complements_of,
     decompose,
@@ -53,6 +54,7 @@ from .morphisms import (
 from .properties import (
     check_condition,
     check_cross_rickart,
+    check_generation,
     check_nonsingularity,
     check_retractable,
     check_rickart_family,
@@ -61,6 +63,12 @@ from .properties import (
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+# pair checks run on corpus pairs whose product has at most this many
+# elements, for each small lattice against itself and at most MAX_PAIRS
+# consecutive pairs
+PAIR_PRODUCT_CAP = 16
+MAX_PAIRS = 12
 
 
 # -- random corpus ------------------------------------------------------------
@@ -124,28 +132,25 @@ def random_corpus(count: int, max_size: int, seed: int) -> list[Lattice]:
 
 
 class LatticeContext:
-    """Lazily computed, cached data for one corpus lattice."""
+    """Lazily computed, cached data for one corpus lattice and its full monoid."""
 
     # above this member count, annihilator checks (quadratic in the monoid)
     # are skipped rather than materializing a gigantic composition table
     COMP_CAP = 6000
+    # independent families are enumerated only up to this lattice size
+    FAMILY_CAP = 12
 
-    def __init__(self, L: Lattice, monoid_kind: str = "full",
-                 family_cap: int = 12):
+    def __init__(self, L: Lattice):
         self.L = L
-        self.monoid_kind = monoid_kind
-        self.family_cap = family_cap
-        self._cache: dict[str, object] = {}
+        self._cache: dict[object, object] = {}
 
-    def _get(self, key: str, build: Callable):
+    def _get(self, key, build: Callable):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
     @property
     def monoid(self) -> EndoMonoid:
-        if self.monoid_kind != "full":
-            raise ValueError("conformance currently runs on full monoids")
         return self._get("monoid", lambda: full_monoid(self.L))
 
     @property
@@ -204,7 +209,7 @@ class LatticeContext:
         or None when the lattice is too large to enumerate them."""
         def build():
             L = self.L
-            if L.n > self.family_cap:
+            if L.n > self.FAMILY_CAP:
                 return None
             elems = [x for x in range(L.n) if x != L.bottom]
             fams = []
@@ -230,38 +235,18 @@ class LatticeContext:
     def comp_feasible(self) -> bool:
         return len(self.monoid) <= self.COMP_CAP
 
-    @property
-    def image_elements(self) -> list[int]:
-        return self._get("imgs",
-                         lambda: sorted({p.image_top for p in self.monoid.members}))
-
-    @property
-    def kernel_elements(self) -> list[int]:
-        return self._get("kers",
-                         lambda: sorted({p.kernel for p in self.monoid.members}))
-
     def generated(self, x: int) -> bool:
-        # same scan as check_generation, over the deduplicated image set
-        key = ("gen", x)
-        if key not in self._cache:
-            L = self.L
-            got = L.join_all(i for i in self.image_elements if L.leq(i, x))
-            self._cache[key] = got == x
-        return self._cache[key]
+        return self._get(("generated", x), lambda: check_generation(
+            self.L, self.monoid, x, "generated")).holds
 
     def cogenerated(self, x: int) -> bool:
-        key = ("cogen", x)
-        if key not in self._cache:
-            L = self.L
-            got = L.meet_all(k for k in self.kernel_elements if L.leq(x, k))
-            self._cache[key] = got == x
-        return self._cache[key]
+        return self._get(("cogenerated", x), lambda: check_generation(
+            self.L, self.monoid, x, "cogenerated")).holds
 
 
-def _interval_rickart(L: Lattice, hi: int) -> bool:
+def _interval_family_prop(L: Lattice, hi: int, kind: str) -> bool:
     sub = interval(L, L.bottom, hi).as_lattice
-    comp = set(complemented_elements(sub))
-    return all(phi.kernel in comp for phi in enumerate_linmors(sub))
+    return check_rickart_family(sub, full_monoid(sub), kind).holds
 
 
 def _canonical_complement(L: Lattice, fam: tuple[int, ...], a: int) -> int:
@@ -350,21 +335,8 @@ def chk_baercar(ctx):
                       (i for i, phi in enumerate(m.members)
                        if phi.map[a] == L.bottom))
         for a in range(L.n))
-    kernels = {}
-    for i, phi in enumerate(m.members):
-        kernels.setdefault(phi.kernel, (i,))
-    closure = {L.top}
-    frontier = set(kernels)
-    closure |= frontier
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for y in list(closure):
-                z = L.meet_of(x, y)
-                if z not in closure:
-                    nxt.add(z)
-        closure |= nxt
-        frontier = nxt
+    # the zero member's kernel is the top, the meet of the empty family
+    closure = close_under(dict.fromkeys(m.kernels, ()), L.meet_of)
     c_side = (ctx.monoid_pred("right_baer")
               and all(ctx.generated(e) for e in sorted(closure)))
     if not (a_side == b_side == c_side):
@@ -383,18 +355,8 @@ def chk_dbaercar(ctx):
                       (i for i, phi in enumerate(m.members)
                        if L.leq(phi.image_top, a)))
         for a in range(L.n))
-    closure = {L.bottom}
-    frontier = {phi.image_top for phi in m.members}
-    closure |= frontier
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for y in list(closure):
-                z = L.join_of(x, y)
-                if z not in closure:
-                    nxt.add(z)
-        closure |= nxt
-        frontier = nxt
+    # the zero member's image is the bottom, the join of the empty family
+    closure = close_under(dict.fromkeys(m.image_tops, ()), L.join_of)
     c_side = (ctx.monoid_pred("right_baer")
               and all(ctx.cogenerated(e) for e in sorted(closure)))
     if not (a_side == b_side == c_side):
@@ -409,7 +371,7 @@ def chk_ricd2(ctx):
     # candidate target intervals depend only on the image element; morphisms
     # sharing an image reuse the iso list
     candidates: dict[int, list] = {}
-    for img in ctx.image_elements:
+    for img in m.image_tops:
         vi = interval(L, L.bottom, img)
         cands = []
         for x in ctx.comp:
@@ -439,7 +401,7 @@ def chk_dricc2(ctx):
     a_side = ctx.dual_rickart
     # the second clause depends on phi only through its image element
     second = True
-    for img in sorted({phi.image_top for phi in m.members}):
+    for img in m.image_tops:
         vi = interval(L, L.bottom, img)
         ok = False
         for x in ctx.comp:
@@ -647,14 +609,9 @@ def chk_compintric(ctx):
         return _skip("lattice is not rickart")
     L = ctx.L
     for a in ctx.comp:
-        if not _interval_rickart(L, a):
+        if not _interval_family_prop(L, a, "rickart"):
             return _fail(a=L.names[a])
     return _ok()
-
-
-def _interval_family_prop(L: Lattice, hi: int, kind: str) -> bool:
-    sub = interval(L, L.bottom, hi).as_lattice
-    return check_rickart_family(sub, full_monoid(sub), kind).holds
 
 
 def chk_complbaer(ctx):
@@ -705,7 +662,7 @@ def chk_sumric(ctx):
         return _skip("family enumeration over size cap")
     L = ctx.L
     for fam in fams:
-        rhs = all(_interval_rickart(L, a) for a in fam)
+        rhs = all(_interval_family_prop(L, a, "rickart") for a in fam)
         if rhs != ctx.rickart:
             return _fail(family=[L.names[a] for a in fam],
                          blocks_rickart=rhs, rickart=ctx.rickart)
@@ -723,7 +680,7 @@ def chk_decomp_fi(ctx):
         if not set(fam) <= fi:
             continue
         hit = True
-        rhs = all(_interval_rickart(L, a) for a in fam)
+        rhs = all(_interval_family_prop(L, a, "rickart") for a in fam)
         if rhs != ctx.rickart:
             return _fail(family=[L.names[a] for a in fam],
                          blocks_rickart=rhs, rickart=ctx.rickart)
@@ -1253,15 +1210,14 @@ class CorpusReport:
         return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
-def run_conformance(corpus, checks=None, monoid_kind: str = "full", *,
-                    seed: int | None = None, pair_product_cap: int = 16,
-                    max_pairs: int = 12, family_cap: int = 12) -> CorpusReport:
-    """Evaluate the registry over the corpus.
+def run_conformance(corpus, checks=None, *,
+                    seed: int | None = None) -> CorpusReport:
+    """Evaluate the registry over the corpus, each lattice with its full monoid.
 
     Non-modular corpus entries are set aside (most checks assume modularity).
-    Pair checks run on each lattice against itself when small enough, plus a
-    budgeted sample of consecutive corpus pairs whose product size fits the
-    cap. Global checks run once.
+    Pair checks run on each lattice against itself when small enough, plus
+    up to MAX_PAIRS consecutive corpus pairs whose product size fits
+    PAIR_PRODUCT_CAP. Global checks run once.
     """
     names = list(checks) if checks else list(REGISTRY)
     unknown = [nm for nm in names if nm not in REGISTRY]
@@ -1272,7 +1228,7 @@ def run_conformance(corpus, checks=None, monoid_kind: str = "full", *,
     skipped_lattices = []
     for L in corpus:
         if is_modular(L).holds:
-            usable.append(LatticeContext(L, monoid_kind, family_cap))
+            usable.append(LatticeContext(L))
         else:
             skipped_lattices.append(L.name)
 
@@ -1301,13 +1257,13 @@ def run_conformance(corpus, checks=None, monoid_kind: str = "full", *,
     if pair_checks:
         pairs: list[tuple[LatticeContext, LatticeContext]] = []
         for ctx in usable:
-            if ctx.L.n * ctx.L.n <= pair_product_cap:
+            if ctx.L.n * ctx.L.n <= PAIR_PRODUCT_CAP:
                 pairs.append((ctx, ctx))
-        budget = max_pairs
+        budget = MAX_PAIRS
         for a, b in zip(usable, usable[1:]):
             if budget <= 0:
                 break
-            if a.L.n * b.L.n <= pair_product_cap:
+            if a.L.n * b.L.n <= PAIR_PRODUCT_CAP:
                 pairs.append((a, b))
                 budget -= 1
         for nm in pair_checks:

@@ -127,9 +127,6 @@ class Lattice:
     def id_of(self, name: str) -> int:
         return self._name_to_id[name]
 
-    def name_of(self, i: int) -> str:
-        return self.names[i]
-
     @property
     def structure_key(self) -> bytes:
         """Bytes identifying the order relation with this indexing.
@@ -163,15 +160,27 @@ class Lattice:
         return f"Lattice({self.name!r}, n={self.n})"
 
 
-def order_query(L: Lattice, kind: str, a: int, b: int):
-    """Answer leq/join/meet from the materialized tables."""
-    if kind == "leq":
-        return L.leq(a, b)
-    if kind == "join":
-        return L.join_of(a, b)
-    if kind == "meet":
-        return L.meet_of(a, b)
-    raise ValueError(f"unknown order query kind: {kind!r}")
+def close_under(seeds: dict, op) -> dict:
+    """Close the seed keys under a binary op, breadth first.
+
+    Each frontier key is combined with each seed. A new key records the
+    deduplicated generator tuple of the pair that first produced it; for a
+    commutative, associative and idempotent op (meets, joins, intersections,
+    sums) folding `op` over those generators' seeds gives back the key.
+    """
+    closed = dict(seeds)
+    frontier = list(seeds.items())
+    seed_items = frontier
+    while frontier:
+        nxt = []
+        for x, gx in frontier:
+            for s, gs in seed_items:
+                z = op(x, s)
+                if z not in closed:
+                    closed[z] = gens = tuple(dict.fromkeys(gx + gs))
+                    nxt.append((z, gens))
+        frontier = nxt
+    return closed
 
 
 # -- construction -----------------------------------------------------------
@@ -265,7 +274,8 @@ def _assemble(name, names, up, down, join, meet, *, canonicalize):
     """Finish a lattice from validated masks/tables.
 
     Finds bottom/top, computes covers and ranks, and (optionally) re-sorts
-    elements into the canonical (rank, name) order.
+    elements into the canonical (rank, name) order. Returns the lattice and
+    `order`, the input index of each output element.
     """
     n = len(names)
     full = (1 << n) - 1
@@ -273,9 +283,10 @@ def _assemble(name, names, up, down, join, meet, *, canonicalize):
     top = next(a for a in range(n) if down[a] == full)
     covers = _covers_from_masks(n, up, down)
     rank = _ranks(n, covers, bottom)
+    order = list(range(n))
 
     if canonicalize:
-        order = sorted(range(n), key=lambda i: (rank[i], names[i]))
+        order.sort(key=lambda i: (rank[i], names[i]))
         pos = [0] * n
         for new, old in enumerate(order):
             pos[old] = new
@@ -295,8 +306,9 @@ def _assemble(name, names, up, down, join, meet, *, canonicalize):
         rank = [rank[old] for old in order]
         bottom, top = pos[bottom], pos[top]
 
-    return Lattice(name=name, names=names, up=up, down=down, join=join,
-                   meet=meet, bottom=bottom, top=top, rank=rank, covers=covers)
+    lat = Lattice(name=name, names=names, up=up, down=down, join=join,
+                  meet=meet, bottom=bottom, top=top, rank=rank, covers=covers)
+    return lat, order
 
 
 def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
@@ -333,7 +345,7 @@ def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
         pred[b].append(a)
     up, down = _closure_masks(n, succ, pred)
     join, meet = _tables_from_masks(n, up, down, names)
-    return _assemble(name, names, up, down, join, meet, canonicalize=True)
+    return _assemble(name, names, up, down, join, meet, canonicalize=True)[0]
 
 
 # -- serialization ----------------------------------------------------------
@@ -351,8 +363,8 @@ def lattice_to_json(L: Lattice, indent: int | None = 2) -> str:
 def lattice_from_json(text: str, max_size: int | None = None) -> Lattice:
     """Parse and build a lattice; a malformed document raises ValueError.
 
-    `elements` must be a list of strings and `covers` a list of
-    [lower, upper] string pairs.
+    `name` must be a string, `elements` a list of strings and `covers` a
+    list of [lower, upper] string pairs.
     """
     doc = json.loads(text)
     try:
@@ -361,6 +373,8 @@ def lattice_from_json(text: str, max_size: int | None = None) -> Lattice:
         covers = doc["covers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed lattice JSON: {exc}") from exc
+    if not isinstance(name, str):
+        raise ValueError("malformed lattice JSON: name must be a string")
     if not (isinstance(elements, list)
             and all(isinstance(e, str) for e in elements)):
         raise ValueError("malformed lattice JSON: elements must be a list of strings")
@@ -537,9 +551,6 @@ class IntervalView:
     as_lattice: Lattice
     from_parent: dict[int, int]
 
-    def to_sub(self, parent_id: int) -> int:
-        return self.from_parent[parent_id]
-
 
 def interval(L: Lattice, lo: int, hi: int) -> IntervalView:
     """Members and a re-indexed lattice for [lo, hi]; cached per lattice."""
@@ -561,9 +572,9 @@ def interval(L: Lattice, lo: int, hi: int) -> IntervalView:
                 down[j] |= 1 << i
     join = [[pos[L.join_of(p, q)] for q in members] for p in members]
     meet = [[pos[L.meet_of(p, q)] for q in members] for p in members]
-    sub = _assemble(f"{L.name}[{L.names[lo]},{L.names[hi]}]",
-                    [L.names[p] for p in members], up, down, join, meet,
-                    canonicalize=False)
+    sub, _ = _assemble(f"{L.name}[{L.names[lo]},{L.names[hi]}]",
+                       [L.names[p] for p in members], up, down, join, meet,
+                       canonicalize=False)
     view = IntervalView(parent=L, lo=lo, hi=hi, members=members,
                         as_lattice=sub, from_parent=pos)
     L._interval_cache[(lo, hi)] = view
@@ -580,9 +591,6 @@ class ProductLattice:
     lattice: Lattice
     factors: tuple[Lattice, ...]
     coords: tuple[tuple[int, ...], ...]
-
-    def id_of_coords(self, cs: tuple[int, ...]) -> int:
-        return self.coords.index(cs)
 
 
 def direct_product(factors: Sequence[Lattice], name: str | None = None,
@@ -617,36 +625,8 @@ def direct_product(factors: Sequence[Lattice], name: str | None = None,
              for s in tuples] for t in tuples]
     meet = [[pos[tuple(f.meet_of(a, b) for f, a, b in zip(factors, t, s))]
              for s in tuples] for t in tuples]
-    prod_name = name or "x".join(f.name for f in factors)
-
-    # canonicalize by hand so the coordinate map survives the reindexing
-    full = (1 << n) - 1
-    bottom = next(a for a in range(n) if up[a] == full)
-    covers = _covers_from_masks(n, up, down)
-    rank = _ranks(n, covers, bottom)
-    order = sorted(range(n), key=lambda i: (rank[i], names[i]))
-    perm = [0] * n
-    for new, old in enumerate(order):
-        perm[old] = new
-
-    def remap(m: int) -> int:
-        out = 0
-        for b in _bits(m):
-            out |= 1 << perm[b]
-        return out
-
-    lat = Lattice(
-        name=prod_name,
-        names=[names[o] for o in order],
-        up=[remap(up[o]) for o in order],
-        down=[remap(down[o]) for o in order],
-        join=[[perm[join[o1][o2]] for o2 in order] for o1 in order],
-        meet=[[perm[meet[o1][o2]] for o2 in order] for o1 in order],
-        bottom=perm[bottom],
-        top=perm[next(a for a in range(n) if down[a] == full)],
-        rank=[rank[o] for o in order],
-        covers=sorted((perm[a], perm[b]) for a, b in covers),
-    )
+    lat, order = _assemble(name or "x".join(f.name for f in factors), names,
+                           up, down, join, meet, canonicalize=True)
     return ProductLattice(lattice=lat, factors=tuple(factors),
                           coords=tuple(tuples[o] for o in order))
 

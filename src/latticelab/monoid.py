@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotClosedError, SizeLimitExceededError
-from .lattice import Lattice, complemented_elements, complements_of, is_modular
+from .lattice import (Lattice, close_under, complemented_elements, complements_of,
+                      is_modular)
 from .morphisms import (
     LinearMorphism,
     enumerate_linmors,
@@ -32,8 +33,9 @@ _COMP_CACHE: dict[tuple[bytes, tuple], np.ndarray] = {}
 class EndoMonoid:
     """A composition-closed set of linear endomorphisms with zero and identity."""
 
-    __slots__ = ("lattice", "members", "zero_idx", "id_idx",
-                 "_index", "_comp", "_idem", "_has_all_projections", "_cosets")
+    __slots__ = ("lattice", "members", "zero_idx", "id_idx", "_index", "_comp",
+                 "_idem", "_has_all_projections", "_cosets", "_kernels",
+                 "_image_tops")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
         self.lattice = lattice
@@ -50,6 +52,8 @@ class EndoMonoid:
         self._idem = None
         self._has_all_projections = None
         self._cosets = None
+        self._kernels = None
+        self._image_tops = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -123,9 +127,22 @@ class EndoMonoid:
         if self._has_all_projections is None:
             L = self.lattice
             self._has_all_projections = is_modular(L).holds and all(
-                projection(L, a, ap).map in self._index
-                for a in complemented_elements(L) for ap in complements_of(L, a))
+                pi.map in self._index for pi in _all_projections(L))
         return self._has_all_projections
+
+    @property
+    def kernels(self) -> tuple[int, ...]:
+        """The distinct member kernels, sorted."""
+        if self._kernels is None:
+            self._kernels = tuple(sorted({phi.kernel for phi in self.members}))
+        return self._kernels
+
+    @property
+    def image_tops(self) -> tuple[int, ...]:
+        """The distinct member image tops, sorted."""
+        if self._image_tops is None:
+            self._image_tops = tuple(sorted({phi.image_top for phi in self.members}))
+        return self._image_tops
 
     def idempotent_indices(self) -> tuple[int, ...]:
         if self._idem is None:
@@ -138,16 +155,10 @@ class EndoMonoid:
         return f"EndoMonoid({self.lattice.name!r}, size={len(self.members)})"
 
 
-def idempotents(m: EndoMonoid) -> tuple[int, ...]:
-    return m.idempotent_indices()
-
-
-def _all_projections(L: Lattice) -> list[LinearMorphism]:
-    out = []
-    for a in complemented_elements(L):
-        for ap in complements_of(L, a):
-            out.append(projection(L, a, ap))
-    return out
+def _all_projections(L: Lattice):
+    """Every projection, for every complement choice, built on demand."""
+    return (projection(L, a, ap)
+            for a in complemented_elements(L) for ap in complements_of(L, a))
 
 
 def full_monoid(L: Lattice, max_size: int | None = None) -> EndoMonoid:
@@ -217,9 +228,12 @@ def monoid_from_spec(L: Lattice, spec) -> EndoMonoid:
     if not isinstance(docs, list):
         raise ValueError(f"monoid spec field {field!r} must be a list of morphisms")
     morphisms = [morphism_from_json(doc, L) for doc in docs]
-    if kind == "generated":
-        return generated_monoid(L, morphisms, bool(spec.get("with_projections", False)))
-    return explicit_monoid(L, morphisms)
+    if kind == "explicit":
+        return explicit_monoid(L, morphisms)
+    with_projections = spec.get("with_projections", False)
+    if not isinstance(with_projections, bool):
+        raise ValueError("monoid spec field 'with_projections' must be true or false")
+    return generated_monoid(L, morphisms, with_projections)
 
 
 # -- annihilators ---------------------------------------------------------------
@@ -284,31 +298,8 @@ def annihilator(m: EndoMonoid, side: str, targets) -> AnnihilatorSet:
                           principal_idempotent=principal)
 
 
-def _annihilator_closure(m: EndoMonoid, side: str):
-    """All annihilators of subsets, as the intersection closure of the
-    single-member ones; each closed mask keeps a generating member tuple."""
-    singles: dict[bytes, tuple] = {}
-    masks: dict[bytes, np.ndarray] = {}
-    for i in range(len(m.members)):
-        mask = _ann_mask(m, side, (i,))
-        key = mask.tobytes()
-        if key not in singles:
-            singles[key] = (i,)
-            masks[key] = mask
-    closed = dict(singles)
-    frontier = list(closed.items())
-    while frontier:
-        nxt = []
-        for key, gen in frontier:
-            for key2, gen2 in list(singles.items()):
-                inter = masks[key] & masks[key2]
-                ikey = inter.tobytes()
-                if ikey not in closed:
-                    closed[ikey] = gen + gen2
-                    masks[ikey] = inter
-                    nxt.append((ikey, gen + gen2))
-        frontier = nxt
-    return closed, masks
+def _mask_and(a: bytes, b: bytes) -> bytes:
+    return (np.frombuffer(a, dtype=bool) & np.frombuffer(b, dtype=bool)).tobytes()
 
 
 def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
@@ -327,12 +318,17 @@ def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
     if kind in ("right_baer", "left_baer"):
         side = kind.split("_")[0]
         cosets = coset_index(m, side)
-        closed, masks = _annihilator_closure(m, side)
-        for key in sorted(closed, key=lambda k: (masks[k].sum(), k)):
+        # all annihilators of subsets: the intersection closure of the
+        # single-member ones, keyed by the bytes of the member mask
+        singles: dict[bytes, tuple] = {}
+        for i in range(len(m.members)):
+            singles.setdefault(_ann_mask(m, side, (i,)).tobytes(), (i,))
+        closed = close_under(singles, _mask_and)
+        for key in sorted(closed, key=lambda k: (k.count(1), k)):
             if key not in cosets:
-                gens = closed[key]
-                witness = {"generators": [m.members[g].as_name_map() for g in gens],
-                           "annihilator_size": int(masks[key].sum())}
+                witness = {"generators": [m.members[g].as_name_map()
+                                          for g in closed[key]],
+                           "annihilator_size": key.count(1)}
                 return Verdict(kind, False, witness=witness)
         return Verdict(kind, True)
     raise ValueError(f"unknown monoid predicate: {kind!r}")

@@ -149,10 +149,6 @@ def validate_linear(domain: Lattice, codomain: Lattice,
                           kernel=k, image_top=a)
 
 
-def kernel_of(phi: LinearMorphism) -> int:
-    return phi.kernel
-
-
 def identity_morphism(L: Lattice) -> LinearMorphism:
     return LinearMorphism(domain=L, codomain=L, map=tuple(range(L.n)),
                           kernel=L.bottom, image_top=L.top)

@@ -13,6 +13,7 @@ import itertools
 from .errors import MissingProjectionsError
 from .lattice import (
     Lattice,
+    close_under,
     complemented_elements,
     complements_of,
     essential_superfluous,
@@ -21,23 +22,6 @@ from .lattice import (
 from .monoid import EndoMonoid
 from .morphisms import enumerate_linmors, projection
 from .verdict import Verdict
-
-
-def _closure(L: Lattice, seeds: dict[int, tuple], op) -> dict[int, tuple]:
-    """Close a set of elements under a binary table op, tracking generators."""
-    closed = dict(seeds)
-    frontier = list(seeds.items())
-    while frontier:
-        nxt = []
-        for x, gx in frontier:
-            for y, gy in list(closed.items()):
-                z = op(x, y)
-                if z not in closed:
-                    gens = tuple(dict.fromkeys(gx + gy))
-                    closed[z] = gens
-                    nxt.append((z, gens))
-        frontier = nxt
-    return closed
 
 
 def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
@@ -63,12 +47,14 @@ def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
                     "image": L.names[phi.image_top]})
         return Verdict(kind, True)
     if kind in ("baer", "dual_baer"):
+        # seeded in member order, not m.kernels order: the order fixes which
+        # generators a witness lists
         seeds: dict[int, tuple] = {}
         for i, phi in enumerate(m.members):
             e = phi.kernel if kind == "baer" else phi.image_top
             seeds.setdefault(e, (i,))
         op = L.meet_of if kind == "baer" else L.join_of
-        closed = _closure(L, seeds, op)
+        closed = close_under(seeds, op)
         for e in sorted(closed):
             if e not in comp:
                 gens = closed[e]
@@ -235,13 +221,10 @@ def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
 def check_retractable(L: Lattice, m: EndoMonoid) -> Verdict:
     """Local retractability toward kernels: every b below a member kernel is
     covered by some member image inside that kernel."""
-    images = sorted({phi.image_top for phi in m.members})
-    kernels = {}
-    for phi in m.members:
-        kernels.setdefault(phi.kernel, phi)
-    for k, phi in sorted(kernels.items()):
+    for k in m.kernels:
         for b in L.down_set(k):
-            if not any(L.leq(b, img) and L.leq(img, k) for img in images):
+            if not any(L.leq(b, img) and L.leq(img, k) for img in m.image_tops):
+                phi = next(p for p in m.members if p.kernel == k)
                 return Verdict("retractable", False, witness={
                     "morphism": phi.as_name_map(), "kernel": L.names[k],
                     "element": L.names[b]})
@@ -253,18 +236,13 @@ def check_generation(L: Lattice, m: EndoMonoid, x: int, kind: str) -> Verdict:
     x is the meet of member kernels above it."""
     kind = kind.lower()
     if kind == "generated":
-        parts = [phi.image_top for phi in m.members if L.leq(phi.image_top, x)]
-        got = L.join_all(parts)
-        holds = got == x
-        witness = {"element": L.names[x], "reached": L.names[got]}
-        return Verdict("generated", holds, witness=witness)
-    if kind == "cogenerated":
-        parts = [phi.kernel for phi in m.members if L.leq(x, phi.kernel)]
-        got = L.meet_all(parts)
-        holds = got == x
-        witness = {"element": L.names[x], "reached": L.names[got]}
-        return Verdict("cogenerated", holds, witness=witness)
-    raise ValueError(f"unknown kind: {kind!r}")
+        got = L.join_all(e for e in m.image_tops if L.leq(e, x))
+    elif kind == "cogenerated":
+        got = L.meet_all(e for e in m.kernels if L.leq(x, e))
+    else:
+        raise ValueError(f"unknown kind: {kind!r}")
+    return Verdict(kind, got == x,
+                   witness={"element": L.names[x], "reached": L.names[got]})
 
 
 def check_cross_rickart(L: Lattice, M: Lattice,

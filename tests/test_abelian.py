@@ -1,7 +1,9 @@
 """Finite abelian groups, subgroup lattices, and the induced monoid."""
 
+import numpy as np
 import pytest
 
+from latticelab import config
 from latticelab.abelian import (
     AbelianGroup,
     GroupHom,
@@ -34,6 +36,14 @@ class TestGroups:
     def test_order_cap(self):
         with pytest.raises(SizeLimitExceededError):
             AbelianGroup.from_spec("128")
+
+    def test_order_cap_fits_uint64_masks(self):
+        # _endo_sweep packs subgroups into np.uint64 masks, one bit per element
+        assert config.DEFAULT_GROUP_ORDER_CAP <= np.iinfo(np.uint64).bits
+        g = AbelianGroup.from_spec(str(config.DEFAULT_GROUP_ORDER_CAP))
+        sweep = _endo_sweep(g)
+        assert (1 << g.order) - 1 in sweep["kernel_masks"]  # the zero map
+        assert (1 << g.order) - 1 in sweep["image_masks"]  # the identity
 
     def test_elements(self):
         g = AbelianGroup.from_spec("2,4")

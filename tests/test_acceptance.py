@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass. All comparisons are exact; runtime budgets are asserted.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -127,8 +128,11 @@ def test_criterion_4_theorem_conformance(capsys):
     try:
         code = cli_run(["--json", "theorems", "--random", "200",
                         "--max-size", "8", "--seed", "42"])
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "bad655e2876cdc44ba933bfad11363398cd9ade25822a99185e698ce218892bd"
         assert doc["failures"] == []
         assert set(doc["checks"]) == set(REGISTRY)
         assert doc["lattice_count"] == 206  # 6 modular fixtures + 200 random

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -64,12 +65,27 @@ class TestAnalyze:
         assert len(doc["results"]) > 15
         assert all(r["holds"] for r in doc["results"])
 
+    # sha256 of `--json analyze fixtures/<f>.json --props all --monoid full`
+    PINNED = {
+        "b2": "7bd85ee139aee3e1cef5bb60fbf202c0280e53985e1548517c8bedbec0f4457b",
+        "b3": "bfdd4c7cb319b5a2b0a3ca90a9da6952092c5514a6090a15ef93f9e677a84479",
+        "c2": "490c5530c543f264fb4ed30fff59a6b7ff125467742c1f14e8f3a606ac2a4647",
+        "c3": "fa121d131e8c1604e4256bba990564544fda1a9214d419d3361948872355f788",
+        "excip": "491289a84935d0b8e2963a57c3a9f30ceea41a04651ae03bd19bc9ede0188675",
+        "m3": "4cbd773a5a6ae245a0bfd95031672059760a896f7bc27191f4373f0337699be8",
+    }
+
     def test_output_is_byte_stable(self, capsys):
         args = ["--json", "analyze", str(FIXTURES / "m3.json"),
                 "--props", "rickart,baer,cip"]
         _, out1 = run_capture(capsys, args)
         _, out2 = run_capture(capsys, args)
         assert out1 == out2
+        for name, digest in self.PINNED.items():
+            _, out = run_capture(capsys, [
+                "--json", "analyze", str(FIXTURES / f"{name}.json"),
+                "--props", "all", "--monoid", "full"])
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
     def test_unknown_prop(self, capsys):
         assert run(["analyze", str(FIXTURES / "c3.json"), "--props", "zzz"]) == 2
@@ -111,6 +127,12 @@ class TestMalformedInput:
             {"name": "c", "elements": "01", "covers": [["0", "1"]]}))
         self.run_error(capsys, ["validate", str(bad)])
 
+    def test_non_string_name_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps(
+            {"name": ["x"], "elements": ["0", "1"], "covers": [["0", "1"]]}))
+        self.run_error(capsys, ["validate", str(bad)])
+
     def test_list_element_name_rejected(self, tmp_path, capsys):
         bad = tmp_path / "c.json"
         bad.write_text(json.dumps(
@@ -135,6 +157,16 @@ class TestMalformedInput:
 
     def test_generators_that_are_not_a_list(self, tmp_path, capsys):
         self.spec_run(tmp_path, capsys, {"kind": "explicit", "members": "x"})
+
+    def test_with_projections_must_be_a_boolean(self, tmp_path, capsys):
+        for value in ("false", 0, None):
+            path = tmp_path / "monoid.json"
+            path.write_text(json.dumps({"kind": "generated", "generators": [],
+                                        "with_projections": value}))
+            err = self.run_error(capsys, [
+                "analyze", str(FIXTURES / "b2.json"), "--monoid", str(path),
+                "--props", "rickart"])
+            assert "with_projections" in err
 
     def test_spec_that_is_not_an_object(self, tmp_path, capsys):
         self.spec_run(tmp_path, capsys, ["generated"])

@@ -27,7 +27,6 @@ from latticelab.lattice import (
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
-    order_query,
     socle_radical,
 )
 
@@ -90,20 +89,20 @@ class TestBuild:
 
 class TestOrderQueries:
     def test_chain_join_absorbs(self, c3):
-        assert order_query(c3, "join", c3.id_of("n"), c3.id_of("1")) == c3.id_of("1")
+        assert c3.join_of(c3.id_of("n"), c3.id_of("1")) == c3.id_of("1")
 
     def test_m3_atoms(self, m3):
         a, b = m3.id_of("a"), m3.id_of("b")
-        assert order_query(m3, "join", a, b) == m3.top
-        assert order_query(m3, "meet", a, b) == m3.bottom
+        assert m3.join_of(a, b) == m3.top
+        assert m3.meet_of(a, b) == m3.bottom
 
     def test_excip_join_of_atoms(self, excip):
         k, f = excip.id_of("k"), excip.id_of("f")
-        assert order_query(excip, "join", k, f) == excip.id_of("c")
+        assert excip.join_of(k, f) == excip.id_of("c")
 
     def test_leq(self, c3):
-        assert order_query(c3, "leq", 0, 2)
-        assert not order_query(c3, "leq", 2, 0)
+        assert c3.leq(0, 2)
+        assert not c3.leq(2, 0)
 
 
 class TestModular:

@@ -10,7 +10,6 @@ from latticelab.monoid import (
     annihilator,
     build_monoid,
     full_monoid,
-    idempotents,
     monoid_from_spec,
     monoid_predicate,
 )
@@ -75,19 +74,19 @@ class TestBuild:
 class TestIdempotents:
     def test_chain(self, c3):
         m = full_monoid(c3)
-        assert set(idempotents(m)) == {m.zero_idx, m.id_idx}
+        assert set(m.idempotent_indices()) == {m.zero_idx, m.id_idx}
 
     def test_square_includes_projections(self, b2):
         m = full_monoid(b2)
-        idem_maps = {m.members[i].map for i in idempotents(m)}
+        idem_maps = {m.members[i].map for i in m.idempotent_indices()}
         a, b = b2.id_of("a"), b2.id_of("b")
         assert projection(b2, a, b).map in idem_maps
         assert projection(b2, b, a).map in idem_maps
 
     def test_always_contains_zero_and_id(self, m3):
         m = full_monoid(m3)
-        assert m.zero_idx in idempotents(m)
-        assert m.id_idx in idempotents(m)
+        assert m.zero_idx in m.idempotent_indices()
+        assert m.id_idx in m.idempotent_indices()
 
 
 class TestAnnihilator:
@@ -115,7 +114,7 @@ class TestAnnihilator:
         """psi lies in eps*m exactly when eps absorbs it from the left."""
         m = full_monoid(b2)
         comp = m.comp
-        for eps in idempotents(m):
+        for eps in m.idempotent_indices():
             coset = {int(v) for v in comp[eps, :]}
             for j in range(len(m)):
                 assert (j in coset) == (comp[eps, j] == j)

@@ -30,7 +30,6 @@ from latticelab.morphisms import (
     identity_morphism,
     interval_inclusion,
     interval_quotient,
-    kernel_of,
     morphism_from_json,
     morphism_to_json,
     projection,
@@ -77,7 +76,7 @@ class TestValidate:
             validate_linear(c2, c2, (1, 1))
 
     def test_zero_morphism_kernel_is_top(self, m3):
-        assert kernel_of(zero_morphism(m3)) == m3.top
+        assert zero_morphism(m3).kernel == m3.top
 
 
 class TestCompose:
