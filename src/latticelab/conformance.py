@@ -243,10 +243,12 @@ class LatticeContext:
         return self._get(("cogenerated", x), lambda: check_generation(
             self.L, self.monoid, x, "cogenerated")).holds
 
-
-def _interval_family_prop(L: Lattice, hi: int, kind: str) -> bool:
-    sub = interval(L, L.bottom, hi).as_lattice
-    return check_rickart_family(sub, full_monoid(sub), kind).holds
+    def interval_family_prop(self, hi: int, kind: str) -> bool:
+        """The Rickart-type property `kind` of [bottom, hi] with its full monoid."""
+        def build():
+            sub = interval(self.L, self.L.bottom, hi).as_lattice
+            return check_rickart_family(sub, full_monoid(sub), kind).holds
+        return self._get(("interval_family", hi, kind), build)
 
 
 def _canonical_complement(L: Lattice, fam: tuple[int, ...], a: int) -> int:
@@ -609,7 +611,7 @@ def chk_compintric(ctx):
         return _skip("lattice is not rickart")
     L = ctx.L
     for a in ctx.comp:
-        if not _interval_family_prop(L, a, "rickart"):
+        if not ctx.interval_family_prop(a, "rickart"):
             return _fail(a=L.names[a])
     return _ok()
 
@@ -618,7 +620,7 @@ def chk_complbaer(ctx):
     if not ctx.baer:
         return _skip("lattice is not baer")
     for a in ctx.comp:
-        if not _interval_family_prop(ctx.L, a, "baer"):
+        if not ctx.interval_family_prop(a, "baer"):
             return _fail(a=ctx.L.names[a])
     return _ok()
 
@@ -627,7 +629,7 @@ def chk_compldbaer(ctx):
     if not ctx.dual_baer:
         return _skip("lattice is not dual baer")
     for a in ctx.comp:
-        if not _interval_family_prop(ctx.L, a, "dual_baer"):
+        if not ctx.interval_family_prop(a, "dual_baer"):
             return _fail(a=ctx.L.names[a])
     return _ok()
 
@@ -662,7 +664,7 @@ def chk_sumric(ctx):
         return _skip("family enumeration over size cap")
     L = ctx.L
     for fam in fams:
-        rhs = all(_interval_family_prop(L, a, "rickart") for a in fam)
+        rhs = all(ctx.interval_family_prop(a, "rickart") for a in fam)
         if rhs != ctx.rickart:
             return _fail(family=[L.names[a] for a in fam],
                          blocks_rickart=rhs, rickart=ctx.rickart)
@@ -680,7 +682,7 @@ def chk_decomp_fi(ctx):
         if not set(fam) <= fi:
             continue
         hit = True
-        rhs = all(_interval_family_prop(L, a, "rickart") for a in fam)
+        rhs = all(ctx.interval_family_prop(a, "rickart") for a in fam)
         if rhs != ctx.rickart:
             return _fail(family=[L.names[a] for a in fam],
                          blocks_rickart=rhs, rickart=ctx.rickart)
@@ -752,22 +754,25 @@ def chk_fi_join(ctx):
 
 def _iso_to_complement_choices(ctx) -> dict[int, list[int]]:
     """For each a, the b's admitting an iso [a, top] -> [bottom, b] whose
-    composite through quotient and inclusion lies in the monoid."""
-    L, m = ctx.L, ctx.monoid
-    out: dict[int, list[int]] = {}
-    for a in range(L.n):
-        vu = interval(L, a, L.top)
-        bs = []
-        for b in range(L.n):
-            vb = interval(L, L.bottom, b)
-            for iso in enumerate_interval_isos(vu, vb):
-                table = tuple(vb.members[iso.forward[vu.from_parent[L.join_of(y, a)]]]
-                              for y in range(L.n))
-                if m.contains_map(table):
-                    bs.append(b)
-                    break
-        out[a] = bs
-    return out
+    composite through quotient and inclusion lies in the monoid; computed
+    once per lattice."""
+    def build():
+        L, m = ctx.L, ctx.monoid
+        out: dict[int, list[int]] = {}
+        for a in range(L.n):
+            vu = interval(L, a, L.top)
+            bs = []
+            for b in range(L.n):
+                vb = interval(L, L.bottom, b)
+                for iso in enumerate_interval_isos(vu, vb):
+                    table = tuple(vb.members[iso.forward[vu.from_parent[L.join_of(y, a)]]]
+                                  for y in range(L.n))
+                    if m.contains_map(table):
+                        bs.append(b)
+                        break
+            out[a] = bs
+        return out
+    return ctx._get("iso_to_complement_choices", build)
 
 
 def chk_booluniqb_exists(ctx):

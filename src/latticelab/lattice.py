@@ -160,13 +160,16 @@ class Lattice:
         return f"Lattice({self.name!r}, n={self.n})"
 
 
-def close_under(seeds: dict, op) -> dict:
+def close_under(seeds: dict, op, limit: int | None = None) -> dict:
     """Close the seed keys under a binary op, breadth first.
 
-    Each frontier key is combined with each seed. A new key records the
-    deduplicated generator tuple of the pair that first produced it; for a
-    commutative, associative and idempotent op (meets, joins, intersections,
-    sums) folding `op` over those generators' seeds gives back the key.
+    Each frontier key x is combined with each seed s as op(x, s). A new key
+    records the deduplicated generator tuple of the pair that first produced
+    it; for a commutative, associative and idempotent op (meets, joins,
+    intersections, sums) folding `op` over those generators' seeds gives
+    back the key. For an associative op with an identity among the seeds
+    the result is the monoid the seeds generate. More than `limit` keys
+    raises SizeLimitExceededError.
     """
     closed = dict(seeds)
     frontier = list(seeds.items())
@@ -179,6 +182,9 @@ def close_under(seeds: dict, op) -> dict:
                 if z not in closed:
                     closed[z] = gens = tuple(dict.fromkeys(gx + gs))
                     nxt.append((z, gens))
+                    if limit is not None and len(closed) > limit:
+                        raise SizeLimitExceededError(
+                            f"closure exceeded {limit} elements")
         frontier = nxt
     return closed
 

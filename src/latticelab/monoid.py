@@ -1,8 +1,8 @@
 """Submonoids-with-zero of the linear endomorphisms of a lattice.
 
 Members are canonically sorted by map table. The composition table is built
-lazily: property checks that only read kernels and image tops stay cheap even
-for very large induced monoids.
+lazily, with numpy, one member row at a time: property checks that only read
+kernels and image tops stay cheap even for very large induced monoids.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotClosedError, SizeLimitExceededError
+from .errors import NotClosedError
 from .lattice import (Lattice, close_under, complemented_elements, complements_of,
                       is_modular)
 from .morphisms import (
@@ -74,49 +74,29 @@ class EndoMonoid:
     def comp(self) -> np.ndarray:
         """comp[i, j] = index of members[i] composed after members[j].
 
-        Built lazily (and vectorized for large monoids): property checks
-        that only read kernels and images never pay for it.
+        Built lazily, one member row at a time against the sorted member
+        tables: property checks that only read kernels and images never pay
+        for it.
         """
         if self._comp is None:
             maps = tuple(m.map for m in self.members)
             key = (self.lattice.structure_key, maps)
-            cached = _COMP_CACHE.get(key)
-            if cached is not None:
-                self._comp = cached
-                return cached
-            size = len(self.members)
-            if size > 64:
-                table = self._comp_np(maps)
-            else:
+            table = _COMP_CACHE.get(key)
+            if table is None:
+                size = len(maps)
+                arr = np.array(maps, dtype=np.int32)  # (size, n), rows sorted
+                view = arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel()
                 table = np.empty((size, size), dtype=np.int32)
-                idx = self._index
-                for i, mi in enumerate(maps):
-                    row = table[i]
-                    for j, mj in enumerate(maps):
-                        composed = tuple(mi[v] for v in mj)
-                        hit = idx.get(composed)
-                        if hit is None:
-                            raise NotClosedError(
-                                f"members {i} and {j} compose outside the set")
-                        row[j] = hit
-            table.setflags(write=False)
-            _COMP_CACHE[key] = table
+                for i in range(size):
+                    composed = np.ascontiguousarray(arr[i][arr]).view(view.dtype).ravel()
+                    pos = np.searchsorted(view, composed)
+                    if (pos >= size).any() or (view[np.minimum(pos, size - 1)] != composed).any():
+                        raise NotClosedError(f"member {i} composes outside the set")
+                    table[i] = pos
+                table.setflags(write=False)
+                _COMP_CACHE[key] = table
             self._comp = table
         return self._comp
-
-    def _comp_np(self, maps) -> np.ndarray:
-        size = len(maps)
-        arr = np.array(maps, dtype=np.int32)  # (size, n), rows sorted
-        view = np.ascontiguousarray(arr).view(
-            np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel()
-        table = np.empty((size, size), dtype=np.int32)
-        for i in range(size):
-            composed = np.ascontiguousarray(arr[i][arr]).view(view.dtype).ravel()
-            pos = np.searchsorted(view, composed)
-            if (pos >= size).any() or (view[np.minimum(pos, size - 1)] != composed).any():
-                raise NotClosedError(f"member {i} composes outside the set")
-            table[i] = pos
-        return table
 
     @property
     def has_all_projections(self) -> bool:
@@ -166,33 +146,30 @@ def full_monoid(L: Lattice, max_size: int | None = None) -> EndoMonoid:
     return EndoMonoid(L, enumerate_linmors(L, L, max_size=max_size))
 
 
-def generated_monoid(L: Lattice, generators=(), with_projections: bool = False,
-                     max_members: int = 5000) -> EndoMonoid:
+# generated monoids larger than this raise SizeLimitExceededError
+MAX_GENERATED_MEMBERS = 5000
+
+
+def generated_monoid(L: Lattice, generators=(),
+                     with_projections: bool = False) -> EndoMonoid:
     """Closure of the generators (plus zero, identity, optionally all
-    projections) under composition."""
-    base: dict[tuple[int, ...], LinearMorphism] = {}
-    seeds = [identity_morphism(L), zero_morphism(L)]
-    seeds.extend(generators)
-    if with_projections:
-        seeds.extend(_all_projections(L))
-    for phi in seeds:
+    projections) under composition.
+
+    Every product of seeds is a shorter product followed by one more seed,
+    so the right closure under seeds reaches all of them; each new table is
+    then certified once.
+    """
+    seeds: dict[tuple[int, ...], LinearMorphism] = {}
+    for phi in [identity_morphism(L), zero_morphism(L), *generators,
+                *(_all_projections(L) if with_projections else ())]:
         if phi.domain is not L or phi.codomain is not L:
             raise ValueError("generators must be endomorphisms of the lattice")
-        base[phi.map] = phi
-    queue = list(base.values())
-    while queue:
-        phi = queue.pop()
-        for psi in list(base.values()):
-            for table in (tuple(phi.map[v] for v in psi.map),
-                          tuple(psi.map[v] for v in phi.map)):
-                if table not in base:
-                    new = validate_linear(L, L, table)
-                    base[table] = new
-                    queue.append(new)
-                    if len(base) > max_members:
-                        raise SizeLimitExceededError(
-                            f"monoid closure exceeded {max_members} members")
-    return EndoMonoid(L, list(base.values()))
+        seeds[phi.map] = phi
+    closed = close_under(dict.fromkeys(seeds, ()),
+                         lambda phi, psi: tuple(phi[v] for v in psi),
+                         limit=MAX_GENERATED_MEMBERS)
+    return EndoMonoid(L, [seeds[t] if t in seeds else validate_linear(L, L, t)
+                          for t in closed])
 
 
 def explicit_monoid(L: Lattice, members) -> EndoMonoid:

@@ -6,8 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from latticelab import fixtures as fx
 from latticelab.cli import run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
+from latticelab.lattice import lattice_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -86,6 +90,32 @@ class TestAnalyze:
                 "--json", "analyze", str(FIXTURES / f"{name}.json"),
                 "--props", "all", "--monoid", "full"])
             assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+    # (exit code, sha256 of the "results" list) for `--json analyze
+    # fixtures/<f>.json --props all --monoid <generated, with projections>`
+    PINNED_GENERATED = {
+        "b2": (0, "f6aea7da87bf1a72d4284f408f332af191e47fceccfb63f221694a3d6b1660b6"),
+        "b3": (0, "1aba779579370907c2131ecd755aa5777899fe4730551bb39613d04a0df876ce"),
+        "c2": (0, "3652d6e8436293b1106f6bd0c5ea671943ddac8b87bb6361b85242f130f541cb"),
+        "c3": (1, "7ef7695b8448312aaac8340e5b9927b81769b7997065ab97f367dfe7ac633d96"),
+        "excip": (1, "b93fa3e02cb802a2a4d56fb7c36773d697acacb373aa9e0877935e39ca99edf4"),
+        "m3": (1, "5be3d31ae4b0276b7aa5a6e59428af7cf253ee5cd39e5780840fbdaf716ed62b"),
+        "n5": (2, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GENERATED))
+    def test_generated_monoid_results_are_pinned(self, name, tmp_path, capsys):
+        spec = tmp_path / "monoid.json"
+        spec.write_text(json.dumps({"kind": "generated", "with_projections": True}))
+        code, out = run_capture(capsys, [
+            "--json", "analyze", str(FIXTURES / f"{name}.json"),
+            "--props", "all", "--monoid", str(spec)])
+        digest = None
+        if code != 2:
+            results = json.loads(out)["results"]
+            digest = hashlib.sha256(json.dumps(
+                results, indent=2, ensure_ascii=False).encode()).hexdigest()
+        assert (code, digest) == self.PINNED_GENERATED[name]
 
     def test_unknown_prop(self, capsys):
         assert run(["analyze", str(FIXTURES / "c3.json"), "--props", "zzz"]) == 2
@@ -167,6 +197,20 @@ class TestMalformedInput:
                 "analyze", str(FIXTURES / "b2.json"), "--monoid", str(path),
                 "--props", "rickart"])
             assert "with_projections" in err
+
+    def test_generated_monoid_over_the_member_cap(self, tmp_path, capsys):
+        lattice = tmp_path / "m7.json"
+        lattice.write_text(lattice_to_json(fx.mk(7)))
+        atoms = [f"a{i}" for i in range(7)]
+        gens = [{"domain": "m7", "codomain": "m7",
+                 "map": {"0": "0", "1": "1",
+                         **{a: atoms[p] for a, p in zip(atoms, perm)}}}
+                for perm in ([1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0])]
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps({"kind": "generated", "generators": gens}))
+        err = self.run_error(capsys, [
+            "analyze", str(lattice), "--monoid", str(path), "--props", "rickart"])
+        assert "5000" in err
 
     def test_spec_that_is_not_an_object(self, tmp_path, capsys):
         self.spec_run(tmp_path, capsys, ["generated"])

@@ -6,10 +6,12 @@ equivalence that lets check_rickpix skip re-certifying compose(phi, pi), and
 the invariants that raise ConsistencyError instead of asserting.
 """
 
+import collections
 import dataclasses
 
 import pytest
 
+from latticelab import conformance as conformance_mod
 from latticelab import fixtures as fx
 from latticelab import lattice as lattice_mod
 from latticelab import morphisms as morphisms_mod
@@ -127,3 +129,23 @@ class TestConsistencyErrors:
         monkeypatch.setattr(morphisms_mod, "validate_linear", wrong_kernel)
         with pytest.raises(ConsistencyError):
             morphisms_mod.extend_from_interval(phi, vx, vx, b)
+
+
+def test_interval_facts_are_computed_once_per_lattice(monkeypatch):
+    """The per-interval family verdicts and the iso-to-complement choices
+    live on the conformance context, so one run computes each once."""
+    calls = collections.Counter()
+    real = conformance_mod.check_rickart_family
+
+    def counting(L, m, kind):
+        calls[(L.name, kind)] += 1
+        return real(L, m, kind)
+
+    monkeypatch.setattr(conformance_mod, "check_rickart_family", counting)
+    report = run_conformance([fx.b3()])
+    assert report.total_failures == 0
+    assert ("b3[0,a]", "rickart") in calls
+    assert max(calls.values()) == 1
+    ctx = conformance_mod.LatticeContext(fx.b3())
+    choices = conformance_mod._iso_to_complement_choices(ctx)
+    assert conformance_mod._iso_to_complement_choices(ctx) is choices

@@ -1,15 +1,22 @@
 """Submonoids with zero: construction, annihilators, monoid predicates."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from latticelab import fixtures as fx
-from latticelab.errors import NotClosedError
+from latticelab.conformance import random_corpus
+from latticelab.errors import NotClosedError, SizeLimitExceededError
+from latticelab.lattice import is_modular
 from latticelab.monoid import (
+    MAX_GENERATED_MEMBERS,
+    _all_projections,
     annihilator,
     build_monoid,
     full_monoid,
+    generated_monoid,
     monoid_from_spec,
     monoid_predicate,
 )
@@ -164,3 +171,69 @@ class TestCompositionTable:
             for j, psi in enumerate(m.members):
                 composed = tuple(phi.map[v] for v in psi.map)
                 assert m.members[int(comp[i, j])].map == composed
+
+
+def two_sided_closure(seed_maps, n, cap):
+    """Independent route: add every product of two members, in both orders,
+    until nothing new appears or there are more than `cap` members."""
+    members = np.unique(np.array(seed_maps, dtype=np.int64), axis=0)
+    weights = n ** np.arange(n, dtype=np.int64)
+    while True:
+        keys = [members @ weights]
+        for lo in range(0, len(members), 64):
+            # block[i, j] = members[lo + i] after members[j]
+            block = members[lo:lo + 64][:, members]
+            keys.append(np.unique(block @ weights))
+        keys = np.unique(np.concatenate(keys))
+        if len(keys) == len(members) or len(keys) > cap:
+            return {tuple(int(k) // n ** p % n for p in range(n)) for k in keys}
+        members = np.array([[int(k) // n ** p % n for p in range(n)] for k in keys],
+                           dtype=np.int64)
+
+
+class TestGeneratedClosure:
+    """generated_monoid against a two-sided closure and the full monoid."""
+
+    def test_matches_two_sided_closure(self):
+        lattices = [fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+        rng = random.Random(5)
+        capped = 0
+        for L in lattices + random_corpus(40, 9, 5):
+            modular = is_modular(L).holds
+            full = full_monoid(L) if modular else None
+            for with_projections in ((False, True) if modular else (False,)):
+                for count in range(4):
+                    gens = rng.sample(full.members, min(count, len(full))) if full else []
+                    seeds = [identity_morphism(L).map, zero_morphism(L).map,
+                             *(g.map for g in gens)]
+                    if with_projections:
+                        seeds += [pi.map for pi in _all_projections(L)]
+                    want = two_sided_closure(seeds, L.n, MAX_GENERATED_MEMBERS)
+                    if len(want) > MAX_GENERATED_MEMBERS:
+                        capped += 1
+                        with pytest.raises(SizeLimitExceededError):
+                            generated_monoid(L, gens, with_projections)
+                        continue
+                    got = generated_monoid(L, gens, with_projections)
+                    assert {phi.map for phi in got} == want, (L.name, count)
+                    for phi in got:
+                        if full is not None:
+                            ref = full.members[full.index_of(phi)]
+                            assert (phi.kernel, phi.image_top) == (ref.kernel, ref.image_top)
+        assert capped > 0
+
+    def test_member_cap_on_all_permutations_of_seven_atoms(self):
+        L = fx.mk(7)
+        atoms = [f"a{i}" for i in range(7)]
+
+        def atom_map(perm):
+            return {"domain": L.name, "codomain": L.name,
+                    "map": {"0": "0", "1": "1",
+                            **{a: atoms[p] for a, p in zip(atoms, perm)}}}
+
+        spec = {"kind": "generated", "with_projections": False,
+                "generators": [atom_map([1, 0, 2, 3, 4, 5, 6]),
+                               atom_map([1, 2, 3, 4, 5, 6, 0])]}
+        # the atom permutations alone are 7! = 5040 members
+        with pytest.raises(SizeLimitExceededError):
+            monoid_from_spec(L, spec)

@@ -5,12 +5,14 @@ definitional validator and compare against the factorized enumeration.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticelab import fixtures as fx
+from latticelab.abelian import AbelianGroup, subgroup_lattice
 from latticelab.conformance import random_modular_lattice
 from latticelab.errors import (
     DomainMismatchError,
@@ -20,7 +22,7 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import complements_of, interval
+from latticelab.lattice import build_lattice, complements_of, direct_product, interval
 from latticelab.morphisms import (
     compose,
     enumerate_interval_isos,
@@ -358,3 +360,112 @@ def test_members_preserve_joins_on_random_lattices(seed):
         for x in range(L.n):
             for y in range(L.n):
                 assert phi.map[L.join_of(x, y)] == L.join_of(phi.map[x], phi.map[y])
+
+
+def definition_outcome(domain, codomain, table):
+    """Independent route: the definition with an all-pairs order check.
+
+    Returns ("linear", kernel, image top) or the name of the exception class
+    that `validate_linear` must raise for the same table.
+    """
+    m = tuple(table)
+    if len(m) != domain.n or any(not (0 <= v < codomain.n) for v in m):
+        return "ValueError"
+    zero_pre = [x for x in range(domain.n) if m[x] == codomain.bottom]
+    if not zero_pre:
+        return "NoKernelError"
+    k = domain.join_all(zero_pre)
+    if m[k] != codomain.bottom or any(m[domain.join_of(x, k)] != m[x]
+                                      for x in range(domain.n)):
+        return "NoKernelError"
+    upper = domain.up_set(k)
+    a = m[domain.top]
+    if sorted(m[u] for u in upper) != codomain.down_set(a):
+        return "NotIntervalIsoError"
+    if any(domain.leq(u, v) != codomain.leq(m[u], m[v])
+           for u in upper for v in upper):
+        return "NotIntervalIsoError"
+    return ("linear", k, a)
+
+
+def certified_outcome(domain, codomain, table):
+    try:
+        phi = validate_linear(domain, codomain, table)
+    except (LinearValidationError, ValueError) as exc:
+        return type(exc).__name__
+    return ("linear", phi.kernel, phi.image_top)
+
+
+class TestCoverCertificate:
+    """validate_linear decides linearity by covers; the definition checks
+    every pair. Both must give the same outcome on every table."""
+
+    def test_every_table_between_small_fixtures(self):
+        small = [fx.build_fixture(name) for name in ("c2", "c3", "b2", "m3", "n5")]
+        seen = set()
+        for L in small:
+            for M in small:
+                for table in itertools.product(range(M.n), repeat=L.n):
+                    want = definition_outcome(L, M, table)
+                    assert certified_outcome(L, M, table) == want, (L.name, M.name, table)
+                    seen.add(want if isinstance(want, str) else "linear")
+        assert seen == {"NoKernelError", "NotIntervalIsoError", "linear"}
+
+    @pytest.mark.parametrize("covers, target_covers", [
+        # N5 onto 0 < x, y < z < 1: order-preserving, as many covers, and
+        # the cover (b, 1) lands on the non-cover (y, 1)
+        ([("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+         [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "c")]),
+        # a hexagon into the hexagon with a < d: every cover lands on a
+        # cover, but the target has one cover more
+        ([("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+         [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1"),
+          ("a", "d")]),
+    ], ids=["same_cover_count", "more_target_covers"])
+    def test_order_preserving_bijection_that_is_not_an_isomorphism(
+            self, covers, target_covers):
+        names = sorted({nm for pair in covers for nm in pair})
+        L = build_lattice(names, covers, name="source")
+        M = build_lattice(names, target_covers, name="target")
+        table = [M.id_of(nm) for nm in L.names]
+        assert definition_outcome(L, M, table) == "NotIntervalIsoError"
+        assert certified_outcome(L, M, table) == "NotIntervalIsoError"
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_product([fx.c3(), fx.m3()]).lattice,
+        lambda: direct_product([fx.b2(), fx.c2(), fx.c3()]).lattice,
+        lambda: subgroup_lattice(AbelianGroup.from_spec("2,2,2")),
+        lambda: subgroup_lattice(AbelianGroup.from_spec("2,2,4")),
+    ], ids=["c3xm3", "b2xc2xc3", "sub_2,2,2", "sub_2,2,4"])
+    def test_random_and_perturbed_tables_on_larger_lattices(self, build):
+        L = build()
+        rng = random.Random(L.n)
+        targets = [L] + [interval(L, L.bottom, b).as_lattice
+                         for b in rng.sample(range(L.n), 3)]
+        seen = set()
+        for M in targets:
+            linear = [phi.map for phi in enumerate_linmors(L, M, max_size=32)]
+            tables = rng.sample(linear, min(len(linear), 60))
+            for base in list(tables):
+                one = list(base)
+                one[rng.randrange(L.n)] = rng.randrange(M.n)
+                two = list(base)
+                i, j = rng.sample(range(L.n), 2)
+                two[i], two[j] = two[j], two[i]
+                tables += [one, two]
+            tables += [[rng.randrange(M.n) for _ in range(L.n)] for _ in range(40)]
+            if M is L:
+                # bijections fixing bottom and top pass the first clause and
+                # leave the order check to decide
+                middle = [x for x in range(L.n) if x not in (L.bottom, L.top)]
+                for _ in range(40):
+                    shuffled = rng.sample(middle, len(middle))
+                    table = list(range(L.n))
+                    for x, y in zip(middle, shuffled):
+                        table[x] = y
+                    tables.append(table)
+            for table in tables:
+                want = definition_outcome(L, M, table)
+                assert certified_outcome(L, M, table) == want, (L.name, M.name, table)
+                seen.add(want if isinstance(want, str) else "linear")
+        assert seen == {"NoKernelError", "NotIntervalIsoError", "linear"}
