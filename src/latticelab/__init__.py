@@ -60,8 +60,9 @@ from .monoid import (
     AnnihilatorSet,
     EndoMonoid,
     annihilator,
-    build_monoid,
+    explicit_monoid,
     full_monoid,
+    generated_monoid,
     monoid_from_spec,
     monoid_predicate,
 )

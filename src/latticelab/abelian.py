@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config
 from .errors import ConsistencyError, SizeLimitExceededError
-from .lattice import Lattice, _assemble, close_under, complemented_elements, is_modular
+from .lattice import (Lattice, _assemble, _bits, close_under, complemented_elements,
+                      is_modular)
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, validate_linear
 from .properties import check_rickart_family
@@ -69,7 +71,7 @@ class AbelianGroup:
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        return _group_data(self)["elements"]
+        return _group_data(self).elements
 
     def spec_string(self) -> str:
         return ",".join(str(d) for d in self.invariant_factors) or "1"
@@ -80,13 +82,18 @@ class AbelianGroup:
         return prod(gcd(a, b) for a in fs for b in fs) if fs else 1
 
 
-_GROUP_CACHE: dict[tuple[int, ...], dict] = {}
+class _GroupData(NamedTuple):
+    elements: tuple[tuple[int, ...], ...]
+    add: np.ndarray  # add[i, j]: id of element i + element j
+    sc_mul: np.ndarray  # sc_mul[c, i]: id of c times element i
+    coords: np.ndarray  # coords[j, i]: coordinate j of element i
+    orders: tuple[int, ...]
+    gen_ids: tuple[int, ...]  # ids of the standard generators
+    sum_memo: dict[tuple[int, int], int]  # filled by _pair_sum
 
 
-def _group_data(g: AbelianGroup) -> dict:
-    data = _GROUP_CACHE.get(g.invariant_factors)
-    if data is not None:
-        return data
+@cache
+def _group_data(g: AbelianGroup) -> _GroupData:
     fs = g.invariant_factors
     n = g.order
     elements = tuple(itertools.product(*[range(d) for d in fs])) or ((),)
@@ -106,16 +113,14 @@ def _group_data(g: AbelianGroup) -> dict:
         for x in elements)
     gen_ids = tuple(index[tuple(1 if i == j else 0 for i in range(len(fs)))]
                     for j in range(len(fs)))
-    data = {"elements": elements, "index": index, "add": add,
-            "sc_mul": sc_mul, "coords": coords, "orders": orders,
-            "gen_ids": gen_ids}
-    _GROUP_CACHE[g.invariant_factors] = data
-    return data
+    for table in (add, sc_mul, coords):
+        table.setflags(write=False)  # shared by every caller through the cache
+    return _GroupData(elements, add, sc_mul, coords, orders, gen_ids, {})
 
 
 def _span(g: AbelianGroup, mask: int) -> int:
     """Mask of the subgroup generated by the masked elements."""
-    add = _group_data(g)["add"]
+    add = _group_data(g).add
     span = mask | 1  # the identity, plus the generators
     changed = True
     while changed:
@@ -134,44 +139,35 @@ def _span(g: AbelianGroup, mask: int) -> int:
 def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
     """Sum of two subgroups given as masks, via the addition table; memoized."""
     data = _group_data(g)
-    memo = data.setdefault("sum_memo", {})
     key = (a, b) if a <= b else (b, a)
-    hit = memo.get(key)
+    hit = data.sum_memo.get(key)
     if hit is None:
         ea = [i for i in range(g.order) if a >> i & 1]
         eb = [i for i in range(g.order) if b >> i & 1]
         hit = 0
-        for v in np.unique(data["add"][np.ix_(ea, eb)]):
+        for v in np.unique(data.add[np.ix_(ea, eb)]):
             hit |= 1 << int(v)
-        memo[key] = hit
+        data.sum_memo[key] = hit
     return hit
 
 
 # -- subgroups and the subgroup lattice ----------------------------------------
 
 
-def _subgroup_data(g: AbelianGroup) -> dict:
-    data = _group_data(g)
-    if "sub_masks" in data:
-        return data
-    n = g.order
+@cache
+def _subgroup_masks(g: AbelianGroup) -> tuple[int, ...]:
+    """Every subgroup as an element mask, by size, then by mask."""
     # every subgroup is a sum of cyclic subgroups
-    cyclic = dict.fromkeys((_span(g, 1 << e) for e in range(n)), ())
-    masks = sorted(close_under(cyclic, partial(_pair_sum, g)),
-                   key=lambda m: (m.bit_count(), m))
-    data["sub_masks"] = tuple(masks)
-    data["sub_index"] = {m: i for i, m in enumerate(masks)}
-    data["sub_elems"] = tuple(
-        tuple(i for i in range(n) if m >> i & 1) for m in masks)
-    return data
+    cyclic = dict.fromkeys((_span(g, 1 << e) for e in range(g.order)), ())
+    return tuple(sorted(close_under(cyclic, partial(_pair_sum, g)),
+                        key=lambda m: (m.bit_count(), m)))
 
 
-def _subgroup_names(g: AbelianGroup, masks, elem_lists) -> list[str]:
-    elements = _group_data(g)["elements"]
-    orders = _group_data(g)["orders"]
+def _subgroup_names(g: AbelianGroup, masks) -> list[str]:
+    data = _group_data(g)
 
     def render(eid: int) -> str:
-        e = elements[eid]
+        e = data.elements[eid]
         if len(e) == 1:
             return str(e[0])
         return "(" + ",".join(str(v) for v in e) + ")"
@@ -184,20 +180,22 @@ def _subgroup_names(g: AbelianGroup, masks, elem_lists) -> list[str]:
         elif size == g.order:
             names.append("M")
         else:
-            gen = next((eid for eid in elem_lists[i] if orders[eid] == size), None)
+            gen = next((eid for eid in _bits(m) if data.orders[eid] == size), None)
             names.append(f"<{render(gen)}>" if gen is not None else f"S{i}")
     return names
 
 
-def subgroup_lattice(g: AbelianGroup) -> Lattice:
-    """All subgroups ordered by inclusion; meets are intersections and joins
-    are generated subgroups. The result is modular by construction and the
-    modularity check is asserted."""
-    data = _subgroup_data(g)
-    if "lattice" in data:
-        return data["lattice"]
-    masks = data["sub_masks"]
-    idx = data["sub_index"]
+class _SubgroupLattice(NamedTuple):
+    lattice: Lattice
+    masks: tuple[int, ...]  # masks[i]: element mask of lattice element i
+    mask_index: dict[int, int]
+    elems: tuple[tuple[int, ...], ...]  # elems[i]: element ids of masks[i]
+
+
+@cache
+def _subgroup_lattice(g: AbelianGroup) -> _SubgroupLattice:
+    masks = _subgroup_masks(g)
+    idx = {m: i for i, m in enumerate(masks)}
     s = len(masks)
     up = [0] * s
     down = [0] * s
@@ -212,19 +210,24 @@ def subgroup_lattice(g: AbelianGroup) -> Lattice:
         for j in range(s):
             cand = up[i] & up[j]
             join[i][j] = (cand & -cand).bit_length() - 1
-    names = _subgroup_names(g, masks, data["sub_elems"])
-    lat, order = _assemble(f"sub({g.spec_string()})", names, up, down, join,
-                           meet, canonicalize=True)
+    lat, order = _assemble(f"sub({g.spec_string()})", _subgroup_names(g, masks),
+                           up, down, join, meet, canonicalize=True)
     mod = is_modular(lat)
     if not mod.holds:
         raise ConsistencyError(f"subgroup lattice of {g.spec_string()} "
                                f"failed the modularity check: {mod.witness}")
     # the canonical reindex permuted elements; carry the masks along
-    data["lattice"] = lat
-    data["lat_masks"] = tuple(masks[o] for o in order)
-    data["lat_mask_index"] = {m: i for i, m in enumerate(data["lat_masks"])}
-    data["lat_elems"] = tuple(data["sub_elems"][o] for o in order)
-    return lat
+    lat_masks = tuple(masks[o] for o in order)
+    return _SubgroupLattice(lat, lat_masks,
+                            {m: i for i, m in enumerate(lat_masks)},
+                            tuple(tuple(_bits(m)) for m in lat_masks))
+
+
+def subgroup_lattice(g: AbelianGroup) -> Lattice:
+    """All subgroups ordered by inclusion; meets are intersections and joins
+    are generated subgroups. The result is modular by construction and the
+    modularity check is asserted."""
+    return _subgroup_lattice(g).lattice
 
 
 # -- homomorphisms ---------------------------------------------------------------
@@ -238,9 +241,9 @@ class GroupHom:
     gen_images: tuple[int, ...]
 
     def __post_init__(self):
-        data = _group_data(self.group)
+        orders = _group_data(self.group).orders
         for d, img in zip(self.group.invariant_factors, self.gen_images):
-            if d % data["orders"][img] != 0:
+            if d % orders[img] != 0:
                 raise ValueError("generator image order does not divide the "
                                  "generator order")
 
@@ -248,7 +251,7 @@ class GroupHom:
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """Row i, column j: coefficient of generator i in the image of
         generator j (taken modulo the row's invariant factor)."""
-        elements = _group_data(self.group)["elements"]
+        elements = _group_data(self.group).elements
         k = self.group.rank
         return tuple(tuple(elements[self.gen_images[j]][i] for j in range(k))
                      for i in range(k))
@@ -269,21 +272,21 @@ def _hom_table(g: AbelianGroup, gen_images) -> np.ndarray:
     n = g.order
     acc = np.zeros(n, dtype=np.int16)
     for j, img in enumerate(gen_images):
-        acc = data["add"][acc, data["sc_mul"][data["coords"][j], img]]
+        acc = data.add[acc, data.sc_mul[data.coords[j], img]]
     return acc
 
 
 def hom_compose(f: GroupHom, h: GroupHom) -> GroupHom:
     """f after h."""
     tf = _hom_table(f.group, f.gen_images)
-    gen_ids = _group_data(f.group)["gen_ids"]
+    gen_ids = _group_data(f.group).gen_ids
     th = _hom_table(h.group, h.gen_images)
     return GroupHom(f.group, tuple(int(tf[th[e]]) for e in gen_ids))
 
 
 def _torsion_lists(g: AbelianGroup) -> list[list[int]]:
-    data = _group_data(g)
-    return [[e for e in range(g.order) if d % data["orders"][e] == 0]
+    orders = _group_data(g).orders
+    return [[e for e in range(g.order) if d % orders[e] == 0]
             for d in g.invariant_factors]
 
 
@@ -300,81 +303,68 @@ def endomorphisms(g: AbelianGroup, max_count: int | None = None) -> list[GroupHo
 
 def induced_map(f: GroupHom) -> LinearMorphism:
     """The subgroup-image map of f, certified on the subgroup lattice."""
-    g = f.group
-    lat = subgroup_lattice(g)
-    data = _subgroup_data(g)
-    table = _hom_table(g, f.gen_images)
-    idx = data["lat_mask_index"]
+    sub = _subgroup_lattice(f.group)
+    table = _hom_table(f.group, f.gen_images)
     row = []
-    for elems in data["lat_elems"]:
+    for elems in sub.elems:
         mask = 0
         for e in elems:
             mask |= 1 << int(table[e])
-        row.append(idx[mask])
-    return validate_linear(lat, lat, tuple(row))
+        row.append(sub.mask_index[mask])
+    return validate_linear(sub.lattice, sub.lattice, tuple(row))
 
 
 # -- the batch sweep over all endomorphisms --------------------------------------
 
 
-def _endo_sweep(g: AbelianGroup, max_endos: int | None = None) -> dict:
-    """Tables, distinct induced rows, and kernel/image masks for End(M)."""
-    data = _subgroup_data(g)
-    key = "sweep"
-    if key in data:
-        return data[key]
-    cap = max_endos if max_endos is not None else config.DEFAULT_ENDO_CAP
+class _EndoSweep(NamedTuple):
+    rows: np.ndarray  # the distinct induced maps, one sorted row each
+    kernel_masks: frozenset[int]
+    image_masks: frozenset[int]
+
+
+@cache
+def _endo_sweep(g: AbelianGroup) -> _EndoSweep:
+    """Distinct induced rows and kernel/image masks for End(M)."""
     count = g.endo_count()
-    if count > cap:
+    if count > config.DEFAULT_ENDO_CAP:
         raise SizeLimitExceededError(
-            f"{count} endomorphisms exceeds cap {cap}")
-    lat = subgroup_lattice(g)
+            f"{count} endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP}")
+    sub = _subgroup_lattice(g)
     n = g.order
     tables = np.empty((count, max(n, 1)), dtype=np.int16)
     for i, imgs in enumerate(itertools.product(*_torsion_lists(g))):
         tables[i] = _hom_table(g, imgs)
     powers = np.left_shift(np.uint64(1), np.arange(max(n, 1), dtype=np.uint64))
 
-    kernel_masks = set(
+    kernel_masks = frozenset(
         int(v) for v in np.unique(np.bitwise_or.reduce(
             np.where(tables == 0, powers, np.uint64(0)), axis=1)))
-    image_masks = set(
+    image_masks = frozenset(
         int(v) for v in np.unique(
             np.bitwise_or.reduce(powers[tables], axis=1)))
 
-    lat_masks = np.array(data["lat_masks"], dtype=np.uint64)
+    lat_masks = np.array(sub.masks, dtype=np.uint64)
     sorter = np.argsort(lat_masks)
     sorted_masks = lat_masks[sorter]
-    rows = np.empty((count, lat.n), dtype=np.int16)
-    for s, elems in enumerate(data["lat_elems"]):
-        sub = tables[:, list(elems)]
-        masks = np.bitwise_or.reduce(powers[sub], axis=1)
-        pos = np.searchsorted(sorted_masks, masks)
-        rows[:, s] = sorter[pos]
-    distinct = np.unique(rows, axis=0)
-    sweep = {"tables": tables, "rows": distinct,
-             "kernel_masks": kernel_masks, "image_masks": image_masks}
-    data[key] = sweep
-    return sweep
+    rows = np.empty((count, sub.lattice.n), dtype=np.int16)
+    for s, elems in enumerate(sub.elems):
+        masks = np.bitwise_or.reduce(powers[tables[:, list(elems)]], axis=1)
+        rows[:, s] = sorter[np.searchsorted(sorted_masks, masks)]
+    return _EndoSweep(np.unique(rows, axis=0), kernel_masks, image_masks)
 
 
-def induced_monoid(g: AbelianGroup, max_endos: int | None = None) -> EndoMonoid:
+@cache
+def induced_monoid(g: AbelianGroup) -> EndoMonoid:
     """The distinct induced subgroup maps, each certified, as a monoid.
 
     Closure under composition is automatic (images compose); the monoid
     composition table stays lazy, so large induced monoids remain usable for
     kernel/image scans. Cached per group.
     """
-    data = _subgroup_data(g)
-    if "monoid" in data:
-        return data["monoid"]
     lat = subgroup_lattice(g)
-    sweep = _endo_sweep(g, max_endos)
-    members = [validate_linear(lat, lat, tuple(row.tolist()))
-               for row in sweep["rows"]]
-    mono = EndoMonoid(lat, members)
-    data["monoid"] = mono
-    return mono
+    return EndoMonoid(lat, [validate_linear(lat, lat, tuple(row.tolist()))
+                            for row in _endo_sweep(g).rows])
 
 
 # -- abelian group types and embedding tests --------------------------------------
@@ -460,7 +450,7 @@ def _group_type(g: AbelianGroup) -> dict[int, tuple[int, ...]]:
 
 
 def _subgroup_type(g: AbelianGroup, mask: int) -> dict[int, tuple[int, ...]]:
-    orders = _group_data(g)["orders"]
+    orders = _group_data(g).orders
     return _type_of_order_multiset([orders[i] for i in range(g.order)
                                     if mask >> i & 1])
 
@@ -477,7 +467,7 @@ def _quotient_type(g: AbelianGroup, kmask: int) -> dict[int, tuple[int, ...]]:
         counts = [1]
         i = 1
         while True:
-            sc = data["sc_mul"][pow(p, i, exponent) if exponent else 0]
+            sc = data.sc_mul[pow(p, i, exponent) if exponent else 0]
             killed = sum(1 for x in range(g.order) if kmask >> int(sc[x]) & 1)
             counts.append(killed // ksize)
             if counts[-1] == counts[-2]:
@@ -487,22 +477,14 @@ def _quotient_type(g: AbelianGroup, kmask: int) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def _kernel_image_sets_by_type(g: AbelianGroup) -> tuple[set[int], set[int]]:
+@cache
+def _kernel_image_sets_by_type(g: AbelianGroup) -> tuple[frozenset[int], frozenset[int]]:
     """Masks of subgroups that occur as kernels (quotient embeds back) and as
     images (subgroup embeds as a quotient; same test by duality)."""
-    data = _subgroup_data(g)
-    if "type_sets" in data:
-        return data["type_sets"]
     amb = _group_type(g)
-    kernels = set()
-    images = set()
-    for mask in data["sub_masks"]:
-        if _type_embeds(_quotient_type(g, mask), amb):
-            kernels.add(mask)
-        if _type_embeds(_subgroup_type(g, mask), amb):
-            images.add(mask)
-    data["type_sets"] = (kernels, images)
-    return kernels, images
+    masks = _subgroup_masks(g)
+    return (frozenset(m for m in masks if _type_embeds(_quotient_type(g, m), amb)),
+            frozenset(m for m in masks if _type_embeds(_subgroup_type(g, m), amb)))
 
 
 # -- the bridge verdicts -----------------------------------------------------------
@@ -511,9 +493,8 @@ def _kernel_image_sets_by_type(g: AbelianGroup) -> tuple[set[int], set[int]]:
 def _module_side_summand(g: AbelianGroup, kmask: int) -> bool:
     """Direct-summand test by complement search over subgroups: a trivial
     intersection of the right size forces the sum to be everything."""
-    data = _subgroup_data(g)
     ksize = kmask.bit_count()
-    for cmask in data["sub_masks"]:
+    for cmask in _subgroup_masks(g):
         if kmask & cmask == 1 and ksize * cmask.bit_count() == g.order:
             return True
     return False
@@ -538,13 +519,13 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
     if method == "auto":
         method = "enumerate" if g.endo_count() <= config.DEFAULT_ENDO_CAP else "types"
 
-    lat = subgroup_lattice(g)
-    data = _subgroup_data(g)
+    sub = _subgroup_lattice(g)
+    lat = sub.lattice
 
     # module side: kernel/image masks straight from homomorphism tables
     if method == "enumerate":
         sweep = _endo_sweep(g)
-        kernel_masks, image_masks = sweep["kernel_masks"], sweep["image_masks"]
+        kernel_masks, image_masks = sweep.kernel_masks, sweep.image_masks
     else:
         kernel_masks, image_masks = _kernel_image_sets_by_type(g)
 
@@ -566,9 +547,8 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
     else:
         # the type route feeds both sides the same masks; this side tests
         # complements in the lattice instead of summands in the group
-        idx = data["lat_mask_index"]
         comp = set(complemented_elements(lat))
-        lattice_ok = all(idx[m] in comp for m in module_targets)
+        lattice_ok = all(sub.mask_index[m] in comp for m in module_targets)
         notes = "lattice side via quotient-type kernel/image sets"
 
     if module_ok != lattice_ok:
@@ -578,5 +558,5 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
 
     witness = None
     if not module_ok:
-        witness = {"subgroup": lat.names[data["lat_mask_index"][module_witness]]}
+        witness = {"subgroup": lat.names[sub.mask_index[module_witness]]}
     return Verdict(kind, module_ok, witness=witness, notes=notes)

@@ -25,6 +25,7 @@ from .lattice import (
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
+    parse_json,
 )
 from .monoid import EndoMonoid, full_monoid, monoid_from_spec
 from .morphisms import enumerate_linmors
@@ -111,17 +112,16 @@ def cmd_analyze(args) -> int:
     needs_monoid = any(p not in ("modular", "boolean", "cip", "scip", "csp", "scsp")
                        for p in props)
     monoid = None
-    monoid_desc = args.monoid
     if needs_monoid:
         if args.monoid == "full":
             monoid = full_monoid(L)
         else:
-            spec = json.loads(Path(args.monoid).read_text())
+            spec = parse_json(Path(args.monoid).read_text())
             monoid = monoid_from_spec(L, spec)
     results = [_run_prop(L, monoid, p) for p in props]
-    doc = {"lattice": L.name, "monoid": monoid_desc,
+    doc = {"lattice": L.name, "monoid": args.monoid,
            "results": [v.to_json_dict() for v in results]}
-    lines = [f"{L.name}: monoid={monoid_desc}"]
+    lines = [f"{L.name}: monoid={args.monoid}"]
     for v in results:
         lines.append(f"  {v.prop}: {str(v.holds).lower()}"
                      + (f"  witness={v.witness}" if v.witness and not v.holds else ""))
@@ -255,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endos", help="enumerate linear morphisms")
     p.add_argument("lattice")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--count", action="store_true", default=True)
-    group.add_argument("--list", action="store_true")
+    p.add_argument("--list", action="store_true", help="list the morphisms, not their count")
     p.add_argument("--codomain", help="enumerate into another lattice")
     p.set_defaults(fn=cmd_endos)
 

@@ -48,6 +48,7 @@ from .morphisms import (
     enumerate_linmors,
     extend_from_interval,
     fully_invariant_elements,
+    iso_composites,
     projection,
     validate_linear,
 )
@@ -70,12 +71,14 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 PAIR_PRODUCT_CAP = 16
 MAX_PAIRS = 12
 
+# candidates random_modular_lattice rejects before it gives up
+MAX_TRIES = 400
+
 
 # -- random corpus ------------------------------------------------------------
 
 
-def random_modular_lattice(seed: int, max_size: int, max_tries: int = 400,
-                           name: str | None = None) -> Lattice:
+def random_modular_lattice(seed: int, max_size: int, name: str | None = None) -> Lattice:
     """A reproducible random modular lattice with at most max_size elements.
 
     Generation: a random chain, extra elements anchored between random chain
@@ -89,7 +92,7 @@ def random_modular_lattice(seed: int, max_size: int, max_tries: int = 400,
     tag = name if name is not None else f"r{seed}"
     width = len(str(max_size - 1)) if max_size > 1 else 1
     tries = 0
-    while tries < max_tries:
+    while tries < MAX_TRIES:
         # bias toward the upper size range; small lattices are over-accepted
         # otherwise because they rarely fail the lattice test
         n = max(rng.randint(1, max_size), rng.randint(1, max_size))
@@ -117,11 +120,13 @@ def random_modular_lattice(seed: int, max_size: int, max_tries: int = 400,
             if is_modular(cand).holds:
                 return cand
     raise GiveUpError(f"no modular lattice found for seed {seed} "
-                      f"within {max_tries} attempts")
+                      f"within {MAX_TRIES} attempts")
 
 
 def random_corpus(count: int, max_size: int, seed: int) -> list[Lattice]:
     """`count` lattices with per-lattice seeds derived from one master seed."""
+    if count < 0:
+        raise ValueError("the number of random lattices must not be negative")
     rng = random.Random(seed)
     return [random_modular_lattice(rng.getrandbits(32), max_size,
                                    name=f"r{seed}_{i}")
@@ -405,26 +410,12 @@ def chk_dricc2(ctx):
     second = True
     for img in m.image_tops:
         vi = interval(L, L.bottom, img)
-        ok = False
-        for x in ctx.comp:
-            vx = interval(L, L.bottom, x)
-            isos = enumerate_interval_isos(vx, vi)
-            if not isos:
-                continue
-            for xp in complements_of(L, x):
-                for iso in isos:
-                    table = tuple(
-                        vi.members[iso.forward[vx.from_parent[
-                            L.meet_of(L.join_of(y, xp), x)]]]
-                        for y in range(L.n))
-                    if m.contains_map(table):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if ok:
-                break
-        if not ok:
+        if not any(m.contains_map(table)
+                   for x in ctx.comp
+                   for xp in complements_of(L, x)
+                   for table in iso_composites(
+                       interval(L, L.bottom, x), vi,
+                       (L.meet_of(L.join_of(y, xp), x) for y in range(L.n)))):
             second = False
             break
     b_side = ctx.condition("mc2") and second
@@ -585,9 +576,7 @@ def chk_isolin(ctx):
         vu = interval(L, a, L.top)
         for x in range(L.n):
             vx = interval(L, L.bottom, x)
-            for iso in enumerate_interval_isos(vu, vx):
-                table = tuple(vx.members[iso.forward[vu.from_parent[L.join_of(y, a)]]]
-                              for y in range(L.n))
+            for table in iso_composites(vu, vx, (L.join_of(y, a) for y in range(L.n))):
                 try:
                     phi = validate_linear(L, L, table)
                 except LinearValidationError as exc:
@@ -761,16 +750,9 @@ def _iso_to_complement_choices(ctx) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for a in range(L.n):
             vu = interval(L, a, L.top)
-            bs = []
-            for b in range(L.n):
-                vb = interval(L, L.bottom, b)
-                for iso in enumerate_interval_isos(vu, vb):
-                    table = tuple(vb.members[iso.forward[vu.from_parent[L.join_of(y, a)]]]
-                                  for y in range(L.n))
-                    if m.contains_map(table):
-                        bs.append(b)
-                        break
-            out[a] = bs
+            out[a] = [b for b in range(L.n) if any(
+                m.contains_map(table) for table in iso_composites(
+                    vu, interval(L, L.bottom, b), (L.join_of(y, a) for y in range(L.n))))]
         return out
     return ctx._get("iso_to_complement_choices", build)
 

@@ -50,7 +50,7 @@ class Lattice:
 
     __slots__ = (
         "name", "n", "names", "bottom", "top", "rank",
-        "_up", "_down", "_join", "_meet", "_covers",
+        "_up", "_down", "_join", "_meet", "_covers", "_upper_covers",
         "_name_to_id", "_np_tables", "_interval_cache", "_key",
         "_modular", "_complements", "_projections",
     )
@@ -68,6 +68,10 @@ class Lattice:
         self.top = top
         self.rank = tuple(rank)
         self._covers = tuple(covers)
+        upper_covers = [0] * self.n
+        for a, b in self._covers:
+            upper_covers[a] |= 1 << b
+        self._upper_covers = tuple(upper_covers)
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
         self._np_tables = None
         self._interval_cache: dict[tuple[int, int], IntervalView] = {}
@@ -116,8 +120,11 @@ class Lattice:
         """Cover pairs (lower, upper), sorted by ids."""
         return self._covers
 
+    def upper_covers_mask(self, a: int) -> int:
+        return self._upper_covers[a]
+
     def atoms(self) -> list[int]:
-        return sorted(b for a, b in self._covers if a == self.bottom)
+        return list(_bits(self._upper_covers[self.bottom]))
 
     def coatoms(self) -> list[int]:
         return sorted(a for a, b in self._covers if b == self.top)
@@ -366,13 +373,21 @@ def lattice_to_json(L: Lattice, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent, ensure_ascii=False) + "\n"
 
 
-def lattice_from_json(text: str, max_size: int | None = None) -> Lattice:
+def parse_json(text: str):
+    """json.loads, with nesting too deep for the parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+
+
+def lattice_from_json(text: str) -> Lattice:
     """Parse and build a lattice; a malformed document raises ValueError.
 
     `name` must be a string, `elements` a list of strings and `covers` a
     list of [lower, upper] string pairs.
     """
-    doc = json.loads(text)
+    doc = parse_json(text)
     try:
         name = doc["name"]
         elements = doc["elements"]
@@ -391,8 +406,7 @@ def lattice_from_json(text: str, max_size: int | None = None) -> Lattice:
                 and all(isinstance(e, str) for e in pair)):
             raise ValueError(f"malformed lattice JSON: cover {pair!r} is not "
                              f"a pair of element names")
-    return build_lattice(elements, [tuple(pair) for pair in covers],
-                         name=name, max_size=max_size)
+    return build_lattice(elements, [tuple(pair) for pair in covers], name=name)
 
 
 def lattice_to_dot(L: Lattice) -> str:
@@ -599,8 +613,7 @@ class ProductLattice:
     coords: tuple[tuple[int, ...], ...]
 
 
-def direct_product(factors: Sequence[Lattice], name: str | None = None,
-                   max_size: int | None = None) -> ProductLattice:
+def direct_product(factors: Sequence[Lattice], max_size: int | None = None) -> ProductLattice:
     """Pointwise-ordered Cartesian product.
 
     Element names are coordinate tuples of factor element names. Joins and
@@ -631,7 +644,7 @@ def direct_product(factors: Sequence[Lattice], name: str | None = None,
              for s in tuples] for t in tuples]
     meet = [[pos[tuple(f.meet_of(a, b) for f, a, b in zip(factors, t, s))]
              for s in tuples] for t in tuples]
-    lat, order = _assemble(name or "x".join(f.name for f in factors), names,
+    lat, order = _assemble("x".join(f.name for f in factors), names,
                            up, down, join, meet, canonicalize=True)
     return ProductLattice(lattice=lat, factors=tuple(factors),
                           coords=tuple(tuples[o] for o in order))

@@ -141,9 +141,9 @@ def _all_projections(L: Lattice):
             for a in complemented_elements(L) for ap in complements_of(L, a))
 
 
-def full_monoid(L: Lattice, max_size: int | None = None) -> EndoMonoid:
+def full_monoid(L: Lattice) -> EndoMonoid:
     """End_lin(L), enumerated and cached by lattice structure."""
-    return EndoMonoid(L, enumerate_linmors(L, L, max_size=max_size))
+    return EndoMonoid(L, enumerate_linmors(L, L))
 
 
 # generated monoids larger than this raise SizeLimitExceededError
@@ -177,18 +177,6 @@ def explicit_monoid(L: Lattice, members) -> EndoMonoid:
     mono = EndoMonoid(L, list(members))
     mono.comp  # materializes and verifies closure
     return mono
-
-
-def build_monoid(L: Lattice, kind: str, *, generators=(),
-                 with_projections: bool = False, members=(),
-                 max_size: int | None = None) -> EndoMonoid:
-    if kind == "full":
-        return full_monoid(L, max_size=max_size)
-    if kind == "generated":
-        return generated_monoid(L, generators, with_projections)
-    if kind == "explicit":
-        return explicit_monoid(L, members)
-    raise ValueError(f"unknown monoid kind: {kind!r}")
 
 
 def monoid_from_spec(L: Lattice, spec) -> EndoMonoid:

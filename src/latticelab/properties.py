@@ -20,7 +20,7 @@ from .lattice import (
     interval,
 )
 from .monoid import EndoMonoid
-from .morphisms import enumerate_linmors, projection
+from .morphisms import enumerate_linmors, iso_composites, projection
 from .verdict import Verdict
 
 
@@ -86,15 +86,6 @@ def check_summand_property(L: Lattice, kind: str) -> Verdict:
     return Verdict(kind, True, notes=note)
 
 
-def _iso_pairs(L: Lattice, up_lo: int, down_hi: int):
-    """Isos from [up_lo, top] onto [bottom, down_hi], with the views."""
-    from .morphisms import enumerate_interval_isos
-
-    va = interval(L, up_lo, L.top)
-    vb = interval(L, L.bottom, down_hi)
-    return va, vb, enumerate_interval_isos(va, vb)
-
-
 def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
     """C1/D1 (complement approximation) and the monoid-relative C2/D2.
 
@@ -145,12 +136,10 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
         for a in range(L.n):
             if a in comp_set:
                 continue
+            va = interval(L, a, L.top)
             for x in comp:
-                va, vb, isos = _iso_pairs(L, a, x)
-                for iso in isos:
-                    table = tuple(
-                        vb.members[iso.forward[va.from_parent[L.join_of(y, a)]]]
-                        for y in range(L.n))
+                for table in iso_composites(va, interval(L, L.bottom, x),
+                                            (L.join_of(y, a) for y in range(L.n))):
                     if m.contains_map(table):
                         return Verdict(kind, False, witness={
                             "a": L.names[a], "x": L.names[x],
@@ -164,13 +153,9 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
                 for a in range(L.n):
                     if a in comp_set:
                         continue
-                    va = interval(L, L.bottom, a)
-                    from .morphisms import enumerate_interval_isos
-                    for iso in enumerate_interval_isos(vx, va):
-                        table = tuple(
-                            va.members[iso.forward[vx.from_parent[
-                                L.meet_of(L.join_of(z, xp), x)]]]
-                            for z in range(L.n))
+                    for table in iso_composites(
+                            vx, interval(L, L.bottom, a),
+                            (L.meet_of(L.join_of(z, xp), x) for z in range(L.n))):
                         if m.contains_map(table):
                             return Verdict(kind, False, witness={
                                 "a": L.names[a], "x": L.names[x],
@@ -245,11 +230,10 @@ def check_generation(L: Lattice, m: EndoMonoid, x: int, kind: str) -> Verdict:
                    witness={"element": L.names[x], "reached": L.names[got]})
 
 
-def check_cross_rickart(L: Lattice, M: Lattice,
-                        max_size: int | None = None) -> Verdict:
+def check_cross_rickart(L: Lattice, M: Lattice) -> Verdict:
     """Kernels of every linear morphism L -> M are complemented in L."""
     comp = set(complemented_elements(L))
-    for phi in enumerate_linmors(L, M, max_size=max_size):
+    for phi in enumerate_linmors(L, M):
         if phi.kernel not in comp:
             return Verdict("cross_rickart", False, witness={
                 "morphism": phi.as_name_map(), "kernel": L.names[phi.kernel]})

@@ -42,8 +42,8 @@ class TestGroups:
         assert config.DEFAULT_GROUP_ORDER_CAP <= np.iinfo(np.uint64).bits
         g = AbelianGroup.from_spec(str(config.DEFAULT_GROUP_ORDER_CAP))
         sweep = _endo_sweep(g)
-        assert (1 << g.order) - 1 in sweep["kernel_masks"]  # the zero map
-        assert (1 << g.order) - 1 in sweep["image_masks"]  # the identity
+        assert (1 << g.order) - 1 in sweep.kernel_masks  # the zero map
+        assert (1 << g.order) - 1 in sweep.image_masks  # the identity
 
     def test_elements(self):
         g = AbelianGroup.from_spec("2,4")
@@ -92,7 +92,7 @@ class TestEndomorphisms:
     def test_tables_are_homomorphisms(self):
         g = AbelianGroup.from_spec("2,4")
         from latticelab.abelian import _group_data
-        add = _group_data(g)["add"]
+        add = _group_data(g).add
         for f in endomorphisms(g):
             t = f.table()
             for x in range(g.order):
@@ -162,6 +162,18 @@ class TestInducedMonoid:
         g = AbelianGroup.from_spec("2,2")
         assert induced_monoid(g) is induced_monoid(g)
 
+    def test_group_facts_are_cached_by_group_value(self):
+        from latticelab.abelian import _group_data
+        assert _group_data(AbelianGroup.from_spec("2,4")) is _group_data(AbelianGroup((2, 4)))
+        assert induced_monoid(AbelianGroup.from_spec("2,4")) is \
+            induced_monoid(AbelianGroup((2, 4)))
+
+    def test_over_cap_group_raises_on_every_call(self):
+        g = AbelianGroup.from_spec("2,2,2,2,2")
+        for _ in range(2):
+            with pytest.raises(SizeLimitExceededError):
+                induced_monoid(g)
+
     def test_closure_on_small_groups(self):
         for spec in ("4", "2,2", "6"):
             mono = induced_monoid(AbelianGroup.from_spec(spec))
@@ -194,8 +206,8 @@ class TestBridgeVerdicts:
             g = AbelianGroup.from_spec(spec)
             sweep = _endo_sweep(g)
             kernels, images = _kernel_image_sets_by_type(g)
-            assert kernels == set(sweep["kernel_masks"]), spec
-            assert images == set(sweep["image_masks"]), spec
+            assert kernels == set(sweep.kernel_masks), spec
+            assert images == set(sweep.image_masks), spec
             for kind in ("rickart", "baer", "dual_rickart", "dual_baer"):
                 assert rickart_module_direct(g, kind, method="types").holds == \
                     rickart_module_direct(g, kind, method="enumerate").holds
@@ -210,11 +222,11 @@ class TestBridgeVerdicts:
 
     def test_induced_kernel_is_the_kernel_subgroup(self):
         """The lattice kernel of f_* is exactly Ker f as a subgroup."""
-        from latticelab.abelian import _subgroup_data
+        from latticelab.abelian import _subgroup_lattice
         for spec in ("4", "2,2", "2,4", "6"):
             g = AbelianGroup.from_spec(spec)
             subgroup_lattice(g)
-            idx = _subgroup_data(g)["lat_mask_index"]
+            idx = _subgroup_lattice(g).mask_index
             for f in endomorphisms(g):
                 table = f.table()
                 kmask = 0

@@ -1,12 +1,17 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticelab import fixtures as fx
 from latticelab.cli import run
@@ -169,6 +174,19 @@ class TestMalformedInput:
             {"name": "c", "elements": [["0"], "1"], "covers": []}))
         self.run_error(capsys, ["validate", str(bad)])
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_deeply_nested_lattice_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        self.run_error(capsys, [command, str(bad)])
+
+    def test_deeply_nested_monoid_spec(self, tmp_path, capsys):
+        path = tmp_path / "monoid.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.run_error(capsys, [
+            "analyze", str(FIXTURES / "c3.json"), "--monoid", str(path),
+            "--props", "rickart"])
+
     def spec_run(self, tmp_path, capsys, spec):
         path = tmp_path / "monoid.json"
         path.write_text(json.dumps(spec))
@@ -219,6 +237,70 @@ class TestMalformedInput:
         assert run(["--threads", "2", "validate", str(FIXTURES / "c3.json")]) == 2
 
 
+NAMES = ("0", "a", "b", "c", "d", "1")
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(NAMES + ("", "full")),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(NAMES), kids,
+                                                              max_size=3),
+    max_leaves=5)
+
+
+def maybe_junk(draw, value):
+    """The value, or now and then a random JSON value in its place."""
+    return draw(JUNK) if draw(st.integers(0, 9)) == 0 else value
+
+
+@st.composite
+def lattice_and_spec(draw):
+    """A small lattice document and a monoid spec naming its elements.
+
+    Covers go from earlier to later elements, often through a bottom and a
+    top, so many documents are lattices; any field may be replaced by junk.
+    """
+    elements = draw(st.lists(st.sampled_from(NAMES), max_size=6,
+                             unique=draw(st.integers(0, 9)) > 0))
+    pairs = [[elements[i], elements[j]] for i in range(len(elements))
+             for j in range(i + 1, len(elements))]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    if elements and draw(st.booleans()):
+        covers += [[elements[0], e] for e in elements[1:-1]]
+        covers += [[e, elements[-1]] for e in elements[1:-1]]
+    name = "L"
+    doc = {"name": maybe_junk(draw, name), "elements": maybe_junk(draw, elements),
+           "covers": maybe_junk(draw, covers)}
+    targets = st.sampled_from(elements) if elements else JUNK
+    morphisms = st.builds(
+        lambda m: maybe_junk(draw, {"domain": name, "codomain": name, "map": m}),
+        st.fixed_dictionaries({e: targets for e in elements}))
+    kind = draw(st.sampled_from(["full", "generated", "explicit", "other"]))
+    spec = {"kind": kind, "generators": draw(st.lists(morphisms, max_size=2)),
+            "members": draw(st.lists(morphisms, max_size=3)),
+            "with_projections": maybe_junk(draw, draw(st.booleans()))}
+    if kind == "full":
+        spec = {"kind": "full"}
+    return maybe_junk(draw, doc), maybe_junk(draw, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lattice_and_spec())
+def test_random_documents_never_escape_the_exit_codes(case):
+    doc, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        lattice_path = Path(tmp) / "lattice.json"
+        spec_path = Path(tmp) / "monoid.json"
+        lattice_path.write_text(json.dumps(doc))
+        spec_path.write_text(json.dumps(spec))
+        for argv in (["validate", str(lattice_path)],
+                     ["analyze", str(lattice_path), "--props", "all",
+                      "--monoid", str(spec_path)],
+                     ["endos", str(lattice_path)],
+                     ["decompose", str(lattice_path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), (argv, code)
+
+
 class TestEndos:
     def test_count(self, capsys):
         code, out = run_capture(capsys, ["endos", str(FIXTURES / "c3.json")])
@@ -233,6 +315,10 @@ class TestEndos:
             {"0": "0", "n": "0", "1": "n"},
             {"0": "0", "n": "n", "1": "1"},
         ]
+
+    def test_count_flag_is_gone(self, capsys):
+        assert run(["endos", str(FIXTURES / "c3.json"), "--count"]) == 2
+        assert "--count" in capsys.readouterr().err
 
     def test_codomain(self, capsys):
         # into the 3-chain only the zero map and the atom-valued collapse
@@ -304,6 +390,12 @@ class TestTheorems:
         doc = json.loads(out)
         assert doc["lattice_count"] == 11
         assert doc["seed"] == 9
+
+    def test_negative_random_count_rejected(self, capsys):
+        assert run(["theorems", "--random", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "negative" in captured.err
 
     def test_corpus_dir(self, tmp_path, capsys):
         (tmp_path / "one.json").write_text(fixture_json("b2"))

@@ -15,7 +15,7 @@ import pytest
 
 from latticelab import fixtures as fx
 from latticelab.abelian import (AbelianGroup, _endo_sweep, _group_data, _pair_sum, _span,
-                                _subgroup_data)
+                                _subgroup_masks)
 from latticelab.conformance import random_corpus
 from latticelab.lattice import close_under
 from latticelab.monoid import _ann_mask, _mask_and, annihilator, full_monoid
@@ -78,13 +78,13 @@ def test_annihilator_closure_matches_annihilators_of_subsets(name, side):
 def test_subgroup_closures_match_spans(spec):
     g = AbelianGroup.from_spec(spec)
     sweep = _endo_sweep(g)
-    images = sorted(sweep["image_masks"])
+    images = sorted(sweep.image_masks)
     sums = close_under({h: (h,) for h in images}, partial(_pair_sum, g))
     assert set(sums) == {_span(g, reduce(int.__or__, s)) for s in nonempty_subsets(images)}
     for key, gens in sums.items():
         assert _span(g, reduce(int.__or__, gens)) == key
 
-    kernels = sorted(sweep["kernel_masks"])
+    kernels = sorted(sweep.kernel_masks)
     meets = close_under({k: (k,) for k in kernels}, int.__and__)
     assert set(meets) == {reduce(int.__and__, s) for s in nonempty_subsets(kernels)}
     for key, gens in meets.items():
@@ -95,14 +95,14 @@ def test_subgroup_closures_match_spans(spec):
 def test_subgroups_are_sum_closure_of_cyclic_subgroups(spec):
     # every subset holding 0 and closed under addition, by brute force
     g = AbelianGroup.from_spec(spec)
-    add = _group_data(g)["add"]
+    add = _group_data(g).add
     brute = set()
     for r in range(g.order):
         for rest in itertools.combinations(range(1, g.order), r):
             elems = (0,) + rest
             if all(int(add[a, b]) in elems for a in elems for b in elems):
                 brute.add(sum(1 << e for e in elems))
-    assert set(_subgroup_data(g)["sub_masks"]) == brute
+    assert set(_subgroup_masks(g)) == brute
 
 
 def test_seed_order_and_first_pair_decide_generators():

@@ -14,7 +14,7 @@ from latticelab.monoid import (
     MAX_GENERATED_MEMBERS,
     _all_projections,
     annihilator,
-    build_monoid,
+    explicit_monoid,
     full_monoid,
     generated_monoid,
     monoid_from_spec,
@@ -31,7 +31,7 @@ class TestBuild:
         assert m.members[m.id_idx].map == (0, 1, 2)
 
     def test_generated_with_projections(self, b2):
-        m = build_monoid(b2, "generated", with_projections=True)
+        m = generated_monoid(b2, with_projections=True)
         assert len(m) == 4
         a, b = b2.id_of("a"), b2.id_of("b")
         assert m.contains_map(projection(b2, a, b).map)
@@ -40,17 +40,17 @@ class TestBuild:
 
     def test_explicit_must_contain_zero(self, c3):
         with pytest.raises(NotClosedError):
-            build_monoid(c3, "explicit", members=[identity_morphism(c3)])
+            explicit_monoid(c3, [identity_morphism(c3)])
 
     def test_explicit_must_be_closed(self, b2):
         a, b = b2.id_of("a"), b2.id_of("b")
         members = [identity_morphism(b2), zero_morphism(b2),
                    projection(b2, a, b)]  # composing misses nothing here
-        m = build_monoid(b2, "explicit", members=members)
+        m = explicit_monoid(b2, members)
         assert len(m) == 3
 
     def test_minimal_monoid(self, excip):
-        m = build_monoid(excip, "generated")
+        m = generated_monoid(excip)
         assert len(m) == 2
 
     def test_members_sorted(self, m3):
@@ -137,7 +137,7 @@ class TestPredicates:
         assert monoid_predicate(full_monoid(b2), "right_baer").holds
 
     def test_minimal_monoid_all_kinds(self, excip):
-        m = build_monoid(excip, "generated")
+        m = generated_monoid(excip)
         for kind in ("right_rickart", "left_rickart", "right_baer", "left_baer"):
             assert monoid_predicate(m, kind).holds
 

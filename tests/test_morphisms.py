@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from latticelab import fixtures as fx
 from latticelab.abelian import AbelianGroup, subgroup_lattice
-from latticelab.conformance import random_modular_lattice
+from latticelab.conformance import random_corpus, random_modular_lattice
 from latticelab.errors import (
     DomainMismatchError,
     LinearValidationError,
@@ -22,7 +22,8 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import build_lattice, complements_of, direct_product, interval
+from latticelab.lattice import (build_lattice, complemented_elements, complements_of,
+                                direct_product, interval)
 from latticelab.morphisms import (
     compose,
     enumerate_interval_isos,
@@ -32,6 +33,7 @@ from latticelab.morphisms import (
     identity_morphism,
     interval_inclusion,
     interval_quotient,
+    iso_composites,
     morphism_from_json,
     morphism_to_json,
     projection,
@@ -421,7 +423,12 @@ class TestCoverCertificate:
         ([("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
          [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1"),
           ("a", "d")]),
-    ], ids=["same_cover_count", "more_target_covers"])
+        # the inverse: the hexagon with a < d onto the hexagon; every upper
+        # cover of a lands on an upper cover of a, but not onto them all
+        ([("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1"),
+          ("a", "d")],
+         [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")]),
+    ], ids=["same_cover_count", "more_target_covers", "fewer_target_covers"])
     def test_order_preserving_bijection_that_is_not_an_isomorphism(
             self, covers, target_covers):
         names = sorted({nm for pair in covers for nm in pair})
@@ -469,3 +476,34 @@ class TestCoverCertificate:
                 assert certified_outcome(L, M, table) == want, (L.name, M.name, table)
                 seen.add(want if isinstance(want, str) else "linear")
         assert seen == {"NoKernelError", "NotIntervalIsoError", "linear"}
+
+
+class TestIsoComposites:
+    """iso_composites against composites read off enumerate_interval_isos
+    by explicit indexing, for the quotient and projection pre-maps."""
+
+    @staticmethod
+    def explicit(src, dst, pre):
+        return [tuple(dst.members[iso.forward[src.from_parent[p]]] for p in pre)
+                for iso in enumerate_interval_isos(src, dst)]
+
+    def test_quotient_and_projection_premaps(self):
+        corpus = ([fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+                  + random_corpus(40, 8, 3))
+        premaps = 0
+        composites = 0
+        for L in corpus:
+            lower = [interval(L, L.bottom, b) for b in range(L.n)]
+            # y -> y v a, from [a, top]
+            cases = [(interval(L, a, L.top), [L.join_of(y, a) for y in range(L.n)])
+                     for a in range(L.n)]
+            # y -> (y v x') ^ x, from [bottom, x]
+            cases += [(lower[x], [L.meet_of(L.join_of(y, xp), x) for y in range(L.n)])
+                      for x in complemented_elements(L) for xp in complements_of(L, x)]
+            for src, pre in cases:
+                premaps += 1
+                for dst in lower:
+                    got = list(iso_composites(src, dst, pre))
+                    assert got == self.explicit(src, dst, pre), (L.name, src.lo, dst.hi)
+                    composites += len(got)
+        assert premaps > 500 and composites > premaps

@@ -7,7 +7,7 @@ import pytest
 from latticelab import fixtures as fx
 from latticelab.errors import MissingProjectionsError
 from latticelab.lattice import build_lattice, interval
-from latticelab.monoid import build_monoid, full_monoid
+from latticelab.monoid import full_monoid, generated_monoid
 from latticelab.properties import (
     check_condition,
     check_cross_rickart,
@@ -39,7 +39,7 @@ class TestRickartFamily:
         assert v.witness["generators"]
 
     def test_minimal_monoid_always_fine(self, excip):
-        m = build_monoid(excip, "generated")
+        m = generated_monoid(excip)
         for kind in ("rickart", "baer", "dual_rickart", "dual_baer"):
             assert check_rickart_family(excip, m, kind).holds
 
@@ -139,7 +139,7 @@ class TestRetractable:
         assert check_retractable(c3, full_monoid(c3)).holds
 
     def test_minimal_monoid(self, excip):
-        assert check_retractable(excip, build_monoid(excip, "generated")).holds
+        assert check_retractable(excip, generated_monoid(excip)).holds
 
     def test_square(self, b2):
         assert check_retractable(b2, full_monoid(b2)).holds
@@ -150,15 +150,15 @@ class TestGeneration:
         assert check_generation(c3, full_monoid(c3), c3.id_of("n"), "generated").holds
 
     def test_bottom_generated_by_zero(self, excip):
-        m = build_monoid(excip, "generated")
+        m = generated_monoid(excip)
         assert check_generation(excip, m, excip.bottom, "generated").holds
 
     def test_top_cogenerated_by_zero(self, excip):
-        m = build_monoid(excip, "generated")
+        m = generated_monoid(excip)
         assert check_generation(excip, m, excip.top, "cogenerated").holds
 
     def test_ungenerated_element(self, excip):
-        m = build_monoid(excip, "generated")  # only identity and zero
+        m = generated_monoid(excip)  # only identity and zero
         v = check_generation(excip, m, excip.id_of("k"), "generated")
         assert not v.holds
         assert v.witness["reached"] == "0"
@@ -196,6 +196,6 @@ class TestRickpix:
         assert check_rickpix(one, full_monoid(one)).holds
 
     def test_requires_projections(self, b2):
-        m = build_monoid(b2, "generated")  # identity and zero only
+        m = generated_monoid(b2)  # identity and zero only
         with pytest.raises(MissingProjectionsError):
             check_rickpix(b2, m)
