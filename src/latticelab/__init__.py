@@ -54,6 +54,7 @@ from .lattice import (
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
+    opposite,
     socle_radical,
 )
 from .monoid import (

@@ -290,13 +290,12 @@ def _torsion_lists(g: AbelianGroup) -> list[list[int]]:
             for d in g.invariant_factors]
 
 
-def endomorphisms(g: AbelianGroup, max_count: int | None = None) -> list[GroupHom]:
+def endomorphisms(g: AbelianGroup) -> list[GroupHom]:
     """All endomorphisms, enumerated by compatible generator images."""
-    cap = max_count if max_count is not None else config.DEFAULT_ENDO_CAP
     count = g.endo_count()
-    if count > cap:
+    if count > config.DEFAULT_ENDO_CAP:
         raise SizeLimitExceededError(
-            f"{count} endomorphisms exceeds cap {cap}")
+            f"{count} endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP}")
     return [GroupHom(g, imgs)
             for imgs in itertools.product(*_torsion_lists(g))]
 

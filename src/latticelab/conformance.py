@@ -38,6 +38,7 @@ from .lattice import (
     is_boolean,
     is_modular,
     lattice_to_json,
+    opposite,
     socle_radical,
 )
 from .monoid import (EndoMonoid, annihilator, coset_index, full_monoid,
@@ -178,14 +179,6 @@ class LatticeContext:
     def baer(self) -> bool:
         return self.family_prop("baer")
 
-    @property
-    def dual_rickart(self) -> bool:
-        return self.family_prop("dual_rickart")
-
-    @property
-    def dual_baer(self) -> bool:
-        return self.family_prop("dual_baer")
-
     def summand(self, kind: str) -> bool:
         return self._get(f"sp_{kind}",
                          lambda: check_summand_property(self.L, kind)).holds
@@ -244,9 +237,16 @@ class LatticeContext:
         return self._get(("generated", x), lambda: check_generation(
             self.L, self.monoid, x, "generated")).holds
 
-    def cogenerated(self, x: int) -> bool:
-        return self._get(("cogenerated", x), lambda: check_generation(
-            self.L, self.monoid, x, "cogenerated")).holds
+    @property
+    def op(self) -> LatticeContext:
+        """The context of the opposite lattice, whose primal facts are this
+        lattice's dual facts. It is this context itself when the opposite's
+        canonical order gives the same tables, as for chains and the M_n and
+        B_n fixtures, so those pay for no second monoid."""
+        def build():
+            op = opposite(self.L)
+            return self if op.structure_key == self.L.structure_key else LatticeContext(op)
+        return self._get("op", build)
 
     def interval_family_prop(self, hi: int, kind: str) -> bool:
         """The Rickart-type property `kind` of [bottom, hi] with its full monoid."""
@@ -281,13 +281,18 @@ def _skip(reason: str):
     return SKIP, {"reason": reason}
 
 
+def _on_op(check):
+    """The dual of a lattice check: the check itself on the opposite lattice."""
+    return lambda ctx: check(ctx.op)
+
+
 def chk_riccipssp(ctx: LatticeContext):
     hit = False
     if ctx.rickart:
         hit = True
         if not ctx.summand("cip"):
             return _fail(side="cip")
-    if ctx.dual_rickart:
+    if ctx.op.rickart:
         hit = True
         if not ctx.summand("csp"):
             return _fail(side="csp")
@@ -298,9 +303,9 @@ def chk_baerricscip(ctx):
     if (ctx.rickart and ctx.summand("scip")) != ctx.baer:
         return _fail(side="kernel", rickart=ctx.rickart,
                      scip=ctx.summand("scip"), baer=ctx.baer)
-    if (ctx.dual_rickart and ctx.summand("scsp")) != ctx.dual_baer:
-        return _fail(side="image", dual_rickart=ctx.dual_rickart,
-                     scsp=ctx.summand("scsp"), dual_baer=ctx.dual_baer)
+    if (ctx.op.rickart and ctx.summand("scsp")) != ctx.op.baer:
+        return _fail(side="image", dual_rickart=ctx.op.rickart,
+                     scsp=ctx.summand("scsp"), dual_baer=ctx.op.baer)
     return _ok()
 
 
@@ -316,20 +321,11 @@ def chk_ricendoric(ctx):
     return _ok()
 
 
-def chk_dricendodric(ctx):
-    if not ctx.comp_feasible:
-        return _skip("monoid too large for annihilator calculus")
-    a = ctx.dual_rickart
-    b = (ctx.monoid_pred("left_rickart")
-         and all(ctx.cogenerated(phi.image_top) for phi in ctx.monoid.members))
-    return _ok() if a == b else _fail(dual_rickart=a, monoid_side=b)
-
-
-def _is_principal(m: EndoMonoid, side: str, member_iter) -> bool:
+def _is_left_principal(m: EndoMonoid, member_iter) -> bool:
     mask = np.zeros(len(m.members), dtype=bool)
     for i in member_iter:
         mask[i] = True
-    return mask.tobytes() in coset_index(m, side)
+    return mask.tobytes() in coset_index(m, "left")
 
 
 def chk_baercar(ctx):
@@ -338,9 +334,8 @@ def chk_baercar(ctx):
     L, m = ctx.L, ctx.monoid
     a_side = ctx.baer
     b_side = all(
-        _is_principal(m, "left",
-                      (i for i, phi in enumerate(m.members)
-                       if phi.map[a] == L.bottom))
+        _is_left_principal(m, (i for i, phi in enumerate(m.members)
+                               if phi.map[a] == L.bottom))
         for a in range(L.n))
     # the zero member's kernel is the top, the meet of the empty family
     closure = close_under(dict.fromkeys(m.kernels, ()), L.meet_of)
@@ -349,26 +344,6 @@ def chk_baercar(ctx):
     if not (a_side == b_side == c_side):
         return _fail(baer=a_side, pointwise_annihilators=b_side,
                      monoid_and_generated=c_side)
-    return _ok()
-
-
-def chk_dbaercar(ctx):
-    if not ctx.comp_feasible:
-        return _skip("monoid too large for annihilator calculus")
-    L, m = ctx.L, ctx.monoid
-    a_side = ctx.dual_baer
-    b_side = all(
-        _is_principal(m, "right",
-                      (i for i, phi in enumerate(m.members)
-                       if L.leq(phi.image_top, a)))
-        for a in range(L.n))
-    # the zero member's image is the bottom, the join of the empty family
-    closure = close_under(dict.fromkeys(m.image_tops, ()), L.join_of)
-    c_side = (ctx.monoid_pred("right_baer")
-              and all(ctx.cogenerated(e) for e in sorted(closure)))
-    if not (a_side == b_side == c_side):
-        return _fail(dual_baer=a_side, pointwise_annihilators=b_side,
-                     monoid_and_cogenerated=c_side)
     return _ok()
 
 
@@ -403,26 +378,6 @@ def chk_ricd2(ctx):
         rickart=a_side, md2=ctx.condition("md2"), image_iso_clause=second)
 
 
-def chk_dricc2(ctx):
-    L, m = ctx.L, ctx.monoid
-    a_side = ctx.dual_rickart
-    # the second clause depends on phi only through its image element
-    second = True
-    for img in m.image_tops:
-        vi = interval(L, L.bottom, img)
-        if not any(m.contains_map(table)
-                   for x in ctx.comp
-                   for xp in complements_of(L, x)
-                   for table in iso_composites(
-                       interval(L, L.bottom, x), vi,
-                       (L.meet_of(L.join_of(y, xp), x) for y in range(L.n)))):
-            second = False
-            break
-    b_side = ctx.condition("mc2") and second
-    return _ok() if a_side == b_side else _fail(
-        dual_rickart=a_side, mc2=ctx.condition("mc2"), image_iso_clause=second)
-
-
 def chk_kercompkergenann(ctx):
     if not ctx.comp_feasible:
         return _skip("monoid too large for annihilator calculus")
@@ -437,20 +392,6 @@ def chk_kercompkergenann(ctx):
     return _ok()
 
 
-def chk_imcompintkercogen(ctx):
-    if not ctx.comp_feasible:
-        return _skip("monoid too large for annihilator calculus")
-    m = ctx.monoid
-    for i, phi in enumerate(m.members):
-        lhs = phi.image_top in ctx.comp_set
-        ann = annihilator(m, "left", (i,))
-        rhs = ctx.cogenerated(phi.image_top) and ann.principal_idempotent is not None
-        if lhs != rhs:
-            return _fail(morphism=phi.as_name_map(), image_complemented=lhs,
-                         cogenerated_and_principal=rhs)
-    return _ok()
-
-
 def chk_baercarK(ctx):
     lhs = ctx.nonsing("k") and ctx.condition("c1")
     rhs = ctx.baer and ctx.nonsing("k_co")
@@ -459,19 +400,11 @@ def chk_baercarK(ctx):
         baer=ctx.baer, k_cononsingular=ctx.nonsing("k_co"))
 
 
-def chk_dbaercarT(ctx):
-    lhs = ctx.nonsing("t") and ctx.condition("d1")
-    rhs = ctx.dual_baer and ctx.nonsing("t_co")
-    return _ok() if lhs == rhs else _fail(
-        t_nonsingular=ctx.nonsing("t"), d1=ctx.condition("d1"),
-        dual_baer=ctx.dual_baer, t_cononsingular=ctx.nonsing("t_co"))
-
-
 def chk_acc_rickart_eq_baer(ctx):
     if ctx.rickart != ctx.baer:
         return _fail(rickart=ctx.rickart, baer=ctx.baer)
-    if ctx.dual_rickart != ctx.dual_baer:
-        return _fail(dual_rickart=ctx.dual_rickart, dual_baer=ctx.dual_baer)
+    if ctx.op.rickart != ctx.op.baer:
+        return _fail(dual_rickart=ctx.op.rickart, dual_baer=ctx.op.baer)
     return _ok()
 
 
@@ -610,15 +543,6 @@ def chk_complbaer(ctx):
         return _skip("lattice is not baer")
     for a in ctx.comp:
         if not ctx.interval_family_prop(a, "baer"):
-            return _fail(a=ctx.L.names[a])
-    return _ok()
-
-
-def chk_compldbaer(ctx):
-    if not ctx.dual_baer:
-        return _skip("lattice is not dual baer")
-    for a in ctx.comp:
-        if not ctx.interval_family_prop(a, "dual_baer"):
             return _fail(a=ctx.L.names[a])
     return _ok()
 
@@ -818,7 +742,7 @@ def chk_cbool(ctx):
 
 
 def chk_clcomp(ctx):
-    if not (ctx.baer or ctx.dual_baer):
+    if not (ctx.baer or ctx.op.baer):
         return _skip("lattice is neither baer nor dual baer")
     L = ctx.L
     comp = ctx.comp
@@ -867,22 +791,10 @@ def chk_c1_kco(ctx):
     return _ok() if ctx.nonsing("k_co") else _fail()
 
 
-def chk_d1_tco(ctx):
-    if not ctx.condition("d1"):
-        return _skip("d1 does not hold")
-    return _ok() if ctx.nonsing("t_co") else _fail()
-
-
 def chk_knonsing_c1_baer(ctx):
     if not (ctx.nonsing("k") and ctx.condition("c1")):
         return _skip("hypothesis not met")
     return _ok() if ctx.baer else _fail()
-
-
-def chk_tnonsing_d1_dbaer(ctx):
-    if not (ctx.nonsing("t") and ctx.condition("d1")):
-        return _skip("hypothesis not met")
-    return _ok() if ctx.dual_baer else _fail()
 
 
 def chk_ric_knonsing(ctx):
@@ -891,22 +803,10 @@ def chk_ric_knonsing(ctx):
     return _ok() if ctx.nonsing("k") else _fail()
 
 
-def chk_dric_tnonsing(ctx):
-    if not ctx.dual_rickart:
-        return _skip("lattice is not dual rickart")
-    return _ok() if ctx.nonsing("t") else _fail()
-
-
 def chk_baer_kco_c1(ctx):
     if not (ctx.baer and ctx.nonsing("k_co")):
         return _skip("hypothesis not met")
     return _ok() if ctx.condition("c1") else _fail()
-
-
-def chk_dbaer_tco_d1(ctx):
-    if not (ctx.dual_baer and ctx.nonsing("t_co")):
-        return _skip("hypothesis not met")
-    return _ok() if ctx.condition("d1") else _fail()
 
 
 def chk_artif(ctx):
@@ -1054,24 +954,24 @@ def _mk_registry() -> dict[str, Check]:
               "baer equals rickart plus strong complement intersection; dually with joins"),
         Check("ricendoric", "lattice", chk_ricendoric,
               "rickart equals right-rickart monoid plus retractability, and plus generated kernels"),
-        Check("dricendodric", "lattice", chk_dricendodric,
-              "dual rickart equals left-rickart monoid plus cogenerated images"),
+        Check("dricendodric", "lattice", _on_op(chk_ricendoric),
+              "ricendoric on the opposite lattice: dual rickart via left-rickart monoid and cogenerated images"),
         Check("baercar", "lattice", chk_baercar,
               "baer equals pointwise principal annihilators, and baer monoid plus generated kernel meets"),
-        Check("dbaercar", "lattice", chk_dbaercar,
-              "dual baer equals pointwise principal co-annihilators, and baer monoid plus cogenerated image joins"),
+        Check("dbaercar", "lattice", _on_op(chk_baercar),
+              "baercar on the opposite lattice: dual baer via co-annihilators and cogenerated image joins"),
         Check("ricd2", "lattice", chk_ricd2,
               "rickart equals the D2-style condition plus images isomorphic to complemented intervals"),
-        Check("dricc2", "lattice", chk_dricc2,
-              "dual rickart equals the C2-style condition plus complemented intervals isomorphic to images"),
+        Check("dricc2", "lattice", _on_op(chk_ricd2),
+              "ricd2 on the opposite lattice: dual rickart equals the C2-style condition plus an iso clause"),
         Check("kercompkergenann", "lattice", chk_kercompkergenann,
               "per morphism: kernel complemented iff generated and right annihilator principal"),
-        Check("imcompintkercogen", "lattice", chk_imcompintkercogen,
-              "per morphism: image complemented iff cogenerated and left annihilator principal"),
+        Check("imcompintkercogen", "lattice", _on_op(chk_kercompkergenann),
+              "kercompkergenann on the opposite lattice: image complemented iff cogenerated and principal"),
         Check("baercarK", "lattice", chk_baercarK,
               "K-nonsingular plus C1 equals baer plus K-cononsingular"),
-        Check("dbaercarT", "lattice", chk_dbaercarT,
-              "T-nonsingular plus D1 equals dual baer plus T-cononsingular"),
+        Check("dbaercarT", "lattice", _on_op(chk_baercarK),
+              "baercarK on the opposite lattice: T-nonsingular plus D1 equals dual baer plus T-cononsingular"),
         Check("acc_rickart_eq_baer", "lattice", chk_acc_rickart_eq_baer,
               "finite lattices: rickart equals baer, dual rickart equals dual baer"),
         Check("kerpi", "lattice", chk_kerpi,
@@ -1094,8 +994,8 @@ def _mk_registry() -> dict[str, Check]:
               "rickart passes down to intervals below complemented elements"),
         Check("complbaer", "lattice", chk_complbaer,
               "baer passes down to intervals below complemented elements"),
-        Check("compldbaer", "lattice", chk_compldbaer,
-              "dual baer passes down to intervals below complemented elements"),
+        Check("compldbaer", "lattice", _on_op(chk_complbaer),
+              "complbaer on the opposite lattice: dual baer passes to intervals at complemented elements"),
         Check("ricind2", "lattice", chk_ricind2,
               "indecomposable rickart lattices are exactly the two-element chain"),
         Check("if2", "lattice", chk_if2,
@@ -1137,19 +1037,20 @@ def _mk_registry() -> dict[str, Check]:
         Check("baer_symmetry", "lattice", chk_baer_symmetry,
               "right and left baer agree for projection-closed monoids"),
         Check("c1_kco", "lattice", chk_c1_kco, "C1 implies K-cononsingular"),
-        Check("d1_tco", "lattice", chk_d1_tco, "D1 implies T-cononsingular"),
+        Check("d1_tco", "lattice", _on_op(chk_c1_kco),
+              "c1_kco on the opposite lattice: D1 implies T-cononsingular"),
         Check("knonsing_c1_baer", "lattice", chk_knonsing_c1_baer,
               "K-nonsingular plus C1 implies baer"),
-        Check("tnonsing_d1_dbaer", "lattice", chk_tnonsing_d1_dbaer,
-              "T-nonsingular plus D1 implies dual baer"),
+        Check("tnonsing_d1_dbaer", "lattice", _on_op(chk_knonsing_c1_baer),
+              "knonsing_c1_baer on the opposite lattice: T-nonsingular plus D1 implies dual baer"),
         Check("ric_knonsing", "lattice", chk_ric_knonsing,
               "rickart implies K-nonsingular"),
-        Check("dric_tnonsing", "lattice", chk_dric_tnonsing,
-              "dual rickart implies T-nonsingular"),
+        Check("dric_tnonsing", "lattice", _on_op(chk_ric_knonsing),
+              "ric_knonsing on the opposite lattice: dual rickart implies T-nonsingular"),
         Check("baer_kco_c1", "lattice", chk_baer_kco_c1,
               "baer plus K-cononsingular implies C1"),
-        Check("dbaer_tco_d1", "lattice", chk_dbaer_tco_d1,
-              "dual baer plus T-cononsingular implies D1"),
+        Check("dbaer_tco_d1", "lattice", _on_op(chk_baer_kco_c1),
+              "baer_kco_c1 on the opposite lattice: dual baer plus T-cononsingular implies D1"),
         Check("artif", "lattice", chk_artif,
               "the canonical decomposition is independent with indecomposable blocks"),
         Check("fig1_example", "global", chk_fig1_example,

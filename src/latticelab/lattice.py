@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -42,17 +43,17 @@ class Lattice:
 
     Instances are immutable after construction; all query methods are pure
     table lookups. Derived facts (numpy tables, the modularity verdict, the
-    complement table, interval views, certified projections) are memoized on
-    the instance the first time they are computed. They depend only on the
-    tables, so racing writers store equal values and instances stay safe to
-    share between threads.
+    complement table, interval views, certified projections, the opposite
+    lattice) are memoized on the instance the first time they are computed.
+    They depend only on the tables, so racing writers store equal values and
+    instances stay safe to share between threads.
     """
 
     __slots__ = (
         "name", "n", "names", "bottom", "top", "rank",
         "_up", "_down", "_join", "_meet", "_covers", "_upper_covers",
         "_name_to_id", "_np_tables", "_interval_cache", "_key",
-        "_modular", "_complements", "_projections",
+        "_modular", "_complements", "_projections", "_opposite",
     )
 
     def __init__(self, *, name, names, up, down, join, meet, bottom, top, rank, covers):
@@ -80,6 +81,7 @@ class Lattice:
         self._complements: tuple[tuple[int, ...], ...] | None = None
         # (x, x') -> certified projection; filled by morphisms.projection
         self._projections: dict | None = None
+        self._opposite: Lattice | None = None
 
     # -- order queries ----------------------------------------------------
 
@@ -361,16 +363,27 @@ def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
     return _assemble(name, names, up, down, join, meet, canonicalize=True)[0]
 
 
+def opposite(L: Lattice) -> Lattice:
+    """The order dual, in canonical order; memoized both ways, so
+    opposite(opposite(L)) is L."""
+    if L._opposite is None:
+        op = _assemble(f"{L.name}^op", L.names, L._down, L._up, L._meet, L._join,
+                       canonicalize=True)[0]
+        op._opposite = L
+        L._opposite = op
+    return L._opposite
+
+
 # -- serialization ----------------------------------------------------------
 
 
-def lattice_to_json(L: Lattice, indent: int | None = 2) -> str:
+def lattice_to_json(L: Lattice) -> str:
     doc = {
         "name": L.name,
         "elements": list(L.names),
         "covers": [[L.names[a], L.names[b]] for a, b in L.covers()],
     }
-    return json.dumps(doc, indent=indent, ensure_ascii=False) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def parse_json(text: str):
@@ -404,8 +417,8 @@ def lattice_from_json(text: str) -> Lattice:
     for pair in covers:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(e, str) for e in pair)):
-            raise ValueError(f"malformed lattice JSON: cover {pair!r} is not "
-                             f"a pair of element names")
+            raise ValueError(f"malformed lattice JSON: cover {reprlib.repr(pair)} "
+                             f"is not a pair of element names")
     return build_lattice(elements, [tuple(pair) for pair in covers], name=name)
 
 

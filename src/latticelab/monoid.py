@@ -7,6 +7,7 @@ kernels and image tops stay cheap even for very large induced monoids.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,13 @@ def explicit_monoid(L: Lattice, members) -> EndoMonoid:
 def monoid_from_spec(L: Lattice, spec) -> EndoMonoid:
     """Build from a JSON-style spec: {"kind": "full"} |
     {"kind": "generated", "generators": [...], "with_projections": bool} |
-    {"kind": "explicit", "members": [...]}."""
-    if spec == "full" or spec == {"kind": "full"}:
-        return full_monoid(L)
+    {"kind": "explicit", "members": [...]}. Fields a kind does not read are
+    ignored."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
+    if spec == "full" or kind == "full":
+        return full_monoid(L)
     if kind not in ("generated", "explicit"):
-        raise ValueError(f"unknown monoid spec: {spec!r}")
+        raise ValueError(f"unknown monoid spec: {reprlib.repr(spec)}")
     field = "generators" if kind == "generated" else "members"
     docs = spec.get(field, [])
     if not isinstance(docs, list):

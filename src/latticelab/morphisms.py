@@ -17,6 +17,7 @@ of [k, top].
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from . import config
@@ -397,10 +398,10 @@ def fully_invariant_elements(L: Lattice, morphisms) -> tuple[int, ...]:
 # -- serialization -------------------------------------------------------------
 
 
-def morphism_to_json(phi: LinearMorphism, indent: int | None = 2) -> str:
+def morphism_to_json(phi: LinearMorphism) -> str:
     doc = {"domain": phi.domain.name, "codomain": phi.codomain.name,
            "map": phi.as_name_map()}
-    return json.dumps(doc, indent=indent, ensure_ascii=False) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def morphism_from_json(text_or_doc, domain: Lattice,
@@ -418,7 +419,7 @@ def morphism_from_json(text_or_doc, domain: Lattice,
     if set(name_map) != set(domain.names):
         raise ValueError("morphism map must cover every domain element once")
     known = set(cod.names)
-    unknown = sorted({repr(v) for v in name_map.values()
+    unknown = sorted({reprlib.repr(v) for v in name_map.values()
                       if not isinstance(v, str) or v not in known})
     if unknown:
         raise ValueError(f"morphism map sends elements to names not in "

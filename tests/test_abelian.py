@@ -105,10 +105,11 @@ class TestEndomorphisms:
         assert len(f.matrix) == 2
         assert all(len(row) == 2 for row in f.matrix)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_ENDO_CAP", 1000)
         g = AbelianGroup.from_spec("2,2,2,2")
         with pytest.raises(SizeLimitExceededError):
-            endomorphisms(g, max_count=1000)
+            endomorphisms(g)
 
 
 class TestInducedMonoid:

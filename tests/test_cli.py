@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -19,12 +20,21 @@ from latticelab.fixtures import FIXTURE_NAMES, fixture_json
 from latticelab.lattice import lattice_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(argv, *flags):
+    """`python [flags] -m latticelab argv` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-m", "latticelab", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_repo_fixtures_match_packaged():
@@ -122,6 +132,15 @@ class TestAnalyze:
                 results, indent=2, ensure_ascii=False).encode()).hexdigest()
         assert (code, digest) == self.PINNED_GENERATED[name]
 
+    def test_full_spec_ignores_fields_it_does_not_read(self, tmp_path, capsys):
+        spec = tmp_path / "monoid.json"
+        spec.write_text(json.dumps({"kind": "full", "generators": []}))
+        argv = ["--json", "analyze", str(FIXTURES / "excip.json"), "--props", "all"]
+        code, out = run_capture(capsys, argv + ["--monoid", "full"])
+        spec_code, spec_out = run_capture(capsys, argv + ["--monoid", str(spec)])
+        assert spec_code == code
+        assert json.loads(spec_out)["results"] == json.loads(out)["results"]
+
     def test_unknown_prop(self, capsys):
         assert run(["analyze", str(FIXTURES / "c3.json"), "--props", "zzz"]) == 2
 
@@ -186,6 +205,26 @@ class TestMalformedInput:
         self.run_error(capsys, [
             "analyze", str(FIXTURES / "c3.json"), "--monoid", str(path),
             "--props", "rickart"])
+
+    @pytest.mark.parametrize("field", ["monoid", "cover"])
+    def test_nested_input_gives_a_short_error(self, tmp_path, field):
+        # a fresh interpreter parses 980 levels, which a test's stack may not
+        nested = "[" * 980 + "]" * 980
+        lattice = FIXTURES / "c3.json"
+        argv = ["analyze", "--props", "rickart"]
+        if field == "monoid":
+            spec = tmp_path / "monoid.json"
+            spec.write_text(nested)
+            argv += ["--monoid", str(spec)]
+        else:
+            lattice = tmp_path / "deep.json"
+            lattice.write_text('{"name": "c", "elements": ["0", "1"], '
+                               f'"covers": {nested}}}')
+        proc = run_module(argv + [str(lattice)])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines[0]) < 200
 
     def spec_run(self, tmp_path, capsys, spec):
         path = tmp_path / "monoid.json"
@@ -396,6 +435,22 @@ class TestTheorems:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "negative" in captured.err
+
+    # 36 lattices of up to 9 elements (acceptance 4 stops at 8), 8 of them
+    # with an opposite of another structure key; the run under -O shows that
+    # no verdict rests on an assert
+    @pytest.mark.parametrize("mode", ["in_process", "optimized_subprocess"])
+    def test_golden_run_beyond_acceptance_4(self, mode, capsys):
+        argv = ["--json", "theorems", "--random", "30", "--max-size", "10",
+                "--seed", "7"]
+        if mode == "in_process":
+            code, out = run_capture(capsys, argv)
+        else:
+            proc = run_module(argv, "-O")
+            code, out = proc.returncode, proc.stdout
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "79978768ac84848ff5d068de285a887659c038231488a13bc9050fdb1a009347"
 
     def test_corpus_dir(self, tmp_path, capsys):
         (tmp_path / "one.json").write_text(fixture_json("b2"))

@@ -97,11 +97,12 @@ class TestRunner:
 
     def test_context_generation_matches_public_checker(self, excip, m3):
         from latticelab.conformance import LatticeContext
+        from latticelab.lattice import opposite
         from latticelab.properties import check_generation
         for L in (excip, m3):
             ctx = LatticeContext(L)
             for x in range(L.n):
                 assert ctx.generated(x) == check_generation(
                     L, ctx.monoid, x, "generated").holds
-                assert ctx.cogenerated(x) == check_generation(
-                    L, ctx.monoid, x, "cogenerated").holds
+                assert ctx.op.generated(opposite(L).id_of(L.names[x])) == \
+                    check_generation(L, ctx.monoid, x, "cogenerated").holds
