@@ -88,6 +88,8 @@ def _parse_props(csv: str) -> list[str]:
     unknown = [p for p in props if p not in PROP_CHOICES]
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")
+    if not props:
+        raise ValueError("no properties selected")
     return props
 
 
@@ -176,6 +178,8 @@ def cmd_module(args) -> int:
                if p not in ("rickart", "baer", "dual_rickart", "dual_baer")]
     if unknown:
         raise ValueError(f"unknown module properties: {unknown}")
+    if not props:
+        raise ValueError("no module properties selected")
     results = [rickart_module_direct(grp, p) for p in props]
     doc = {
         "group": grp.spec_string(),
@@ -201,6 +205,8 @@ def cmd_theorems(args) -> int:
             if path.name.endswith("-morphism.json"):
                 continue
             corpus.append(lattice_from_json(path.read_text()))
+        if not corpus:
+            raise ValueError(f"no lattice JSON files in {args.corpus!r}")
     else:
         corpus.extend(fixtures.build_fixture(nm) for nm in fixtures.MODULAR_FIXTURES)
     if args.random:

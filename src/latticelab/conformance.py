@@ -45,7 +45,6 @@ from .monoid import (EndoMonoid, annihilator, coset_index, full_monoid,
                      monoid_predicate)
 from .morphisms import (
     compose,
-    enumerate_interval_isos,
     enumerate_linmors,
     extend_from_interval,
     fully_invariant_elements,
@@ -348,31 +347,11 @@ def chk_baercar(ctx):
 
 
 def chk_ricd2(ctx):
-    L, m = ctx.L, ctx.monoid
     a_side = ctx.rickart
-    # candidate target intervals depend only on the image element; morphisms
-    # sharing an image reuse the iso list
-    candidates: dict[int, list] = {}
-    for img in m.image_tops:
-        vi = interval(L, L.bottom, img)
-        cands = []
-        for x in ctx.comp:
-            vx = interval(L, L.bottom, x)
-            for iso in enumerate_interval_isos(vi, vx):
-                cands.append((vi, vx, iso))
-        candidates[img] = cands
-    second = True
-    for phi in m.members:
-        ok = False
-        for vi, vx, iso in candidates[phi.image_top]:
-            table = tuple(vx.members[iso.forward[vi.from_parent[phi.map[y]]]]
-                          for y in range(L.n))
-            if m.contains_map(table):
-                ok = True
-                break
-        if not ok:
-            second = False
-            break
+    # an iso [bottom, phi(top)] -> [bottom, x] after phi lands in the monoid
+    # exactly when some member shares phi's kernel and has image top x
+    second = all(any(x in ctx.comp_set for x in tops)
+                 for tops in ctx.monoid.pairs.values())
     b_side = ctx.condition("md2") and second
     return _ok() if a_side == b_side else _fail(
         rickart=a_side, md2=ctx.condition("md2"), image_iso_clause=second)
@@ -665,20 +644,12 @@ def chk_fi_join(ctx):
     return _ok()
 
 
-def _iso_to_complement_choices(ctx) -> dict[int, list[int]]:
+def _iso_to_complement_choices(ctx) -> dict[int, tuple[int, ...]]:
     """For each a, the b's admitting an iso [a, top] -> [bottom, b] whose
-    composite through quotient and inclusion lies in the monoid; computed
-    once per lattice."""
-    def build():
-        L, m = ctx.L, ctx.monoid
-        out: dict[int, list[int]] = {}
-        for a in range(L.n):
-            vu = interval(L, a, L.top)
-            out[a] = [b for b in range(L.n) if any(
-                m.contains_map(table) for table in iso_composites(
-                    vu, interval(L, L.bottom, b), (L.join_of(y, a) for y in range(L.n))))]
-        return out
-    return ctx._get("iso_to_complement_choices", build)
+    composite through quotient and inclusion lies in the monoid: the image
+    tops of the members with kernel a."""
+    return ctx._get("iso_to_complement_choices", lambda: {
+        a: ctx.monoid.pairs.get(a, ()) for a in range(ctx.L.n)})
 
 
 def chk_booluniqb_exists(ctx):

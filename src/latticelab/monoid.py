@@ -35,12 +35,13 @@ class EndoMonoid:
     """A composition-closed set of linear endomorphisms with zero and identity."""
 
     __slots__ = ("lattice", "members", "zero_idx", "id_idx", "_index", "_comp",
-                 "_idem", "_has_all_projections", "_cosets", "_kernels",
-                 "_image_tops")
+                 "_idem", "_has_all_projections", "_cosets", "_pairs",
+                 "_kernels", "_image_tops")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
         self.lattice = lattice
-        self.members = tuple(sorted(members, key=lambda m: m.map))
+        unique = {m.map: m for m in members}  # a repeated table is one member
+        self.members = tuple(unique[t] for t in sorted(unique))
         self._index = {m.map: i for i, m in enumerate(self.members)}
         zero = (lattice.bottom,) * lattice.n
         ident = tuple(range(lattice.n))
@@ -53,6 +54,7 @@ class EndoMonoid:
         self._idem = None
         self._has_all_projections = None
         self._cosets = None
+        self._pairs = None
         self._kernels = None
         self._image_tops = None
 
@@ -112,17 +114,30 @@ class EndoMonoid:
         return self._has_all_projections
 
     @property
+    def pairs(self) -> dict[int, tuple[int, ...]]:
+        """Each member kernel a, sorted, with the sorted image tops b of its
+        members. A linear map with kernel a and image top b is the quotient
+        onto [a, top] followed by an interval isomorphism onto [bottom, b],
+        so some such composite lies in the monoid exactly when b is in pairs[a]."""
+        if self._pairs is None:
+            tops: dict[int, set[int]] = {}
+            for phi in self.members:
+                tops.setdefault(phi.kernel, set()).add(phi.image_top)
+            self._pairs = {k: tuple(sorted(tops[k])) for k in sorted(tops)}
+        return self._pairs
+
+    @property
     def kernels(self) -> tuple[int, ...]:
         """The distinct member kernels, sorted."""
         if self._kernels is None:
-            self._kernels = tuple(sorted({phi.kernel for phi in self.members}))
+            self._kernels = tuple(self.pairs)
         return self._kernels
 
     @property
     def image_tops(self) -> tuple[int, ...]:
         """The distinct member image tops, sorted."""
         if self._image_tops is None:
-            self._image_tops = tuple(sorted({phi.image_top for phi in self.members}))
+            self._image_tops = tuple(sorted({b for bs in self.pairs.values() for b in bs}))
         return self._image_tops
 
     def idempotent_indices(self) -> tuple[int, ...]:

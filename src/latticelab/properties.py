@@ -133,20 +133,23 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
     if m is None:
         raise ValueError("mC2/mD2 need a monoid")
     if kind == "md2":
-        for a in range(L.n):
-            if a in comp_set:
+        # such a composite lies in m exactly when a member has kernel a and
+        # image top x; the iso scan only rebuilds the first failing composite
+        for a, tops in m.pairs.items():
+            x = next((x for x in tops if x in comp_set), None)
+            if a in comp_set or x is None:
                 continue
-            va = interval(L, a, L.top)
-            for x in comp:
-                for table in iso_composites(va, interval(L, L.bottom, x),
-                                            (L.join_of(y, a) for y in range(L.n))):
-                    if m.contains_map(table):
-                        return Verdict(kind, False, witness={
-                            "a": L.names[a], "x": L.names[x],
-                            "composite": {L.names[i]: L.names[v]
-                                          for i, v in enumerate(table)}})
+            table = next(t for t in iso_composites(
+                interval(L, a, L.top), interval(L, L.bottom, x),
+                (L.join_of(y, a) for y in range(L.n))) if m.contains_map(t))
+            return Verdict(kind, False, witness={
+                "a": L.names[a], "x": L.names[x],
+                "composite": {L.names[i]: L.names[v]
+                              for i, v in enumerate(table)}})
         return Verdict(kind, True)
     if kind == "mc2":
+        # keeps the scan: z -> (z v x') ^ x is a projection only on a modular
+        # lattice, and the pair index answers only for linear composites
         for x in comp:
             vx = interval(L, L.bottom, x)
             for xp in complements_of(L, x):
@@ -170,33 +173,32 @@ def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
     """Vanishing conditions tying essential kernels and superfluous images to
     the zero morphism, plus their converses."""
     kind = kind.lower()
-    zero = m.members[m.zero_idx]
+    # phi is nonzero exactly when ker phi != top, that is, when
+    # phi(top) != bottom; and phi(a) = bottom exactly when a <= ker phi
     if kind == "k":
         for phi in m.members:
-            if phi is zero or phi.map == zero.map:
-                continue
-            if essential_superfluous(L, phi.kernel, "essential"):
+            if phi.kernel != L.top and essential_superfluous(L, phi.kernel, "essential"):
                 return Verdict(kind, False, witness={
                     "morphism": phi.as_name_map(), "kernel": L.names[phi.kernel]})
         return Verdict(kind, True)
     if kind == "t":
         for phi in m.members:
-            if phi.map == zero.map:
-                continue
-            if essential_superfluous(L, phi.image_top, "superfluous"):
+            if phi.image_top != L.bottom and essential_superfluous(
+                    L, phi.image_top, "superfluous"):
                 return Verdict(kind, False, witness={
                     "morphism": phi.as_name_map(), "image": L.names[phi.image_top]})
         return Verdict(kind, True)
-    nonzero = [phi for phi in m.members if phi.map != zero.map]
     if kind == "k_co":
+        kernels = [k for k in m.kernels if k != L.top]
         for a in range(L.n):
-            if all(phi.map[a] != L.bottom for phi in nonzero):
+            if not any(L.leq(a, k) for k in kernels):
                 if not essential_superfluous(L, a, "essential"):
                     return Verdict(kind, False, witness={"element": L.names[a]})
         return Verdict(kind, True)
     if kind == "t_co":
+        tops = [b for b in m.image_tops if b != L.bottom]
         for a in range(L.n):
-            if all(not L.leq(phi.image_top, a) for phi in nonzero):
+            if not any(L.leq(b, a) for b in tops):
                 if not essential_superfluous(L, a, "superfluous"):
                     return Verdict(kind, False, witness={"element": L.names[a]})
         return Verdict(kind, True)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from latticelab import fixtures as fx
 from latticelab.cli import run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
-from latticelab.lattice import lattice_to_json
+from latticelab.lattice import direct_product, lattice_to_json
+from latticelab.morphisms import morphism_to_json, validate_linear
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -131,6 +132,37 @@ class TestAnalyze:
             digest = hashlib.sha256(json.dumps(
                 results, indent=2, ensure_ascii=False).encode()).hexdigest()
         assert (code, digest) == self.PINNED_GENERATED[name]
+
+    # (exit code, sha256 of the "results" list) on b2 x c3, where md2 and
+    # mc2 fail: with the full monoid, and with a monoid generated by two maps
+    # and no projections, whose md2 witness is not the first iso's composite
+    PINNED_PRODUCT = {
+        "full": (1, "dade9c9aadfec7b41aa5b4759c29df9ecd5c8213bffa8eced27b53e9346543ee"),
+        "generated": (1, "c51cdb2a0f64846134d8a5795b9045f2bb5d9418205c06f85d83954c19fce3fb"),
+    }
+    PRODUCT_GENERATORS = ((0, 0, 0, 3, 2, 3, 0, 3, 3, 2, 5, 5),
+                          (0, 0, 2, 3, 0, 5, 2, 3, 5, 2, 3, 5))
+
+    @pytest.mark.parametrize("monoid", sorted(PINNED_PRODUCT))
+    def test_failing_condition_witnesses_are_pinned(self, monoid, tmp_path, capsys):
+        P = direct_product([fx.b2(), fx.c3()]).lattice
+        lattice = tmp_path / "product.json"
+        lattice.write_text(lattice_to_json(P))
+        argv = ["--json", "analyze", str(lattice)]
+        if monoid == "full":
+            argv += ["--props", "all", "--monoid", "full"]
+        else:
+            spec = tmp_path / "monoid.json"
+            spec.write_text(json.dumps({"kind": "generated", "generators": [
+                json.loads(morphism_to_json(validate_linear(P, P, t)))
+                for t in self.PRODUCT_GENERATORS]}))
+            argv += ["--props", "md2,mc2,k_co,t_co,k,t", "--monoid", str(spec)]
+        code, out = run_capture(capsys, argv)
+        results = json.loads(out)["results"]
+        assert not next(r for r in results if r["property"] == "md2")["holds"]
+        digest = hashlib.sha256(json.dumps(
+            results, indent=2, ensure_ascii=False).encode()).hexdigest()
+        assert (code, digest) == self.PINNED_PRODUCT[monoid]
 
     def test_full_spec_ignores_fields_it_does_not_read(self, tmp_path, capsys):
         spec = tmp_path / "monoid.json"
@@ -271,6 +303,17 @@ class TestMalformedInput:
 
     def test_spec_that_is_not_an_object(self, tmp_path, capsys):
         self.spec_run(tmp_path, capsys, ["generated"])
+
+    @pytest.mark.parametrize("corpus", ["missing", "file"])
+    def test_corpus_without_lattices(self, tmp_path, capsys, corpus):
+        path = tmp_path / "nowhere" if corpus == "missing" else FIXTURES.parent / "README.md"
+        self.run_error(capsys, ["theorems", "--corpus", str(path)])
+
+    def test_empty_analyze_props(self, capsys):
+        self.run_error(capsys, ["analyze", str(FIXTURES / "c3.json"), "--props", ","])
+
+    def test_empty_module_props(self, capsys):
+        self.run_error(capsys, ["module", "--group", "4", "--props", ","])
 
     def test_threads_flag_is_gone(self, capsys):
         assert run(["--threads", "2", "validate", str(FIXTURES / "c3.json")]) == 2

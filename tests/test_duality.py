@@ -6,7 +6,7 @@ must agree on every lattice.
 """
 
 from latticelab import fixtures as fx
-from latticelab.conformance import LatticeContext, random_corpus
+from latticelab.conformance import LatticeContext, random_corpus, run_conformance
 from latticelab.lattice import build_lattice, interval, opposite
 from latticelab.monoid import full_monoid, monoid_predicate
 from latticelab.properties import (
@@ -104,3 +104,18 @@ def test_context_op_is_shared_only_for_equal_tables():
     L = next(L for L in LATTICES if opposite(L).structure_key != L.structure_key)
     ctx = LatticeContext(L)
     assert ctx.op is not ctx and ctx.op.L is opposite(L)
+
+
+def test_dual_twins_run_on_an_opposite_of_another_key():
+    # B3 with coatoms named so that the opposite's canonical order differs:
+    # the dual twins must evaluate the primal checks on a second context
+    covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "p"), ("b", "p"),
+              ("a", "r"), ("c", "r"), ("b", "q"), ("c", "q"),
+              ("p", "1"), ("q", "1"), ("r", "1")]
+    L = build_lattice(["0", "a", "b", "c", "p", "q", "r", "1"], covers, name="b3pqr")
+    assert opposite(L).structure_key != L.structure_key
+    ctx = LatticeContext(L)
+    assert ctx.op is not ctx
+    twins = ("dbaer_tco_d1", "compldbaer", "dbaercar")
+    report = run_conformance([L], checks=twins)
+    assert report.counts == {nm: {"pass": 1, "fail": 0, "skip": 0} for nm in twins}

@@ -1,6 +1,7 @@
 """Submonoids with zero: construction, annihilators, monoid predicates."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -20,7 +21,8 @@ from latticelab.monoid import (
     monoid_from_spec,
     monoid_predicate,
 )
-from latticelab.morphisms import identity_morphism, projection, zero_morphism
+from latticelab.morphisms import (identity_morphism, morphism_to_json, projection,
+                                  zero_morphism)
 
 
 class TestBuild:
@@ -57,6 +59,15 @@ class TestBuild:
         m = full_monoid(m3)
         maps = [phi.map for phi in m.members]
         assert maps == sorted(maps)
+
+    def test_repeated_member_is_one_member(self, c3):
+        docs = [json.loads(morphism_to_json(phi)) for phi in full_monoid(c3)]
+        zero = json.loads(morphism_to_json(zero_morphism(c3)))
+        once = monoid_from_spec(c3, {"kind": "explicit", "members": docs})
+        twice = monoid_from_spec(c3, {"kind": "explicit", "members": docs + [zero]})
+        assert len(twice) == len(once) == 3
+        for kind in ("right_rickart", "left_rickart", "right_baer", "left_baer"):
+            assert monoid_predicate(twice, kind) == monoid_predicate(once, kind)
 
     def test_spec_json(self, c3):
         m = monoid_from_spec(c3, {"kind": "full"})

@@ -1,0 +1,181 @@
+"""The monoid's (kernel, image top) index against interval-isomorphism scans.
+
+A linear map with kernel a and image top b is the quotient onto [a, top]
+followed by an interval isomorphism onto [bottom, b]. So mD2, the ricd2
+image clause and the booluniqb choices, which ask whether some such
+composite lies in the monoid, read the index instead of searching isos.
+The reference definitions below keep the search. The library must agree
+with them on the duality corpus, for the full monoid and for seeded
+generated monoids with and without projections, and on random
+non-modular lattices for mD2 and the K- and T-cononsingularity checks, which
+read the index's kernels and image tops.
+"""
+
+import random
+
+from latticelab import conformance as conformance_mod
+from latticelab.conformance import LatticeContext, chk_ricd2
+from latticelab.errors import LinearValidationError
+from latticelab.lattice import (build_lattice, close_under, complemented_elements,
+                                essential_superfluous, interval, is_modular)
+from latticelab.monoid import full_monoid, generated_monoid
+from latticelab.morphisms import enumerate_interval_isos, iso_composites
+from latticelab.properties import check_condition, check_nonsingularity
+from latticelab.verdict import Verdict
+from test_duality import LATTICES
+
+
+def quotient_composites(L, a, b):
+    """The tables y -> theta(y v a) for every iso theta: [a, top] -> [bottom, b]."""
+    return iso_composites(interval(L, a, L.top), interval(L, L.bottom, b),
+                          (L.join_of(y, a) for y in range(L.n)))
+
+
+def md2_scan(L, m):
+    comp = complemented_elements(L)
+    for a in range(L.n):
+        if a in comp:
+            continue
+        for x in comp:
+            for table in quotient_composites(L, a, x):
+                if m.contains_map(table):
+                    return Verdict("md2", False, witness={
+                        "a": L.names[a], "x": L.names[x],
+                        "composite": {L.names[i]: L.names[v]
+                                      for i, v in enumerate(table)}})
+    return Verdict("md2", True)
+
+
+def choices_scan(L, m):
+    return {a: tuple(b for b in range(L.n) if any(
+        m.contains_map(t) for t in quotient_composites(L, a, b)))
+        for a in range(L.n)}
+
+
+def image_clause_scan(L, m):
+    """Each member followed by some iso [bottom, phi(top)] -> [bottom, x],
+    x complemented, lands in the monoid."""
+    targets = [interval(L, L.bottom, x) for x in complemented_elements(L)]
+    isos = {}  # image top -> its views and isos onto the targets
+    for phi in m.members:
+        if phi.image_top not in isos:
+            vi = interval(L, L.bottom, phi.image_top)
+            isos[phi.image_top] = [(vi, vx, iso) for vx in targets
+                                   for iso in enumerate_interval_isos(vi, vx)]
+        if not any(m.contains_map(tuple(vx.members[iso.forward[vi.from_parent[v]]]
+                                        for v in phi.map))
+                   for vi, vx, iso in isos[phi.image_top]):
+            return False
+    return True
+
+
+def cononsingular_scan(L, m, kind):
+    zero = m.members[m.zero_idx]
+    nonzero = [phi for phi in m.members if phi.map != zero.map]
+    for a in range(L.n):
+        if kind == "k_co":
+            free = all(phi.map[a] != L.bottom for phi in nonzero)
+            if free and not essential_superfluous(L, a, "essential"):
+                return False
+        else:
+            free = all(not L.leq(phi.image_top, a) for phi in nonzero)
+            if free and not essential_superfluous(L, a, "superfluous"):
+                return False
+    return True
+
+
+def scan_mismatches(L, m):
+    """The kinds whose library verdict differs from the scan on any lattice."""
+    bad = [kind for kind in ("k_co", "t_co")
+           if check_nonsingularity(L, m, kind).holds != cononsingular_scan(L, m, kind)]
+    if check_condition(L, m, "md2") != md2_scan(L, m):
+        bad.append("md2")
+    return bad
+
+
+def monoids(L, seed):
+    """The full monoid and two seeded generated ones, one with projections.
+
+    Off modular lattices there are no projections, and a composite of
+    linear maps need not be linear, so generators whose closure leaves the
+    linear maps give no monoid.
+    """
+    full = full_monoid(L)
+    yield full
+    rng = random.Random(seed)
+    for with_projections in (False, True):
+        gens = rng.sample(full.members, min(2, len(full)))
+        if with_projections and not is_modular(L).holds:
+            continue
+        try:
+            yield generated_monoid(L, gens, with_projections)
+        except LinearValidationError:
+            continue
+
+
+def context_with(L, m):
+    ctx = LatticeContext(L)
+    ctx._cache["monoid"] = m
+    return ctx
+
+
+def pair_mismatches(L, m):
+    """scan_mismatches plus the registry's readers of the index."""
+    bad = scan_mismatches(L, m)
+    md2 = md2_scan(L, m)
+    ctx = context_with(L, m)
+    choices = conformance_mod._iso_to_complement_choices(ctx)
+    if choices != choices_scan(L, m):
+        bad.append("choices")
+    clause = image_clause_scan(L, m)
+    if clause != all(any(x in ctx.comp_set for x in choices[k]) for k in m.kernels):
+        bad.append("image clause")
+    want = conformance_mod._ok() if ctx.rickart == (md2.holds and clause) else \
+        conformance_mod._fail(rickart=ctx.rickart, md2=md2.holds,
+                              image_iso_clause=clause)
+    if chk_ricd2(ctx) != want:
+        bad.append("ricd2")
+    return bad
+
+
+def test_pair_index_matches_the_iso_scans_on_the_duality_corpus():
+    mismatches = {}
+    for i, L in enumerate(LATTICES):
+        for j, m in enumerate(monoids(L, i)):
+            if bad := pair_mismatches(L, m):
+                mismatches[(L.name, j)] = bad
+    assert mismatches == {}
+
+
+def random_lattice(rng, name):
+    """The intersection closure of a few random subsets of a 4-set, with the
+    whole set, ordered by inclusion: every finite lattice arises this way."""
+    sets = {15} | {rng.getrandbits(4) for _ in range(rng.randint(2, 6))}
+    closed = sorted(close_under(dict.fromkeys(sets, ()), lambda s, t: s & t),
+                    key=lambda s: (bin(s).count("1"), s))
+    names = [f"s{s}" for s in closed]
+
+    def below(s, t):
+        return s != t and s & t == s
+    covers = [(f"s{s}", f"s{t}") for s in closed for t in closed
+              if below(s, t) and not any(below(s, u) and below(u, t) for u in closed)]
+    return build_lattice(names, covers, name=name)
+
+
+def non_modular_lattices(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        L = random_lattice(rng, f"nm{seed}_{len(out)}")
+        if not is_modular(L).holds:
+            out.append(L)
+    return out
+
+
+def test_pair_index_matches_the_scans_on_non_modular_lattices():
+    mismatches = {}
+    for i, L in enumerate(non_modular_lattices(400, 11)):
+        for j, m in enumerate(monoids(L, i)):
+            if bad := scan_mismatches(L, m):
+                mismatches[(L.name, j)] = bad
+    assert mismatches == {}
