@@ -18,6 +18,7 @@ that route is cross-validated against enumeration wherever both run.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from functools import cache, partial
 from math import gcd, lcm, prod
@@ -55,11 +56,11 @@ class AbelianGroup:
     @classmethod
     def from_spec(cls, spec: str) -> "AbelianGroup":
         """Parse comma-separated invariant factors; "1" is the trivial group."""
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
+        parts = [p.strip() for p in spec.split(",")]
+        if not all(parts):
+            raise ValueError(f"group spec {reprlib.repr(spec)} has an empty field")
         factors = tuple(int(p) for p in parts)
-        if factors == (1,) or not factors:
-            return cls(())
-        return cls(factors)
+        return cls(() if factors == (1,) else factors)
 
     @property
     def order(self) -> int:
@@ -361,9 +362,10 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
     composition table stays lazy, so large induced monoids remain usable for
     kernel/image scans. Cached per group.
     """
+    rows = _endo_sweep(g).rows  # checks the endomorphism cap first
     lat = subgroup_lattice(g)
     return EndoMonoid(lat, [validate_linear(lat, lat, tuple(row.tolist()))
-                            for row in _endo_sweep(g).rows])
+                            for row in rows])
 
 
 # -- abelian group types and embedding tests --------------------------------------

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .abelian import AbelianGroup, induced_monoid, rickart_module_direct, subgroup_lattice
+from .abelian import AbelianGroup, induced_monoid, rickart_module_direct
 from .conformance import random_corpus, run_conformance
 from .errors import LatticeLabError
 from .lattice import (
@@ -111,8 +111,8 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     L = _load_lattice(args.lattice)
     props = _parse_props(args.props)
-    needs_monoid = any(p not in ("modular", "boolean", "cip", "scip", "csp", "scsp")
-                       for p in props)
+    needs_monoid = any(p not in ("modular", "boolean", "cip", "scip", "csp", "scsp",
+                                 "c1", "d1") for p in props)
     monoid = None
     if needs_monoid:
         if args.monoid == "full":
@@ -171,8 +171,8 @@ def cmd_product(args) -> int:
 
 def cmd_module(args) -> int:
     grp = AbelianGroup.from_spec(args.group)
-    lat = subgroup_lattice(grp)
     mono = induced_monoid(grp)
+    lat = mono.lattice
     props = [p.strip().lower() for p in args.props.split(",") if p.strip()]
     unknown = [p for p in props
                if p not in ("rickart", "baer", "dual_rickart", "dual_baer")]

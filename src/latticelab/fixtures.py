@@ -1,14 +1,14 @@
 """The shipped lattice corpus and well-known small lattices.
 
 Builders construct each fixture from covers; `fixture_json` returns the
-packaged serialized form (byte-stable), and `load_fixture` parses it back.
+packaged serialized form (byte-stable).
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .lattice import Lattice, build_lattice, lattice_from_json, lattice_to_json
+from .lattice import Lattice, build_lattice
 
 FIXTURE_NAMES = ("c2", "c3", "b2", "b3", "m3", "n5", "excip")
 
@@ -90,28 +90,7 @@ def fixture_json(name: str) -> str:
     return (resources.files("latticelab") / "fixtures" / f"{name}.json").read_text()
 
 
-def load_fixture(name: str) -> Lattice:
-    return lattice_from_json(fixture_json(name))
-
-
 def fig1_morphism_json() -> str:
     """The packaged morphism fixture on c3: 0 -> 0, n -> 0, 1 -> n."""
     return (resources.files("latticelab") / "fixtures" / "fig1-morphism.json").read_text()
 
-
-def regenerate_fixture_files(directory) -> None:
-    """Write the fixture corpus as JSON files into `directory`."""
-    import json
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in FIXTURE_NAMES:
-        (directory / f"{name}.json").write_text(lattice_to_json(_BUILDERS[name]()))
-    fig1 = {
-        "domain": "c3",
-        "codomain": "c3",
-        "map": {"0": "0", "n": "0", "1": "n"},
-    }
-    (directory / "fig1-morphism.json").write_text(
-        json.dumps(fig1, indent=2, ensure_ascii=False) + "\n")

@@ -369,6 +369,7 @@ def opposite(L: Lattice) -> Lattice:
     if L._opposite is None:
         op = _assemble(f"{L.name}^op", L.names, L._down, L._up, L._meet, L._join,
                        canonicalize=True)[0]
+        op._modular = L._modular or None  # the modular law is self-dual
         op._opposite = L
         L._opposite = op
     return L._opposite
@@ -463,6 +464,13 @@ def is_modular(L: Lattice) -> Verdict:
     return L._modular
 
 
+def require_modular(L: Lattice) -> None:
+    """Raise NotModularError, with the modular-law witness, unless L is modular."""
+    mod = is_modular(L)
+    if not mod.holds:
+        raise NotModularError(f"{L.name} is not modular: {mod.witness}")
+
+
 def _complement_table(L: Lattice) -> tuple[tuple[int, ...], ...]:
     if L._complements is None:
         bottom, top = L.bottom, L.top
@@ -504,9 +512,7 @@ def is_boolean(L: Lattice) -> Verdict:
     exactly when every map x -> a ^ x certifies as a linear morphism. Both
     routes must agree; disagreement raises ConsistencyError.
     """
-    mod = is_modular(L)
-    if not mod.holds:
-        raise NotModularError(f"{L.name} is not modular: {mod.witness}")
+    require_modular(L)
     witness = None
     missing = [a for a in range(L.n) if not complements_of(L, a)]
     if missing:
@@ -608,6 +614,8 @@ def interval(L: Lattice, lo: int, hi: int) -> IntervalView:
     sub, _ = _assemble(f"{L.name}[{L.names[lo]},{L.names[hi]}]",
                        [L.names[p] for p in members], up, down, join, meet,
                        canonicalize=False)
+    # an interval of a modular lattice is modular; a failing Verdict is falsy
+    sub._modular = L._modular or None
     view = IntervalView(parent=L, lo=lo, hi=hi, members=members,
                         as_lattice=sub, from_parent=pos)
     L._interval_cache[(lo, hi)] = view
@@ -681,9 +689,7 @@ class Decomposition:
 
 def decompose(L: Lattice) -> Decomposition:
     """Split along complemented pairs, smallest pair first, recursively."""
-    mod = is_modular(L)
-    if not mod.holds:
-        raise NotModularError(f"{L.name} is not modular: {mod.witness}")
+    require_modular(L)
 
     blocks: list[int] = []
 

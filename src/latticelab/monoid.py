@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NotClosedError
 from .lattice import (Lattice, close_under, complemented_elements, complements_of,
-                      is_modular)
+                      require_modular)
 from .morphisms import (
     LinearMorphism,
     enumerate_linmors,
@@ -32,13 +32,18 @@ _COMP_CACHE: dict[tuple[bytes, tuple], np.ndarray] = {}
 
 
 class EndoMonoid:
-    """A composition-closed set of linear endomorphisms with zero and identity."""
+    """A composition-closed set of linear endomorphisms with zero and identity.
+
+    The lattice must be modular, as for the linear maps of Albu and Iosif:
+    off modular lattices a composite of linear maps need not be linear.
+    """
 
     __slots__ = ("lattice", "members", "zero_idx", "id_idx", "_index", "_comp",
                  "_idem", "_has_all_projections", "_cosets", "_pairs",
                  "_kernels", "_image_tops")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
+        require_modular(lattice)
         self.lattice = lattice
         unique = {m.map: m for m in members}  # a repeated table is one member
         self.members = tuple(unique[t] for t in sorted(unique))
@@ -103,14 +108,10 @@ class EndoMonoid:
 
     @property
     def has_all_projections(self) -> bool:
-        """Whether every projection, for every complement choice, is a member.
-
-        False on a non-modular lattice, where projections are not defined.
-        """
+        """Whether every projection, for every complement choice, is a member."""
         if self._has_all_projections is None:
-            L = self.lattice
-            self._has_all_projections = is_modular(L).holds and all(
-                pi.map in self._index for pi in _all_projections(L))
+            self._has_all_projections = all(
+                pi.map in self._index for pi in _all_projections(self.lattice))
         return self._has_all_projections
 
     @property
@@ -159,6 +160,7 @@ def _all_projections(L: Lattice):
 
 def full_monoid(L: Lattice) -> EndoMonoid:
     """End_lin(L), enumerated and cached by lattice structure."""
+    require_modular(L)
     return EndoMonoid(L, enumerate_linmors(L, L))
 
 
@@ -175,6 +177,7 @@ def generated_monoid(L: Lattice, generators=(),
     so the right closure under seeds reaches all of them; each new table is
     then certified once.
     """
+    require_modular(L)
     seeds: dict[tuple[int, ...], LinearMorphism] = {}
     for phi in [identity_morphism(L), zero_morphism(L), *generators,
                 *(_all_projections(L) if with_projections else ())]:

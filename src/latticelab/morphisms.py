@@ -27,7 +27,6 @@ from .errors import (
     NoKernelError,
     NotAComplementError,
     NotIntervalIsoError,
-    NotModularError,
     SizeLimitExceededError,
 )
 from .lattice import (
@@ -36,8 +35,8 @@ from .lattice import (
     _bits,
     complements_of,
     interval,
-    is_modular,
     parse_json,
+    require_modular,
 )
 
 
@@ -56,9 +55,6 @@ class LinearMorphism:
     kernel: int
     image_top: int
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearMorphism)
                 and self.domain is other.domain
@@ -67,9 +63,6 @@ class LinearMorphism:
 
     def __hash__(self) -> int:
         return hash(self.map)
-
-    def is_endo(self) -> bool:
-        return self.domain is self.codomain
 
     def as_name_map(self) -> dict[str, str]:
         return {self.domain.names[x]: self.codomain.names[y]
@@ -165,9 +158,7 @@ def projection(L: Lattice, x: int, x_prime: int) -> LinearMorphism:
     """
     memo = L._projections
     if memo is None:
-        mod = is_modular(L)
-        if not mod.holds:
-            raise NotModularError(f"{L.name} is not modular: {mod.witness}")
+        require_modular(L)
         memo = L._projections = {}
     phi = memo.get((x, x_prime))
     if phi is not None:

@@ -96,6 +96,8 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
     complemented. mC2: dually, an iso [bottom, x] -> [bottom, a] from a
     complemented x whose composite through the projection lies in the monoid
     forces a to be complemented (every complement x' of x may witness).
+    Both composites are the linear maps with kernel a and image top x (mD2),
+    or kernel x' and image top a (mC2), so both read `m.pairs`.
     """
     kind = kind.lower()
     comp = complemented_elements(L)
@@ -148,23 +150,23 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
                               for i, v in enumerate(table)}})
         return Verdict(kind, True)
     if kind == "mc2":
-        # keeps the scan: z -> (z v x') ^ x is a projection only on a modular
-        # lattice, and the pair index answers only for linear composites
+        # z -> theta((z v x') ^ x) has kernel x' and image top a, and a
+        # member phi with those is such a composite, theta(u) = phi(u v x'),
+        # since ((z v x') ^ x) v x' = z v x' by modularity; the iso scan only
+        # rebuilds the first failing composite
         for x in comp:
-            vx = interval(L, L.bottom, x)
             for xp in complements_of(L, x):
-                for a in range(L.n):
-                    if a in comp_set:
-                        continue
-                    for table in iso_composites(
-                            vx, interval(L, L.bottom, a),
-                            (L.meet_of(L.join_of(z, xp), x) for z in range(L.n))):
-                        if m.contains_map(table):
-                            return Verdict(kind, False, witness={
-                                "a": L.names[a], "x": L.names[x],
-                                "x_prime": L.names[xp],
-                                "composite": {L.names[i]: L.names[v]
-                                              for i, v in enumerate(table)}})
+                a = next((a for a in m.pairs.get(xp, ()) if a not in comp_set), None)
+                if a is None:
+                    continue
+                table = next(t for t in iso_composites(
+                    interval(L, L.bottom, x), interval(L, L.bottom, a),
+                    (L.meet_of(L.join_of(z, xp), x) for z in range(L.n)))
+                    if m.contains_map(t))
+                return Verdict(kind, False, witness={
+                    "a": L.names[a], "x": L.names[x], "x_prime": L.names[xp],
+                    "composite": {L.names[i]: L.names[v]
+                                  for i, v in enumerate(table)}})
         return Verdict(kind, True)
     raise ValueError(f"unknown kind: {kind!r}")
 

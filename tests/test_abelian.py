@@ -26,6 +26,9 @@ class TestGroups:
         assert AbelianGroup.from_spec("4").invariant_factors == (4,)
         assert AbelianGroup.from_spec("2,4").invariant_factors == (2, 4)
         assert AbelianGroup.from_spec("1").invariant_factors == ()
+        for spec in (",", "2,,2", "4,", ""):
+            with pytest.raises(ValueError, match="empty field"):
+                AbelianGroup.from_spec(spec)
 
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):

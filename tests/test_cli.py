@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticelab import fixtures as fx
+from latticelab.abelian import _subgroup_lattice
 from latticelab.cli import run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
-from latticelab.lattice import direct_product, lattice_to_json
+from latticelab.lattice import direct_product, lattice_from_json, lattice_to_json
 from latticelab.morphisms import morphism_to_json, validate_linear
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -163,6 +164,21 @@ class TestAnalyze:
         digest = hashlib.sha256(json.dumps(
             results, indent=2, ensure_ascii=False).encode()).hexdigest()
         assert (code, digest) == self.PINNED_PRODUCT[monoid]
+
+    def test_mc2_witness_names_the_smallest_image_top(self, tmp_path, capsys):
+        # the first failing complement x' has two non-complemented image tops
+        P = direct_product([lattice_from_json((FIXTURES / f"{nm}.json").read_text())
+                            for nm in ("c2", "c3", "c3")]).lattice
+        lattice = tmp_path / "product.json"
+        lattice.write_text(lattice_to_json(P))
+        code, out = run_capture(capsys, [
+            "--json", "analyze", str(lattice), "--props", "mc2", "--monoid", "full"])
+        results = json.loads(out)["results"]
+        assert results[0]["witness"]["a"] == "(0,0,n)"
+        digest = hashlib.sha256(json.dumps(
+            results, indent=2, ensure_ascii=False).encode()).hexdigest()
+        assert (code, digest) == (
+            1, "de87cce0f533fe7ca5cf7cf1ff9e0376a74598888365dd3909cd14aa7bdb9f04")
 
     def test_full_spec_ignores_fields_it_does_not_read(self, tmp_path, capsys):
         spec = tmp_path / "monoid.json"
@@ -318,6 +334,24 @@ class TestMalformedInput:
     def test_threads_flag_is_gone(self, capsys):
         assert run(["--threads", "2", "validate", str(FIXTURES / "c3.json")]) == 2
 
+    @pytest.mark.parametrize("spec", [",", "2,,2", "4,", ""])
+    def test_group_spec_with_an_empty_field(self, capsys, spec):
+        self.run_error(capsys, ["module", "--group", spec])
+
+    @pytest.mark.parametrize("monoid", ["full", "generated"])
+    def test_monoid_on_a_non_modular_lattice(self, tmp_path, capsys, monoid):
+        if monoid == "generated":
+            monoid = tmp_path / "monoid.json"
+            monoid.write_text(json.dumps({"kind": "generated", "with_projections": False}))
+        err = self.run_error(capsys, [
+            "analyze", str(FIXTURES / "n5.json"), "--monoid", str(monoid),
+            "--props", "md2,mc2,k_co,t_co"])
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: n5 is not modular: ")
+        # properties that need no monoid still run
+        assert run(["analyze", str(FIXTURES / "n5.json"),
+                    "--props", "modular,cip,csp,c1,d1"]) == 1
+
 
 NAMES = ("0", "a", "b", "c", "d", "1")
 JUNK = st.recursive(
@@ -453,6 +487,12 @@ class TestModule:
         assert code == 0
         doc = json.loads(out)
         assert all(r["holds"] for r in doc["results"])
+
+    def test_above_the_endomorphism_cap_builds_no_subgroup_lattice(self, capsys):
+        _subgroup_lattice.cache_clear()
+        assert run(["module", "--group", "2,2,2,2,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert _subgroup_lattice.cache_info().misses == 0
 
 
 class TestTheorems:

@@ -17,7 +17,7 @@ from latticelab import lattice as lattice_mod
 from latticelab import morphisms as morphisms_mod
 from latticelab.conformance import run_conformance
 from latticelab.errors import ConsistencyError, NotModularError
-from latticelab.lattice import complemented_elements, complements_of, is_modular
+from latticelab.lattice import complemented_elements, complements_of, is_modular, opposite
 from latticelab.monoid import full_monoid
 from latticelab.morphisms import compose, projection
 
@@ -63,8 +63,9 @@ class TestMemo:
         with pytest.raises(NotModularError):
             projection(L, L.id_of("a"), L.id_of("c"))
 
-    def test_non_modular_monoid_has_no_projections(self, n5):
-        assert not full_monoid(n5).has_all_projections
+    def test_non_modular_lattice_has_no_monoid(self, n5):
+        with pytest.raises(NotModularError, match="n5 is not modular: "):
+            full_monoid(n5)
 
 
 def test_modular_law_runs_at_most_once_per_lattice(monkeypatch):
@@ -81,6 +82,26 @@ def test_modular_law_runs_at_most_once_per_lattice(monkeypatch):
     assert report.total_failures == 0
     assert seen
     assert max(count for _, count in seen.values()) == 1
+
+
+def test_modular_law_runs_only_on_corpus_lattices(monkeypatch):
+    """Intervals and opposites take over a holding verdict, so the monoids
+    built on them run no modular-law test of their own. excip's opposite
+    has another structure key, so its dual twins use a second context."""
+    real = lattice_mod._modular_law
+    ran = []
+
+    def recording(L):
+        ran.append(L)
+        return real(L)
+
+    monkeypatch.setattr(lattice_mod, "_modular_law", recording)
+    corpus = [fx.excip(), fx.b3(), fx.mk(4)]
+    # global checks build lattices of their own
+    checks = [nm for nm, c in conformance_mod.REGISTRY.items() if c.kind != "global"]
+    assert run_conformance(corpus, checks=checks).total_failures == 0
+    assert opposite(corpus[0]).structure_key != corpus[0].structure_key
+    assert sorted(map(id, ran)) == sorted(map(id, corpus))
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIXTURES))

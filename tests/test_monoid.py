@@ -9,7 +9,7 @@ import pytest
 
 from latticelab import fixtures as fx
 from latticelab.conformance import random_corpus
-from latticelab.errors import NotClosedError, SizeLimitExceededError
+from latticelab.errors import NotClosedError, NotModularError, SizeLimitExceededError
 from latticelab.lattice import is_modular
 from latticelab.monoid import (
     MAX_GENERATED_MEMBERS,
@@ -210,11 +210,15 @@ class TestGeneratedClosure:
         rng = random.Random(5)
         capped = 0
         for L in lattices + random_corpus(40, 9, 5):
-            modular = is_modular(L).holds
-            full = full_monoid(L) if modular else None
-            for with_projections in ((False, True) if modular else (False,)):
+            if not is_modular(L).holds:  # n5
+                for with_projections in (False, True):
+                    with pytest.raises(NotModularError, match="n5 is not modular: "):
+                        generated_monoid(L, (), with_projections)
+                continue
+            full = full_monoid(L)
+            for with_projections in (False, True):
                 for count in range(4):
-                    gens = rng.sample(full.members, min(count, len(full))) if full else []
+                    gens = rng.sample(full.members, min(count, len(full)))
                     seeds = [identity_morphism(L).map, zero_morphism(L).map,
                              *(g.map for g in gens)]
                     if with_projections:
@@ -228,9 +232,8 @@ class TestGeneratedClosure:
                     got = generated_monoid(L, gens, with_projections)
                     assert {phi.map for phi in got} == want, (L.name, count)
                     for phi in got:
-                        if full is not None:
-                            ref = full.members[full.index_of(phi)]
-                            assert (phi.kernel, phi.image_top) == (ref.kernel, ref.image_top)
+                        ref = full.members[full.index_of(phi)]
+                        assert (phi.kernel, phi.image_top) == (ref.kernel, ref.image_top)
         assert capped > 0
 
     def test_member_cap_on_all_permutations_of_seven_atoms(self):

@@ -1,25 +1,28 @@
 """The monoid's (kernel, image top) index against interval-isomorphism scans.
 
 A linear map with kernel a and image top b is the quotient onto [a, top]
-followed by an interval isomorphism onto [bottom, b]. So mD2, the ricd2
+followed by an interval isomorphism onto [bottom, b]. So mD2, mC2, the ricd2
 image clause and the booluniqb choices, which ask whether some such
 composite lies in the monoid, read the index instead of searching isos.
 The reference definitions below keep the search. The library must agree
 with them on the duality corpus, for the full monoid and for seeded
-generated monoids with and without projections, and on random
-non-modular lattices for mD2 and the K- and T-cononsingularity checks, which
-read the index's kernels and image tops.
+generated monoids with and without projections. Monoids live on modular
+lattices only: on random non-modular lattices every monoid builder refuses.
 """
 
 import random
 
+import pytest
+
 from latticelab import conformance as conformance_mod
 from latticelab.conformance import LatticeContext, chk_ricd2
-from latticelab.errors import LinearValidationError
+from latticelab.errors import NotModularError
 from latticelab.lattice import (build_lattice, close_under, complemented_elements,
-                                essential_superfluous, interval, is_modular)
-from latticelab.monoid import full_monoid, generated_monoid
-from latticelab.morphisms import enumerate_interval_isos, iso_composites
+                                complements_of, essential_superfluous, interval,
+                                is_modular)
+from latticelab.monoid import explicit_monoid, full_monoid, generated_monoid
+from latticelab.morphisms import (enumerate_interval_isos, enumerate_linmors,
+                                  identity_morphism, iso_composites, zero_morphism)
 from latticelab.properties import check_condition, check_nonsingularity
 from latticelab.verdict import Verdict
 from test_duality import LATTICES
@@ -44,6 +47,27 @@ def md2_scan(L, m):
                         "composite": {L.names[i]: L.names[v]
                                       for i, v in enumerate(table)}})
     return Verdict("md2", True)
+
+
+def mc2_scan(L, m):
+    """Every complemented x, complement x' and non-complemented a, and every
+    iso [bottom, x] -> [bottom, a] composed after z -> (z v x') ^ x."""
+    comp = complemented_elements(L)
+    for x in comp:
+        for xp in complements_of(L, x):
+            for a in range(L.n):
+                if a in comp:
+                    continue
+                for table in iso_composites(
+                        interval(L, L.bottom, x), interval(L, L.bottom, a),
+                        (L.meet_of(L.join_of(z, xp), x) for z in range(L.n))):
+                    if m.contains_map(table):
+                        return Verdict("mc2", False, witness={
+                            "a": L.names[a], "x": L.names[x],
+                            "x_prime": L.names[xp],
+                            "composite": {L.names[i]: L.names[v]
+                                          for i, v in enumerate(table)}})
+    return Verdict("mc2", True)
 
 
 def choices_scan(L, m):
@@ -90,27 +114,19 @@ def scan_mismatches(L, m):
            if check_nonsingularity(L, m, kind).holds != cononsingular_scan(L, m, kind)]
     if check_condition(L, m, "md2") != md2_scan(L, m):
         bad.append("md2")
+    if check_condition(L, m, "mc2") != mc2_scan(L, m):
+        bad.append("mc2")
     return bad
 
 
 def monoids(L, seed):
-    """The full monoid and two seeded generated ones, one with projections.
-
-    Off modular lattices there are no projections, and a composite of
-    linear maps need not be linear, so generators whose closure leaves the
-    linear maps give no monoid.
-    """
+    """The full monoid and two seeded generated ones, one with projections."""
     full = full_monoid(L)
     yield full
     rng = random.Random(seed)
     for with_projections in (False, True):
         gens = rng.sample(full.members, min(2, len(full)))
-        if with_projections and not is_modular(L).holds:
-            continue
-        try:
-            yield generated_monoid(L, gens, with_projections)
-        except LinearValidationError:
-            continue
+        yield generated_monoid(L, gens, with_projections)
 
 
 def context_with(L, m):
@@ -172,10 +188,21 @@ def non_modular_lattices(count, seed):
     return out
 
 
-def test_pair_index_matches_the_scans_on_non_modular_lattices():
-    mismatches = {}
-    for i, L in enumerate(non_modular_lattices(400, 11)):
-        for j, m in enumerate(monoids(L, i)):
-            if bad := scan_mismatches(L, m):
-                mismatches[(L.name, j)] = bad
-    assert mismatches == {}
+def test_full_monoids_on_the_duality_corpus_are_closed():
+    for L in LATTICES:
+        m = full_monoid(L)
+        if len(m) <= LatticeContext.COMP_CAP:
+            assert m.comp.shape == (len(m), len(m)), L.name
+
+
+def test_non_modular_lattices_have_no_monoid():
+    """Whatever the generators or members, every builder refuses."""
+    rng = random.Random(11)
+    for L in non_modular_lattices(400, 11):
+        gens = rng.sample(enumerate_linmors(L), 2)
+        builders = [lambda: full_monoid(L),
+                    lambda: explicit_monoid(L, [identity_morphism(L), zero_morphism(L)])]
+        builders += [lambda w=w: generated_monoid(L, gens, w) for w in (False, True)]
+        for build in builders:
+            with pytest.raises(NotModularError, match=f"{L.name} is not modular: "):
+                build()
