@@ -22,7 +22,7 @@ import reprlib
 from dataclasses import dataclass
 from functools import cache, partial
 from math import gcd, lcm, prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -119,22 +119,9 @@ def _group_data(g: AbelianGroup) -> _GroupData:
     return _GroupData(elements, add, sc_mul, coords, orders, gen_ids, {})
 
 
-def _span(g: AbelianGroup, mask: int) -> int:
-    """Mask of the subgroup generated by the masked elements."""
-    add = _group_data(g).add
-    span = mask | 1  # the identity, plus the generators
-    changed = True
-    while changed:
-        changed = False
-        elems = [i for i in range(g.order) if span >> i & 1]
-        for a in elems:
-            row = add[a]
-            for b in elems:
-                c = int(row[b])
-                if not span >> c & 1:
-                    span |= 1 << c
-                    changed = True
-    return span
+def _cyclic(g: AbelianGroup, e: int) -> int:
+    """Mask of the cyclic subgroup generated by element e: its multiples."""
+    return sum(1 << v for v in set(_group_data(g).sc_mul[:, e].tolist()))
 
 
 def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
@@ -159,7 +146,7 @@ def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
 def _subgroup_masks(g: AbelianGroup) -> tuple[int, ...]:
     """Every subgroup as an element mask, by size, then by mask."""
     # every subgroup is a sum of cyclic subgroups
-    cyclic = dict.fromkeys((_span(g, 1 << e) for e in range(g.order)), ())
+    cyclic = dict.fromkeys((_cyclic(g, e) for e in range(g.order)), ())
     return tuple(sorted(close_under(cyclic, partial(_pair_sum, g)),
                         key=lambda m: (m.bit_count(), m)))
 
@@ -234,7 +221,7 @@ def subgroup_lattice(g: AbelianGroup) -> Lattice:
 # -- homomorphisms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GroupHom:
     """An endomorphism, stored as the images of the standard generators."""
 
@@ -260,13 +247,6 @@ class GroupHom:
     def table(self) -> tuple[int, ...]:
         return tuple(int(v) for v in _hom_table(self.group, self.gen_images))
 
-    def __eq__(self, other):
-        return (isinstance(other, GroupHom) and self.group == other.group
-                and self.gen_images == other.gen_images)
-
-    def __hash__(self):
-        return hash((self.group.invariant_factors, self.gen_images))
-
 
 def _hom_table(g: AbelianGroup, gen_images) -> np.ndarray:
     data = _group_data(g)
@@ -285,20 +265,21 @@ def hom_compose(f: GroupHom, h: GroupHom) -> GroupHom:
     return GroupHom(f.group, tuple(int(tf[th[e]]) for e in gen_ids))
 
 
-def _torsion_lists(g: AbelianGroup) -> list[list[int]]:
-    orders = _group_data(g).orders
-    return [[e for e in range(g.order) if d % orders[e] == 0]
-            for d in g.invariant_factors]
-
-
-def endomorphisms(g: AbelianGroup) -> list[GroupHom]:
-    """All endomorphisms, enumerated by compatible generator images."""
+def _gen_images(g: AbelianGroup) -> Iterator[tuple[int, ...]]:
+    """Every endomorphism as its generator images, after the cap check: the
+    image of a generator of order d is any element whose order divides d."""
     count = g.endo_count()
     if count > config.DEFAULT_ENDO_CAP:
         raise SizeLimitExceededError(
             f"{count} endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP}")
-    return [GroupHom(g, imgs)
-            for imgs in itertools.product(*_torsion_lists(g))]
+    orders = _group_data(g).orders
+    return itertools.product(*[[e for e in range(g.order) if d % orders[e] == 0]
+                               for d in g.invariant_factors])
+
+
+def endomorphisms(g: AbelianGroup) -> list[GroupHom]:
+    """All endomorphisms, enumerated by compatible generator images."""
+    return [GroupHom(g, imgs) for imgs in _gen_images(g)]
 
 
 def induced_map(f: GroupHom) -> LinearMorphism:
@@ -326,14 +307,12 @@ class _EndoSweep(NamedTuple):
 @cache
 def _endo_sweep(g: AbelianGroup) -> _EndoSweep:
     """Distinct induced rows and kernel/image masks for End(M)."""
-    count = g.endo_count()
-    if count > config.DEFAULT_ENDO_CAP:
-        raise SizeLimitExceededError(
-            f"{count} endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP}")
+    images = _gen_images(g)  # checks the endomorphism cap first
     sub = _subgroup_lattice(g)
     n = g.order
+    count = g.endo_count()
     tables = np.empty((count, max(n, 1)), dtype=np.int16)
-    for i, imgs in enumerate(itertools.product(*_torsion_lists(g))):
+    for i, imgs in enumerate(images):
         tables[i] = _hom_table(g, imgs)
     powers = np.left_shift(np.uint64(1), np.arange(max(n, 1), dtype=np.uint64))
 
@@ -405,25 +384,6 @@ def _partition_from_counts(counts: list[int], p: int) -> tuple[int, ...]:
     return tuple(sum(1 for a in mults if a > j) for j in range(width))
 
 
-def _type_of_order_multiset(orders) -> dict[int, tuple[int, ...]]:
-    """Per-prime descending exponent partitions of an abelian group, from the
-    multiset of its element orders."""
-    total = len(orders)
-    out: dict[int, tuple[int, ...]] = {}
-    for p in _primes_of(total):
-        counts = [1]
-        i = 1
-        while True:
-            pi = p ** i
-            c = sum(1 for o in orders if pi % o == 0)
-            counts.append(c)
-            if c == counts[-2]:
-                break
-            i += 1
-        out[p] = _partition_from_counts(counts, p)
-    return out
-
-
 def _type_embeds(sub: dict[int, tuple[int, ...]],
                  amb: dict[int, tuple[int, ...]]) -> bool:
     """Componentwise domination of descending partitions, prime by prime."""
@@ -435,45 +395,26 @@ def _type_embeds(sub: dict[int, tuple[int, ...]],
     return True
 
 
-def _group_type(g: AbelianGroup) -> dict[int, tuple[int, ...]]:
-    out: dict[int, tuple[int, ...]] = {}
-    for p in _primes_of(max(g.order, 1)):
-        parts = []
-        for d in g.invariant_factors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if e:
-                parts.append(e)
-        out[p] = tuple(sorted(parts, reverse=True))
-    return out
+def _type(g: AbelianGroup, within: int, kmask: int = 1) -> dict[int, tuple[int, ...]]:
+    """Per-prime descending exponent partitions of within/K, for subgroup
+    masks K <= within (the default K is the zero subgroup).
 
-
-def _subgroup_type(g: AbelianGroup, mask: int) -> dict[int, tuple[int, ...]]:
-    orders = _group_data(g).orders
-    return _type_of_order_multiset([orders[i] for i in range(g.order)
-                                    if mask >> i & 1])
-
-
-def _quotient_type(g: AbelianGroup, kmask: int) -> dict[int, tuple[int, ...]]:
-    """Type of M/K from coset annihilation: p^i kills the coset of x exactly
-    when p^i x lands in K. Scalars reduce modulo the group exponent."""
+    p^i kills the coset of x exactly when p^i x lands in K, so the tower is
+    the number of such x in `within`, over |K|. Scalars reduce modulo the
+    group exponent.
+    """
     data = _group_data(g)
     ksize = kmask.bit_count()
-    qsize = g.order // ksize
     exponent = g.invariant_factors[-1] if g.invariant_factors else 1
+    elems = list(_bits(within))
+    in_k = np.zeros(g.order, dtype=bool)
+    in_k[list(_bits(kmask))] = True
     out: dict[int, tuple[int, ...]] = {}
-    for p in _primes_of(max(qsize, 1)):
-        counts = [1]
-        i = 1
-        while True:
-            sc = data.sc_mul[pow(p, i, exponent) if exponent else 0]
-            killed = sum(1 for x in range(g.order) if kmask >> int(sc[x]) & 1)
-            counts.append(killed // ksize)
-            if counts[-1] == counts[-2]:
-                break
-            i += 1
+    for p in _primes_of(len(elems) // ksize):
+        counts = [1]  # counts[i]: cosets of K in `within` killed by p^i
+        while len(counts) < 2 or counts[-1] > counts[-2]:
+            sc = data.sc_mul[pow(p, len(counts), exponent)]
+            counts.append(int(np.count_nonzero(in_k[sc[elems]])) // ksize)
         out[p] = _partition_from_counts(counts, p)
     return out
 
@@ -482,10 +423,11 @@ def _quotient_type(g: AbelianGroup, kmask: int) -> dict[int, tuple[int, ...]]:
 def _kernel_image_sets_by_type(g: AbelianGroup) -> tuple[frozenset[int], frozenset[int]]:
     """Masks of subgroups that occur as kernels (quotient embeds back) and as
     images (subgroup embeds as a quotient; same test by duality)."""
-    amb = _group_type(g)
+    full = (1 << g.order) - 1
+    amb = _type(g, full)
     masks = _subgroup_masks(g)
-    return (frozenset(m for m in masks if _type_embeds(_quotient_type(g, m), amb)),
-            frozenset(m for m in masks if _type_embeds(_subgroup_type(g, m), amb)))
+    return (frozenset(m for m in masks if _type_embeds(_type(g, full, m), amb)),
+            frozenset(m for m in masks if _type_embeds(_type(g, m), amb)))
 
 
 # -- the bridge verdicts -----------------------------------------------------------
@@ -501,30 +443,26 @@ def _module_side_summand(g: AbelianGroup, kmask: int) -> bool:
     return False
 
 
-def rickart_module_direct(g: AbelianGroup, kind: str,
-                          method: str = "auto") -> Verdict:
+def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
     """Module-side and lattice-side complement verdicts, asserted equal.
 
     The module side quantifies endomorphism kernels (baer: their
     intersections) or images (dual kinds: their sums) and runs the summand
     test with group arithmetic. The lattice side runs the kernel/image
     family check over the induced monoid on the subgroup lattice. A
-    disagreement raises ConsistencyError. `method` picks the lattice-side
-    route: "enumerate", "types", or "auto" (enumerate when the endomorphism
-    count fits the cap).
+    disagreement raises ConsistencyError. Groups whose endomorphism count
+    fits config.DEFAULT_ENDO_CAP enumerate End(M); larger ones take the
+    kernel and image sets from quotient and subgroup types instead.
     """
     if kind not in ("rickart", "baer", "dual_rickart", "dual_baer"):
         raise ValueError(f"unknown kind: {kind!r}")
-    if method not in ("auto", "enumerate", "types"):
-        raise ValueError(f"unknown method: {method!r}")
-    if method == "auto":
-        method = "enumerate" if g.endo_count() <= config.DEFAULT_ENDO_CAP else "types"
+    by_enumeration = g.endo_count() <= config.DEFAULT_ENDO_CAP
 
     sub = _subgroup_lattice(g)
     lat = sub.lattice
 
     # module side: kernel/image masks straight from homomorphism tables
-    if method == "enumerate":
+    if by_enumeration:
         sweep = _endo_sweep(g)
         kernel_masks, image_masks = sweep.kernel_masks, sweep.image_masks
     else:
@@ -540,7 +478,7 @@ def rickart_module_direct(g: AbelianGroup, kind: str,
     module_ok = module_witness is None
 
     # lattice side
-    if method == "enumerate":
+    if by_enumeration:
         mono = induced_monoid(g)
         lattice_verdict = check_rickart_family(lat, mono, kind)
         lattice_ok = lattice_verdict.holds

@@ -111,15 +111,14 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     L = _load_lattice(args.lattice)
     props = _parse_props(args.props)
-    needs_monoid = any(p not in ("modular", "boolean", "cip", "scip", "csp", "scsp",
-                                 "c1", "d1") for p in props)
+    # an explicit spec file is always read and built, so a bad one is an error
+    # whatever the properties; the default full monoid is built only if used
     monoid = None
-    if needs_monoid:
-        if args.monoid == "full":
-            monoid = full_monoid(L)
-        else:
-            spec = parse_json(Path(args.monoid).read_text())
-            monoid = monoid_from_spec(L, spec)
+    if args.monoid != "full":
+        monoid = monoid_from_spec(L, parse_json(Path(args.monoid).read_text()))
+    elif any(p not in ("modular", "boolean", "cip", "scip", "csp", "scsp", "c1", "d1")
+             for p in props):
+        monoid = full_monoid(L)
     results = [_run_prop(L, monoid, p) for p in props]
     doc = {"lattice": L.name, "monoid": args.monoid,
            "results": [v.to_json_dict() for v in results]}

@@ -327,7 +327,7 @@ def _assemble(name, names, up, down, join, meet, *, canonicalize):
 
 
 def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
-                  name: str = "L", max_size: int | None = None) -> Lattice:
+                  name: str = "L") -> Lattice:
     """Build and validate a lattice from element names and cover pairs.
 
     The order is the reflexive-transitive closure of the covers. Fails with
@@ -339,7 +339,7 @@ def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
     names = list(elements)
     if len(set(names)) != len(names):
         raise ValueError("element names must be distinct")
-    cap = config.lattice_size_cap(max_size)
+    cap = config.lattice_size_cap()
     if len(names) > cap:
         raise SizeLimitExceededError(f"{len(names)} elements exceeds cap {cap}")
     idx = {nm: i for i, nm in enumerate(names)}
@@ -634,7 +634,7 @@ class ProductLattice:
     coords: tuple[tuple[int, ...], ...]
 
 
-def direct_product(factors: Sequence[Lattice], max_size: int | None = None) -> ProductLattice:
+def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     """Pointwise-ordered Cartesian product.
 
     Element names are coordinate tuples of factor element names. Joins and
@@ -646,7 +646,7 @@ def direct_product(factors: Sequence[Lattice], max_size: int | None = None) -> P
     total = 1
     for f in factors:
         total *= f.n
-    cap = config.lattice_size_cap(max_size)
+    cap = config.lattice_size_cap()
     if total > cap:
         raise SizeLimitExceededError(f"product size {total} exceeds cap {cap}")
     tuples = list(itertools.product(*[range(f.n) for f in factors]))

@@ -325,8 +325,7 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[tuple[tuple[int, ...], int, 
     return result
 
 
-def enumerate_linmors(L: Lattice, M: Lattice | None = None,
-                      max_size: int | None = None) -> list[LinearMorphism]:
+def enumerate_linmors(L: Lattice, M: Lattice | None = None) -> list[LinearMorphism]:
     """Exactly all linear morphisms L -> M, sorted by map table.
 
     Produced from the kernel/image/interval-iso factorization, so each
@@ -334,7 +333,7 @@ def enumerate_linmors(L: Lattice, M: Lattice | None = None,
     result (kernel, image top, restriction).
     """
     M = M if M is not None else L
-    cap = config.enum_size_cap(max_size)
+    cap = config.DEFAULT_ENUM_CAP
     if max(L.n, M.n) > cap:
         raise SizeLimitExceededError(
             f"enumeration over {max(L.n, M.n)} elements exceeds cap {cap}")

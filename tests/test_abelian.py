@@ -1,5 +1,7 @@
 """Finite abelian groups, subgroup lattices, and the induced monoid."""
 
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from latticelab.abelian import (
     GroupHom,
     _endo_sweep,
     _kernel_image_sets_by_type,
+    _primes_of,
+    _type,
     endomorphisms,
     hom_compose,
     induced_map,
@@ -19,6 +23,34 @@ from latticelab.abelian import (
 from latticelab.errors import SizeLimitExceededError
 from latticelab.lattice import is_modular
 from latticelab.morphisms import compose, enumerate_linmors
+
+KINDS = ("rickart", "baer", "dual_rickart", "dual_baer")
+
+
+def invariant_factor_chains(max_order, chain=()):
+    """Every chain d1 | d2 | ... with product at most max_order, once each."""
+    yield chain
+    step = chain[-1] if chain else 1
+    d = chain[-1] if chain else 2
+    while prod(chain) * d <= max_order:
+        yield from invariant_factor_chains(max_order, chain + (d,))
+        d += step
+
+
+def type_from_invariant_factors(g):
+    """Per-prime descending exponent partitions, read off the factors."""
+    out = {}
+    for p in _primes_of(g.order):
+        parts = []
+        for d in g.invariant_factors:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                parts.append(e)
+        out[p] = tuple(sorted(parts, reverse=True))
+    return out
 
 
 class TestGroups:
@@ -52,6 +84,13 @@ class TestGroups:
         g = AbelianGroup.from_spec("2,4")
         assert len(g.elements) == 8
         assert g.elements[0] == (0, 0)
+
+    def test_type_matches_the_invariant_factors(self):
+        chains = list(invariant_factor_chains(64))
+        assert len(chains) == len(set(chains)) == 117
+        for chain in chains:
+            g = AbelianGroup(chain)
+            assert _type(g, (1 << g.order) - 1) == type_from_invariant_factors(g), chain
 
 
 class TestSubgroupLattice:
@@ -91,6 +130,14 @@ class TestEndomorphisms:
         endos = endomorphisms(g)
         assert len(endos) == count == g.endo_count()
         assert len({e.gen_images for e in endos}) == count
+        assert len(set(endos)) == count
+
+    def test_homs_compare_by_group_and_images(self):
+        g = AbelianGroup.from_spec("4")
+        f, h = GroupHom(g, (1,)), GroupHom(AbelianGroup((4,)), (1,))
+        assert f == h and hash(f) == hash(h)
+        assert f != GroupHom(g, (3,))
+        assert f != GroupHom(AbelianGroup.from_spec("2"), (1,))
 
     def test_tables_are_homomorphisms(self):
         g = AbelianGroup.from_spec("2,4")
@@ -204,25 +251,32 @@ class TestBridgeVerdicts:
         assert rickart_module_direct(AbelianGroup.from_spec("6"), "rickart").holds
         assert not rickart_module_direct(AbelianGroup.from_spec("12"), "rickart").holds
 
-    def test_type_route_agrees_with_enumeration(self):
-        for spec in ("2", "4", "2,2", "6", "8", "2,4", "9", "3,3", "12",
-                     "16", "2,8", "4,4", "2,2,2", "18", "2,6", "20"):
-            g = AbelianGroup.from_spec(spec)
+    def test_type_route_agrees_with_enumeration(self, monkeypatch):
+        groups = [AbelianGroup(c) for c in invariant_factor_chains(32)]
+        groups = [g for g in groups if g.endo_count() <= config.DEFAULT_ENDO_CAP]
+        assert len(groups) == 54
+        enumerated = {}
+        for g in groups:
             sweep = _endo_sweep(g)
             kernels, images = _kernel_image_sets_by_type(g)
-            assert kernels == set(sweep.kernel_masks), spec
-            assert images == set(sweep.image_masks), spec
-            for kind in ("rickart", "baer", "dual_rickart", "dual_baer"):
-                assert rickart_module_direct(g, kind, method="types").holds == \
-                    rickart_module_direct(g, kind, method="enumerate").holds
+            assert kernels == set(sweep.kernel_masks), g
+            assert images == set(sweep.image_masks), g
+            for kind in KINDS:
+                v = rickart_module_direct(g, kind)
+                assert "enumeration" in v.notes
+                enumerated[g, kind] = (v.holds, v.witness)
+        monkeypatch.setattr(config, "DEFAULT_ENDO_CAP", 0)
+        for g in groups:
+            for kind in KINDS:
+                v = rickart_module_direct(g, kind)
+                assert "quotient-type" in v.notes
+                assert (v.holds, v.witness) == enumerated[g, kind], (g, kind)
 
     def test_over_cap_group_uses_type_route(self):
         g = AbelianGroup.from_spec("2,2,2,2,2")
         v = rickart_module_direct(g, "rickart")
         assert v.holds
         assert "quotient-type" in v.notes
-        with pytest.raises(SizeLimitExceededError):
-            rickart_module_direct(g, "rickart", method="enumerate")
 
     def test_induced_kernel_is_the_kernel_subgroup(self):
         """The lattice kernel of f_* is exactly Ker f as a subgroup."""

@@ -348,6 +348,31 @@ class TestMalformedInput:
             "--props", "md2,mc2,k_co,t_co"])
         assert len(err.splitlines()) == 1
         assert err.startswith("error: n5 is not modular: ")
+
+    @pytest.mark.parametrize("spec", ["missing", "invalid json", "bogus kind"])
+    def test_explicit_monoid_file_is_read_whatever_the_props(self, tmp_path, capsys, spec):
+        path = tmp_path / "monoid.json"
+        if spec == "invalid json":
+            path.write_text("{kind")
+        elif spec == "bogus kind":
+            path.write_text(json.dumps({"kind": "bogus"}))
+        code = run(["analyze", str(FIXTURES / "c3.json"), "--monoid", str(path),
+                    "--props", "modular,cip"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_explicit_monoid_file_on_a_non_modular_lattice(self, tmp_path, capsys):
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps({"kind": "generated", "with_projections": False}))
+        err = self.run_error(capsys, [
+            "analyze", str(FIXTURES / "n5.json"), "--monoid", str(path),
+            "--props", "modular"])
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: n5 is not modular: ")
+        # the default full monoid is built only for properties that use it
+        assert run(["analyze", str(FIXTURES / "n5.json"),
+                    "--props", "modular,cip,csp,c1,d1"]) == 1
         # properties that need no monoid still run
         assert run(["analyze", str(FIXTURES / "n5.json"),
                     "--props", "modular,cip,csp,c1,d1"]) == 1

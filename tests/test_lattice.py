@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from latticelab import config
 from latticelab import fixtures as fx
 from latticelab.errors import (
     EmptyLatticeError,
@@ -57,11 +58,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_lattice(["a", "a"], [])
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         names = [f"e{i}" for i in range(5)]
         covers = [(names[i], names[i + 1]) for i in range(4)]
+        monkeypatch.setattr(config, "DEFAULT_LATTICE_CAP", 3)
         with pytest.raises(SizeLimitExceededError):
-            build_lattice(names, covers, max_size=3)
+            build_lattice(names, covers)
 
     def test_env_var_overrides_cap(self, monkeypatch):
         names = [f"e{i}" for i in range(5)]
@@ -229,9 +231,10 @@ class TestProduct:
         assert prod.lattice.n == 3
         assert prod.lattice.names == ("(0)", "(n)", "(1)")
 
-    def test_size_cap(self, b3):
+    def test_size_cap(self, b3, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_LATTICE_CAP", 32)
         with pytest.raises(SizeLimitExceededError):
-            direct_product([b3, b3], max_size=32)
+            direct_product([b3, b3])
 
     def test_coords_track_reindexing(self, c2, c3):
         prod = direct_product([c2, c3])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticelab import config
 from latticelab import fixtures as fx
 from latticelab.abelian import AbelianGroup, subgroup_lattice
 from latticelab.conformance import random_corpus, random_modular_lattice
@@ -195,9 +196,9 @@ class TestEnumeration:
             assert phi.image_top == phi.map[b2.top]
 
     def test_size_cap(self):
-        big = fx.chain(21)
+        big = fx.chain(config.DEFAULT_ENUM_CAP + 1)
         with pytest.raises(SizeLimitExceededError):
-            enumerate_linmors(big, max_size=20)
+            enumerate_linmors(big)
 
 
 class TestExtension:
@@ -444,14 +445,15 @@ class TestCoverCertificate:
         lambda: subgroup_lattice(AbelianGroup.from_spec("2,2,2")),
         lambda: subgroup_lattice(AbelianGroup.from_spec("2,2,4")),
     ], ids=["c3xm3", "b2xc2xc3", "sub_2,2,2", "sub_2,2,4"])
-    def test_random_and_perturbed_tables_on_larger_lattices(self, build):
+    def test_random_and_perturbed_tables_on_larger_lattices(self, build, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_ENUM_CAP", 32)
         L = build()
         rng = random.Random(L.n)
         targets = [L] + [interval(L, L.bottom, b).as_lattice
                          for b in rng.sample(range(L.n), 3)]
         seen = set()
         for M in targets:
-            linear = [phi.map for phi in enumerate_linmors(L, M, max_size=32)]
+            linear = [phi.map for phi in enumerate_linmors(L, M)]
             tables = rng.sample(linear, min(len(linear), 60))
             for base in list(tables):
                 one = list(base)
