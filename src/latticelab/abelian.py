@@ -22,16 +22,16 @@ import reprlib
 from dataclasses import dataclass
 from functools import cache, partial
 from math import gcd, lcm, prod
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config
-from .errors import ConsistencyError, SizeLimitExceededError
+from .errors import ConsistencyError, DomainMismatchError, SizeLimitExceededError
 from .lattice import (Lattice, _assemble, _bits, close_under, complemented_elements,
                       is_modular)
 from .monoid import EndoMonoid
-from .morphisms import LinearMorphism, validate_linear
+from .morphisms import LinearMorphism, certify_tables, validate_linear
 from .properties import check_rickart_family
 from .verdict import Verdict
 
@@ -125,16 +125,19 @@ def _cyclic(g: AbelianGroup, e: int) -> int:
 
 
 def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
-    """Sum of two subgroups given as masks, via the addition table; memoized."""
+    """Sum of two subgroups given as masks, as the union of the cosets
+    A + y for y in B, via the addition table; memoized."""
     data = _group_data(g)
     key = (a, b) if a <= b else (b, a)
     hit = data.sum_memo.get(key)
     if hit is None:
-        ea = [i for i in range(g.order) if a >> i & 1]
-        eb = [i for i in range(g.order) if b >> i & 1]
+        ea = list(_bits(a))
         hit = 0
-        for v in np.unique(data.add[np.ix_(ea, eb)]):
-            hit |= 1 << int(v)
+        for y in _bits(b):
+            if not hit >> y & 1:  # y starts a coset not yet in the sum
+                row = data.add[y].tolist()
+                for x in ea:
+                    hit |= 1 << row[x]
         data.sum_memo[key] = hit
     return hit
 
@@ -177,7 +180,6 @@ class _SubgroupLattice(NamedTuple):
     lattice: Lattice
     masks: tuple[int, ...]  # masks[i]: element mask of lattice element i
     mask_index: dict[int, int]
-    elems: tuple[tuple[int, ...], ...]  # elems[i]: element ids of masks[i]
 
 
 @cache
@@ -206,9 +208,7 @@ def _subgroup_lattice(g: AbelianGroup) -> _SubgroupLattice:
                                f"failed the modularity check: {mod.witness}")
     # the canonical reindex permuted elements; carry the masks along
     lat_masks = tuple(masks[o] for o in order)
-    return _SubgroupLattice(lat, lat_masks,
-                            {m: i for i, m in enumerate(lat_masks)},
-                            tuple(tuple(_bits(m)) for m in lat_masks))
+    return _SubgroupLattice(lat, lat_masks, {m: i for i, m in enumerate(lat_masks)})
 
 
 def subgroup_lattice(g: AbelianGroup) -> Lattice:
@@ -229,8 +229,15 @@ class GroupHom:
     gen_images: tuple[int, ...]
 
     def __post_init__(self):
-        orders = _group_data(self.group).orders
-        for d, img in zip(self.group.invariant_factors, self.gen_images):
+        g = self.group
+        if len(self.gen_images) != g.rank:
+            raise ValueError(f"{g.rank} generator images expected, "
+                             f"got {len(self.gen_images)}")
+        orders = _group_data(g).orders
+        for d, img in zip(g.invariant_factors, self.gen_images):
+            if not 0 <= img < g.order:
+                raise ValueError(f"generator image {img} is not an element id "
+                                 f"in [0, {g.order})")
             if d % orders[img] != 0:
                 raise ValueError("generator image order does not divide the "
                                  "generator order")
@@ -245,54 +252,88 @@ class GroupHom:
                      for i in range(k))
 
     def table(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in _hom_table(self.group, self.gen_images))
+        return tuple(_hom_tables(self.group, [self.gen_images])[0].tolist())
 
 
-def _hom_table(g: AbelianGroup, gen_images) -> np.ndarray:
+def _hom_tables(g: AbelianGroup, images) -> np.ndarray:
+    """tables[i, e]: the image of element e under the endomorphism with
+    generator images images[i], built in one gather per generator."""
     data = _group_data(g)
-    n = g.order
-    acc = np.zeros(n, dtype=np.int16)
-    for j, img in enumerate(gen_images):
-        acc = data.add[acc, data.sc_mul[data.coords[j], img]]
-    return acc
+    images = np.array(images, dtype=np.intp, ndmin=2)
+    tables = np.zeros((len(images), g.order), dtype=np.int16)
+    for j in range(g.rank):
+        tables = data.add[tables, data.sc_mul[data.coords[j], images[:, j, None]]]
+    return tables
 
 
 def hom_compose(f: GroupHom, h: GroupHom) -> GroupHom:
     """f after h."""
-    tf = _hom_table(f.group, f.gen_images)
+    if f.group != h.group:
+        raise DomainMismatchError("both endomorphisms must be of the same group")
+    tf, th = _hom_tables(f.group, [f.gen_images, h.gen_images])
     gen_ids = _group_data(f.group).gen_ids
-    th = _hom_table(h.group, h.gen_images)
     return GroupHom(f.group, tuple(int(tf[th[e]]) for e in gen_ids))
 
 
-def _gen_images(g: AbelianGroup) -> Iterator[tuple[int, ...]]:
-    """Every endomorphism as its generator images, after the cap check: the
-    image of a generator of order d is any element whose order divides d."""
+def _gen_images(g: AbelianGroup) -> np.ndarray:
+    """Every endomorphism as a row of generator images, after the cap check:
+    the image of a generator of order d is any element whose order divides d."""
     count = g.endo_count()
     if count > config.DEFAULT_ENDO_CAP:
         raise SizeLimitExceededError(
             f"{count} endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP}")
     orders = _group_data(g).orders
-    return itertools.product(*[[e for e in range(g.order) if d % orders[e] == 0]
-                               for d in g.invariant_factors])
+    choices = [[e for e in range(g.order) if d % orders[e] == 0]
+               for d in g.invariant_factors]
+    flat = itertools.chain.from_iterable(itertools.product(*choices))
+    return np.fromiter(flat, dtype=np.intp, count=count * g.rank).reshape(count, g.rank)
 
 
 def endomorphisms(g: AbelianGroup) -> list[GroupHom]:
     """All endomorphisms, enumerated by compatible generator images."""
-    return [GroupHom(g, imgs) for imgs in _gen_images(g)]
+    return [GroupHom(g, tuple(imgs)) for imgs in _gen_images(g).tolist()]
+
+
+@cache
+def _image_steps(g: AbelianGroup) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """How induced rows are read off hom tables: cyclic[e] is the lattice id
+    of <e>, and each step (h, c, e), in increasing subgroup size, has H_h =
+    H_c + <e> for a lower cover H_c of H_h, so that f(H_h) = f(H_c) v <f(e)>."""
+    sub = _subgroup_lattice(g)
+    lat = sub.lattice
+    cyclic = np.array([sub.mask_index[_cyclic(g, e)] for e in range(g.order)],
+                      dtype=np.int16)
+    lower = {}
+    for c, h in lat.covers():
+        lower.setdefault(h, c)
+    steps = []
+    for h in sorted(lower, key=lambda i: sub.masks[i].bit_count()):
+        c = lower[h]
+        new = sub.masks[h] & ~sub.masks[c]
+        steps.append((h, c, (new & -new).bit_length() - 1))
+    return cyclic, tuple(steps)
+
+
+def _induced_rows(g: AbelianGroup, tables: np.ndarray) -> np.ndarray:
+    """rows[i, s]: the lattice id of the image of subgroup s under hom table
+    tables[i], one join-table gather per subgroup."""
+    lat = _subgroup_lattice(g).lattice
+    cyclic, steps = _image_steps(g)
+    join = lat.tables_np[1]
+    images = cyclic[tables.T]  # images[e, i]: the id of <f_i(e)>
+    cols = np.empty((lat.n, len(tables)), dtype=np.int16)
+    cols[lat.bottom] = lat.bottom
+    for h, c, e in steps:
+        cols[h] = join[cols[c], images[e]]
+    return cols.T
 
 
 def induced_map(f: GroupHom) -> LinearMorphism:
     """The subgroup-image map of f, certified on the subgroup lattice."""
-    sub = _subgroup_lattice(f.group)
-    table = _hom_table(f.group, f.gen_images)
-    row = []
-    for elems in sub.elems:
-        mask = 0
-        for e in elems:
-            mask |= 1 << int(table[e])
-        row.append(sub.mask_index[mask])
-    return validate_linear(sub.lattice, sub.lattice, tuple(row))
+    g = f.group
+    row = _induced_rows(g, _hom_tables(g, [f.gen_images]))[0]
+    lat = subgroup_lattice(g)
+    return validate_linear(lat, lat, row.tolist())
 
 
 # -- the batch sweep over all endomorphisms --------------------------------------
@@ -307,35 +348,25 @@ class _EndoSweep(NamedTuple):
 @cache
 def _endo_sweep(g: AbelianGroup) -> _EndoSweep:
     """Distinct induced rows and kernel/image masks for End(M)."""
-    images = _gen_images(g)  # checks the endomorphism cap first
-    sub = _subgroup_lattice(g)
-    n = g.order
-    count = g.endo_count()
-    tables = np.empty((count, max(n, 1)), dtype=np.int16)
-    for i, imgs in enumerate(images):
-        tables[i] = _hom_table(g, imgs)
-    powers = np.left_shift(np.uint64(1), np.arange(max(n, 1), dtype=np.uint64))
-
+    tables = _hom_tables(g, _gen_images(g))  # checks the endomorphism cap first
+    powers = np.left_shift(np.uint64(1), np.arange(g.order, dtype=np.uint64))
     kernel_masks = frozenset(
         int(v) for v in np.unique(np.bitwise_or.reduce(
             np.where(tables == 0, powers, np.uint64(0)), axis=1)))
     image_masks = frozenset(
         int(v) for v in np.unique(
             np.bitwise_or.reduce(powers[tables], axis=1)))
-
-    lat_masks = np.array(sub.masks, dtype=np.uint64)
-    sorter = np.argsort(lat_masks)
-    sorted_masks = lat_masks[sorter]
-    rows = np.empty((count, sub.lattice.n), dtype=np.int16)
-    for s, elems in enumerate(sub.elems):
-        masks = np.bitwise_or.reduce(powers[tables[:, list(elems)]], axis=1)
-        rows[:, s] = sorter[np.searchsorted(sorted_masks, masks)]
-    return _EndoSweep(np.unique(rows, axis=0), kernel_masks, image_masks)
+    rows = _induced_rows(g, tables)
+    # as big-endian bytes, rows compare in lexicographic order
+    keys = np.ascontiguousarray(rows, dtype=">u2").view(
+        np.dtype((np.void, 2 * rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return _EndoSweep(rows[first], kernel_masks, image_masks)
 
 
 @cache
 def induced_monoid(g: AbelianGroup) -> EndoMonoid:
-    """The distinct induced subgroup maps, each certified, as a monoid.
+    """The distinct induced subgroup maps, certified in one batch, as a monoid.
 
     Closure under composition is automatic (images compose); the monoid
     composition table stays lazy, so large induced monoids remain usable for
@@ -343,8 +374,10 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
     """
     rows = _endo_sweep(g).rows  # checks the endomorphism cap first
     lat = subgroup_lattice(g)
-    return EndoMonoid(lat, [validate_linear(lat, lat, tuple(row.tolist()))
-                            for row in rows])
+    kernels, image_tops = certify_tables(lat, lat, rows)
+    return EndoMonoid(lat, [LinearMorphism(lat, lat, tuple(row), k, a)
+                            for row, k, a in zip(rows.tolist(), kernels.tolist(),
+                                                 image_tops.tolist())])
 
 
 # -- abelian group types and embedding tests --------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import fixtures
@@ -180,21 +181,33 @@ def cmd_module(args) -> int:
     if not props:
         raise ValueError("no module properties selected")
     results = [rickart_module_direct(grp, p) for p in props]
-    doc = {
-        "group": grp.spec_string(),
-        "order": grp.order,
-        "subgroups": lat.n,
-        "induced_monoid_size": len(mono),
-        "induced_maps": [phi.as_name_map() for phi in mono.members],
-        "results": [v.to_json_dict() for v in results],
-    }
-    lines = [f"group {grp.spec_string()}: order {grp.order}, "
-             f"{lat.n} subgroups, induced monoid size {len(mono)}"]
-    for v in results:
-        lines.append(f"  {v.prop}: {str(v.holds).lower()}"
-                     + (f"  witness={v.witness}" if v.witness and not v.holds else ""))
-    _emit(doc, args.json, lines)
+    if args.json:
+        # the document json.dumps(indent=2) writes, with the "induced_maps"
+        # list, which dominates it, rendered straight from the member rows
+        head = json.dumps({"group": grp.spec_string(), "order": grp.order,
+                           "subgroups": lat.n, "induced_monoid_size": len(mono)},
+                          indent=2, ensure_ascii=False)
+        tail = json.dumps({"results": [v.to_json_dict() for v in results]},
+                          indent=2, ensure_ascii=False)
+        print(f'{head[:-2]},\n  "induced_maps": {_name_maps_json(mono)},\n{tail[2:]}')
+    else:
+        print(f"group {grp.spec_string()}: order {grp.order}, "
+              f"{lat.n} subgroups, induced monoid size {len(mono)}")
+        for v in results:
+            print(f"  {v.prop}: {str(v.holds).lower()}"
+                  + (f"  witness={v.witness}" if v.witness and not v.holds else ""))
     return 0 if all(v.holds for v in results) else 1
+
+
+def _name_maps_json(mono: EndoMonoid) -> str:
+    """The members as a list of name maps, as json.dumps(indent=2,
+    ensure_ascii=False) writes it one level deep: each name is encoded once
+    and each "x": "y" line is built once."""
+    names = [encode_basestring(nm) for nm in mono.lattice.names]
+    lines = [[f"{x}: {y}" for y in names] for x in names]
+    maps = (",\n      ".join([lx[y] for lx, y in zip(lines, phi.map)])
+            for phi in mono.members)
+    return "[\n    {\n      " + "\n    },\n    {\n      ".join(maps) + "\n    }\n  ]"
 
 
 def cmd_theorems(args) -> int:

@@ -20,6 +20,8 @@ import json
 import reprlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import config
 from .errors import (
     ConsistencyError,
@@ -126,6 +128,80 @@ def validate_linear(domain: Lattice, codomain: Lattice,
                 f"covers of {codomain.names[m[u]]!r} below {codomain.names[a]!r}")
     return LinearMorphism(domain=domain, codomain=codomain, map=m,
                           kernel=k, image_top=a)
+
+
+# certify_tables works through its rows in blocks of this many, which bounds
+# its temporary arrays at a few megabytes whatever the batch size
+_BLOCK_ROWS = 4096
+
+
+def certify_tables(domain: Lattice, codomain: Lattice,
+                   tables) -> tuple[np.ndarray, np.ndarray]:
+    """Certify every row of an (N, domain.n) array as a linear morphism, in
+    one batch; return the kernels and the image tops.
+
+    The clauses are those of `validate_linear`, over whole blocks of rows.
+    The kernels are joins of the zero preimages, reduced through the join
+    table, and the first clause is one gather, T[r, J[x, k_r]] == T[r, x].
+    For the second clause, a row with kernel k and image top a must be
+    injective on [k, top] (a sort finds repeated values), send every cover
+    of [k, top] to a cover, and [k, top] must have as many covers as
+    [bottom, a]. Then the restriction is an order isomorphism onto
+    [bottom, a]: chains of covers up to top land below T[top] = a, the
+    covers of [k, top] go one-to-one, so by count onto, to the covers of
+    [bottom, a], and every element of [bottom, a] lies on one of them. (A
+    row with an empty zero preimage keeps k = bottom and fails here, since
+    nothing reaches bottom.) Cover counts are read per row from
+    per-element tables, and the rows sharing a kernel are checked together.
+
+    The first rejected row goes through `validate_linear`, so it raises the
+    scalar error class and text; if that row certifies there, the two
+    certifiers disagree: ConsistencyError.
+    """
+    given = np.asarray(tables)
+    if given.ndim != 2:
+        raise ValueError("map tables must form an (N, n) array")
+    if given.shape[1] != domain.n:
+        raise ValueError("map table length does not match the domain")
+    leq, join, _ = domain.tables_np
+    cod_leq = codomain.tables_np[0]
+    lo, hi = np.array(domain.covers(), dtype=np.intp).reshape(-1, 2).T
+    cod_lo, cod_hi = np.array(codomain.covers(), dtype=np.intp).reshape(-1, 2).T
+    is_cover = np.zeros((codomain.n, codomain.n), dtype=bool)
+    is_cover[cod_lo, cod_hi] = True
+    is_cover = is_cover.ravel()
+    covers_above = leq[:, lo].sum(axis=1)  # the number of covers in [k, top]
+    covers_below = cod_leq[cod_hi].sum(axis=0)  # ... and in [bottom, a]
+
+    kernels = np.empty(len(given), dtype=np.intp)
+    image_tops = np.empty(len(given), dtype=np.intp)
+    for start in range(0, len(given), _BLOCK_ROWS):
+        T = given[start:start + _BLOCK_ROWS]
+        bad = ((T < 0) | (T >= codomain.n)).any(axis=1)
+        T = np.where(bad[:, None], codomain.bottom, T).astype(np.intp)
+        zero = T == codomain.bottom
+        k = np.full(len(T), domain.bottom, dtype=np.intp)
+        for x in range(domain.n):
+            k = np.where(zero[:, x], join[k, x], k)
+        bad |= (np.take_along_axis(T, join[:, k].T, axis=1) != T).any(axis=1)
+        a = T[:, domain.top]
+        bad |= covers_above[k] != covers_below[a]
+        order = np.argsort(k, kind="stable")
+        starts = np.flatnonzero(np.diff(k[order], prepend=-1))
+        for rows in np.split(order, starts)[1:]:
+            up = leq[k[rows[0]]]
+            sub = T[rows]
+            repeats = np.diff(np.sort(sub[:, up], axis=1), axis=1) == 0
+            lands = is_cover[sub[:, lo[up[lo]]] * codomain.n + sub[:, hi[up[lo]]]]
+            bad[rows] |= repeats.any(axis=1) | ~lands.all(axis=1)
+        if bad.any():
+            row = start + int(np.argmax(bad))
+            validate_linear(domain, codomain, given[row].tolist())
+            raise ConsistencyError(f"row {row} certifies by validate_linear but "
+                                   f"not in the batch")
+        kernels[start:start + len(T)] = k
+        image_tops[start:start + len(T)] = a
+    return kernels, image_tops
 
 
 def identity_morphism(L: Lattice) -> LinearMorphism:

@@ -10,8 +10,14 @@ from latticelab.abelian import (
     AbelianGroup,
     GroupHom,
     _endo_sweep,
+    _gen_images,
+    _group_data,
+    _hom_tables,
+    _induced_rows,
     _kernel_image_sets_by_type,
+    _pair_sum,
     _primes_of,
+    _subgroup_lattice,
     _type,
     endomorphisms,
     hom_compose,
@@ -20,7 +26,7 @@ from latticelab.abelian import (
     rickart_module_direct,
     subgroup_lattice,
 )
-from latticelab.errors import SizeLimitExceededError
+from latticelab.errors import DomainMismatchError, SizeLimitExceededError
 from latticelab.lattice import is_modular
 from latticelab.morphisms import compose, enumerate_linmors
 
@@ -114,6 +120,19 @@ class TestSubgroupLattice:
         for spec in ("6", "8", "2,4", "9", "12", "2,2,2"):
             assert is_modular(subgroup_lattice(AbelianGroup.from_spec(spec))).holds
 
+    def test_pair_sums_are_the_sets_of_sums(self):
+        g = AbelianGroup.from_spec("2,2,4")
+        add = _group_data(g).add
+        masks = _subgroup_lattice(g).masks
+        for a in masks:
+            for b in masks:
+                want = 0
+                for x in range(g.order):
+                    for y in range(g.order):
+                        if a >> x & 1 and b >> y & 1:
+                            want |= 1 << int(add[x, y])
+                assert _pair_sum(g, a, b) == want, (a, b)
+
     def test_subgroup_counts(self):
         # chains: divisor counts; elementary abelian: Gaussian binomial sums
         assert subgroup_lattice(AbelianGroup.from_spec("12")).n == 6
@@ -141,13 +160,44 @@ class TestEndomorphisms:
 
     def test_tables_are_homomorphisms(self):
         g = AbelianGroup.from_spec("2,4")
-        from latticelab.abelian import _group_data
         add = _group_data(g).add
         for f in endomorphisms(g):
             t = f.table()
             for x in range(g.order):
                 for y in range(g.order):
                     assert t[add[x, y]] == add[t[x], t[y]]
+        # every row of the batched tables, for every group of order <= 16
+        groups = [AbelianGroup(c) for c in invariant_factor_chains(16)]
+        assert len(groups) == 25
+        for g in groups:
+            data = _group_data(g)
+            images = _gen_images(g)
+            tables = _hom_tables(g, images)
+            assert tables.shape == (g.endo_count(), g.order)
+            assert len(np.unique(tables, axis=0)) == len(tables), g
+            assert (tables[:, list(data.gen_ids)] == images).all(), g
+            for x in range(g.order):
+                # f(x + y) == f(x) + f(y) for every y, in every row
+                assert (tables[:, data.add[x]]
+                        == data.add[tables[:, [x]], tables]).all(), (g, x)
+
+    @pytest.mark.parametrize("images", [(-1,), (1, 2), (), (4,), (7,)])
+    def test_generator_images_are_element_ids_one_per_generator(self, images):
+        g = AbelianGroup.from_spec("4")
+        with pytest.raises(ValueError):
+            GroupHom(g, images)
+
+    def test_generator_images_must_respect_orders(self):
+        g = AbelianGroup.from_spec("2,4")
+        with pytest.raises(ValueError, match="does not divide"):
+            GroupHom(g, (g.elements.index((0, 1)), 0))
+
+    def test_composition_needs_one_group(self):
+        f = GroupHom(AbelianGroup.from_spec("4"), (1,))
+        h = GroupHom(AbelianGroup.from_spec("2"), (1,))
+        for outer, inner in ((f, h), (h, f)):
+            with pytest.raises(DomainMismatchError):
+                hom_compose(outer, inner)
 
     def test_matrix_shape(self):
         g = AbelianGroup.from_spec("2,4")
@@ -195,6 +245,24 @@ class TestInducedMonoid:
                 rhs = compose(induced_map(f), induced_map(h))
                 assert lhs.map == rhs.map
 
+    def test_rows_are_the_subgroup_images(self):
+        """Each induced row, read off the join recurrence, names the set
+        image f(H) of every subgroup H, for every endomorphism of every group
+        of order at most 16; induced_map is the one-row case."""
+        for chain in invariant_factor_chains(16):
+            g = AbelianGroup(chain)
+            tables = _hom_tables(g, _gen_images(g))
+            rows = _induced_rows(g, tables)
+            sub = _subgroup_lattice(g)
+            masks = np.array(sub.masks, dtype=np.uint64)
+            powers = np.left_shift(np.uint64(1), np.arange(g.order, dtype=np.uint64))
+            for s, mask in enumerate(sub.masks):
+                elems = [e for e in range(g.order) if mask >> e & 1]
+                image = np.bitwise_or.reduce(powers[tables[:, elems]], axis=1)
+                assert (masks[rows[:, s]] == image).all(), (chain, s)
+            for f, row in zip(endomorphisms(g)[:20], rows.tolist()):
+                assert induced_map(f).map == tuple(row), (chain, f)
+
     def test_projections_are_induced(self):
         """Every lattice projection onto a complemented subgroup arises from
         a module projection."""
@@ -214,7 +282,6 @@ class TestInducedMonoid:
         assert induced_monoid(g) is induced_monoid(g)
 
     def test_group_facts_are_cached_by_group_value(self):
-        from latticelab.abelian import _group_data
         assert _group_data(AbelianGroup.from_spec("2,4")) is _group_data(AbelianGroup((2, 4)))
         assert induced_monoid(AbelianGroup.from_spec("2,4")) is \
             induced_monoid(AbelianGroup((2, 4)))
@@ -280,7 +347,6 @@ class TestBridgeVerdicts:
 
     def test_induced_kernel_is_the_kernel_subgroup(self):
         """The lattice kernel of f_* is exactly Ker f as a subgroup."""
-        from latticelab.abelian import _subgroup_lattice
         for spec in ("4", "2,2", "2,4", "6"):
             g = AbelianGroup.from_spec(spec)
             subgroup_lattice(g)

@@ -513,6 +513,41 @@ class TestModule:
         doc = json.loads(out)
         assert all(r["holds"] for r in doc["results"])
 
+    # (exit code, sha256 of `--json module --group G`, sha256 of `module
+    # --group G`), as written when "induced_maps" went through json.dumps
+    OUTPUT_DIGESTS = {
+        "1": (0, "997995c6b75f593819e6e7d6de8900f2178ec1a93b1ef2d1725906059a09393e",
+              "0957d86b90d929f9bea131a6c3051a27437fb17a05873296656bf2f11ab41597"),
+        "4": (1, "2bb2b48a357a9ac310b1483a78b937ef64418a72aa209abae0aa2b8b68a4c92c",
+              "98f9142b28362ae510286bd7ba374d3bfe87637f47d4423a55e25ba110e959fd"),
+        "2,2": (0, "ae9b9b965ced070b2208a79023b6eb201a3fde86fd7a701077fe0f92ae95d1e3",
+                "58be44c4305548bde6744f3e8dedabbbe4ed0cb7eb88913260c93942548f6bcf"),
+        "2,2,2": (0, "3cebb9818c00e3badae482b19df32010cba2b2d6210179d32e0c9909ff1ce3d0",
+                  "ad1cd12a071d6f23994dcbc785d273aa80c5ec045cc7e36d37629dafd6ca819a"),
+        "3,9": (1, "81bb5c03f1f443dd10d3892a4e96e2e5bbf1cb8f5b6886c12896f782e60b96ef",
+                "121d0942a05d5dba47763468cba8d513f54ad5125485088ed6e5b8112f8b3947"),
+        "4,4": (1, "196f71ee0caa034b0d72d79c100ab120384d69e4a71dd749d071c7c3620b2bd9",
+                "12ce9485557ecbbddeb449c9d3d63ea3120a188aea6737e0d53479658160b015"),
+        "2,2,4": (1, "997e6b8bef1cb5217559ee0f5d41431a683384ab003c605dd8372fb3744a4c51",
+                  "5a7dfe62bfffe1e0696e24d7d8618bd0359a0e91a1f2866f365b10f0eaa960b6"),
+        "2,4,4": (1, "b142d8128ee8da2241880dbd72c42b72997422de09d00d0251c6ab7e63e04c36",
+                  "bde792fdb0ad2c0650c76c5e577ee469a66c0855ad5e8e540289cdcc9fd9a5f1"),
+    }
+
+    @pytest.mark.parametrize("group", list(OUTPUT_DIGESTS))
+    def test_output_is_byte_stable(self, group, capsys):
+        code, json_digest, text_digest = self.OUTPUT_DIGESTS[group]
+        for argv, digest in ((["--json", "module", "--group", group], json_digest),
+                             (["module", "--group", group], text_digest)):
+            got, out = run_capture(capsys, argv)
+            assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+    def test_golden_run_under_optimization(self):
+        proc = run_module(["--json", "module", "--group", "2,2,4"], "-O")
+        assert proc.returncode == 1
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            self.OUTPUT_DIGESTS["2,2,4"][1]
+
     def test_above_the_endomorphism_cap_builds_no_subgroup_lattice(self, capsys):
         _subgroup_lattice.cache_clear()
         assert run(["module", "--group", "2,2,2,2,2"]) == 2

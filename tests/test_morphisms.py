@@ -7,6 +7,7 @@ definitional validator and compare against the factorized enumeration.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from latticelab.errors import (
 from latticelab.lattice import (build_lattice, complemented_elements, complements_of,
                                 direct_product, interval)
 from latticelab.morphisms import (
+    certify_tables,
     compose,
     enumerate_interval_isos,
     enumerate_linmors,
@@ -399,9 +401,37 @@ def certified_outcome(domain, codomain, table):
     return ("linear", phi.kernel, phi.image_top)
 
 
+def raised(fn, *args):
+    """(class name, message) of the error fn raises, or None if it returns."""
+    try:
+        fn(*args)
+    except (LinearValidationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def assert_batch_agrees(domain, codomain, tables):
+    """certify_tables against validate_linear: the linear tables certify as
+    one batch with the same kernels and image tops, and each rejected table,
+    as a one-row batch, raises the same class and message."""
+    linear = []
+    for table in tables:
+        want = raised(validate_linear, domain, codomain, table)
+        if want is None:
+            linear.append(validate_linear(domain, codomain, table))
+        else:
+            assert raised(certify_tables, domain, codomain, [table]) == want, table
+    kernels, image_tops = certify_tables(
+        domain, codomain, np.array([phi.map for phi in linear]).reshape(-1, domain.n))
+    assert kernels.tolist() == [phi.kernel for phi in linear]
+    assert image_tops.tolist() == [phi.image_top for phi in linear]
+    return len(linear)
+
+
 class TestCoverCertificate:
     """validate_linear decides linearity by covers; the definition checks
-    every pair. Both must give the same outcome on every table."""
+    every pair. Both must give the same outcome on every table, and the
+    batched certify_tables must agree with validate_linear."""
 
     def test_every_table_between_small_fixtures(self):
         small = [fx.build_fixture(name) for name in ("c2", "c3", "b2", "m3", "n5")]
@@ -413,6 +443,41 @@ class TestCoverCertificate:
                     assert certified_outcome(L, M, table) == want, (L.name, M.name, table)
                     seen.add(want if isinstance(want, str) else "linear")
         assert seen == {"NoKernelError", "NotIntervalIsoError", "linear"}
+
+    def test_batches_between_small_fixtures(self):
+        small = [fx.build_fixture(name) for name in ("c2", "c3", "b2", "m3", "n5")]
+        for L in small:
+            for M in small:
+                tables = list(itertools.product(range(M.n), repeat=L.n))
+                assert assert_batch_agrees(L, M, tables) == \
+                    sum(not isinstance(definition_outcome(L, M, t), str) for t in tables)
+
+    def test_first_bad_row_decides_the_batch(self, b2, c3):
+        ident = list(range(b2.n))
+        zero = [b2.bottom] * b2.n
+        no_kernel = [b2.top] * b2.n  # nothing maps to bottom
+        atoms = b2.atoms()
+        not_iso = list(ident)  # both atoms to one: the first clause holds
+        not_iso[atoms[1]] = atoms[0]
+        out_of_range = [b2.n] * b2.n
+        for bad_rows in ([no_kernel, not_iso], [not_iso, no_kernel],
+                         [out_of_range, not_iso], [not_iso, out_of_range]):
+            batch = [ident, zero, bad_rows[0], ident, bad_rows[1]]
+            want = raised(validate_linear, b2, b2, bad_rows[0])
+            assert want is not None
+            assert raised(certify_tables, b2, b2, batch) == want
+        # a first bad row beyond the first block of rows
+        batch = [ident] * 5000 + [not_iso, no_kernel]
+        assert raised(certify_tables, b2, b2, batch) == \
+            raised(validate_linear, b2, b2, not_iso)
+        kernels, image_tops = certify_tables(b2, b2, [ident] * 5000 + [zero])
+        assert kernels.tolist() == [b2.bottom] * 5000 + [b2.top]
+        assert image_tops.tolist() == [b2.top] * 5000 + [b2.bottom]
+        # a table of the wrong length
+        assert raised(certify_tables, b2, c3, [[0, 1, 2]]) == \
+            raised(validate_linear, b2, c3, [0, 1, 2])
+        empty = certify_tables(b2, c3, np.zeros((0, b2.n), dtype=int))
+        assert [len(v) for v in empty] == [0, 0]
 
     @pytest.mark.parametrize("covers, target_covers", [
         # N5 onto 0 < x, y < z < 1: order-preserving, as many covers, and
@@ -438,6 +503,9 @@ class TestCoverCertificate:
         table = [M.id_of(nm) for nm in L.names]
         assert definition_outcome(L, M, table) == "NotIntervalIsoError"
         assert certified_outcome(L, M, table) == "NotIntervalIsoError"
+        want = raised(validate_linear, L, M, table)
+        assert raised(certify_tables, L, M, [table]) == want
+        assert want[0] == "NotIntervalIsoError"
 
     @pytest.mark.parametrize("build", [
         lambda: direct_product([fx.c3(), fx.m3()]).lattice,
@@ -477,7 +545,47 @@ class TestCoverCertificate:
                 want = definition_outcome(L, M, table)
                 assert certified_outcome(L, M, table) == want, (L.name, M.name, table)
                 seen.add(want if isinstance(want, str) else "linear")
+            assert_batch_agrees(L, M, tables)
         assert seen == {"NoKernelError", "NotIntervalIsoError", "linear"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_batches_match_the_definition_on_random_lattices(seed, data):
+    """A batch of linear tables, perturbed ones and order-scrambling
+    bijections certifies exactly when every row is linear by the
+    definition, and otherwise raises the definition's error class for its
+    first non-linear row."""
+    L = random_modular_lattice(seed, 7)
+    M = L if data.draw(st.booleans()) else random_modular_lattice(seed + 1, 7)
+    linear = [phi.map for phi in enumerate_linmors(L, M)]
+    index = st.integers(0, L.n - 1)
+    tables = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        table = list(data.draw(st.sampled_from(linear)))
+        kind = data.draw(st.sampled_from(["linear", "set", "swap", "scramble"]))
+        if kind == "set":
+            table[data.draw(index)] = data.draw(st.integers(0, M.n - 1))
+        elif kind == "swap":
+            i, j = data.draw(index), data.draw(index)
+            table[i], table[j] = table[j], table[i]
+        elif kind == "scramble" and M is L:
+            # fixes bottom and top, so only the order check can reject it
+            middle = [x for x in range(L.n) if x not in (L.bottom, L.top)]
+            table = list(range(L.n))
+            for x, y in zip(middle, data.draw(st.permutations(middle))):
+                table[x] = y
+        tables.append(table)
+    outcomes = [definition_outcome(L, M, t) for t in tables]
+    failed = [o for o in outcomes if isinstance(o, str)]
+    if failed:
+        with pytest.raises(LinearValidationError) as info:
+            certify_tables(L, M, tables)
+        assert type(info.value).__name__ == failed[0]
+    else:
+        kernels, image_tops = certify_tables(L, M, tables)
+        assert [("linear", k, a) for k, a in zip(kernels.tolist(), image_tops.tolist())] \
+            == outcomes
 
 
 class TestIsoComposites:
