@@ -314,7 +314,7 @@ def chk_ricendoric(ctx):
     a = ctx.rickart
     rr = ctx.monoid_pred("right_rickart")
     b = rr and ctx.retractable
-    c = rr and all(ctx.generated(phi.kernel) for phi in ctx.monoid.members)
+    c = rr and all(ctx.generated(k) for k in ctx.monoid.kernels)
     if not (a == b == c):
         return _fail(rickart=a, monoid_and_retractable=b, monoid_and_generated=c)
     return _ok()
@@ -1076,9 +1076,10 @@ def run_conformance(corpus, checks=None, *,
     Non-modular corpus entries are set aside (most checks assume modularity).
     Pair checks run on each lattice against itself when small enough, plus
     up to MAX_PAIRS consecutive corpus pairs whose product size fits
-    PAIR_PRODUCT_CAP. Global checks run once.
+    PAIR_PRODUCT_CAP. Global checks run once. A check named more than once
+    runs once, in first-seen order.
     """
-    names = list(checks) if checks else list(REGISTRY)
+    names = list(dict.fromkeys(checks)) if checks else list(REGISTRY)
     unknown = [nm for nm in names if nm not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")

@@ -573,6 +573,12 @@ class TestTheorems:
         assert doc["lattice_count"] == 11
         assert doc["seed"] == 9
 
+    def test_a_check_named_twice_runs_once(self, capsys):
+        once = run_capture(capsys, ["theorems", "--checks", "rickpix"])
+        twice = run_capture(capsys, ["theorems", "--checks", "rickpix,rickpix"])
+        assert twice == once
+        assert "rickpix: pass=6 fail=0 skip=0" in once[1]
+
     def test_negative_random_count_rejected(self, capsys):
         assert run(["theorems", "--random", "-3"]) == 2
         captured = capsys.readouterr()

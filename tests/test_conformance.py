@@ -95,6 +95,11 @@ class TestRunner:
         assert list(report.counts) == ["kerpi"]
         assert report.counts["kerpi"]["pass"] == 1
 
+    def test_repeated_checks_run_once_in_first_seen_order(self, b2):
+        report = run_conformance([b2], checks=["splits", "kerpi", "splits"])
+        assert list(report.counts) == ["splits", "kerpi"]
+        assert report.counts["splits"]["pass"] == 1
+
     def test_context_generation_matches_public_checker(self, excip, m3):
         from latticelab.conformance import LatticeContext
         from latticelab.lattice import opposite

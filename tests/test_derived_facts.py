@@ -2,8 +2,9 @@
 
 The modularity verdict, the complement table and each certified projection
 are computed once per lattice object. These tests pin the memo itself, the
-equivalence that lets check_rickpix skip re-certifying compose(phi, pi), and
-the invariants that raise ConsistencyError instead of asserting.
+rule that phi o pi equals phi exactly when ker pi <= ker phi, which lets
+check_rickpix read member kernels instead of composing, and the invariants
+that raise ConsistencyError instead of asserting.
 """
 
 import collections
@@ -107,7 +108,7 @@ def test_modular_law_runs_only_on_corpus_lattices(monkeypatch):
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIXTURES))
 def test_table_test_matches_certified_composition(name):
     """compose(phi, pi) certifies, and equals phi exactly when the table
-    test used by check_rickpix holds."""
+    test holds, that is, exactly when ker pi <= ker phi."""
     L = EQUIVALENCE_FIXTURES[name]()
     projections = all_projections(L)
     assert projections
@@ -117,6 +118,7 @@ def test_table_test_matches_certified_composition(name):
             composite = compose(phi, pi)  # raises if it does not certify
             table_test = all(phi.map[pi.map[x]] == phi.map[x] for x in range(L.n))
             assert (composite.map == phi.map) == table_test
+            assert table_test == L.leq(pi.kernel, phi.kernel)
             agreeing += table_test
     assert agreeing > 0
 

@@ -24,15 +24,12 @@ NONSING_PAIRS = (("t", "k"), ("t_co", "k_co"))
 SUMMAND_PAIRS = (("csp", "cip"), ("scsp", "scip"))
 
 
-def _lattices():
-    """The modular fixtures, two random corpora and all their lower
-    intervals; the interval below the top stands for the lattice itself."""
-    roots = [fx.build_fixture(nm) for nm in fx.MODULAR_FIXTURES]
-    roots += random_corpus(200, 8, 42) + random_corpus(30, 10, 7)
-    return [interval(L, L.bottom, x).as_lattice for L in roots for x in range(L.n)]
-
-
-LATTICES = _lattices()
+# the modular fixtures and two random corpora, all modular
+ROOTS = ([fx.build_fixture(nm) for nm in fx.MODULAR_FIXTURES]
+         + random_corpus(200, 8, 42) + random_corpus(30, 10, 7))
+# all their lower intervals; the interval below the top stands for the
+# lattice itself
+LATTICES = [interval(L, L.bottom, x).as_lattice for L in ROOTS for x in range(L.n)]
 
 
 def _dual_mismatches(L):

@@ -2,12 +2,15 @@
 C1/D1 and the monoid-relative C2/D2, nonsingularity, retractability,
 generation, and cross-lattice checks."""
 
+import random
+
 import pytest
 
 from latticelab import fixtures as fx
 from latticelab.errors import MissingProjectionsError
-from latticelab.lattice import build_lattice, interval
+from latticelab.lattice import build_lattice, complemented_elements, complements_of, interval
 from latticelab.monoid import full_monoid, generated_monoid
+from latticelab.morphisms import projection
 from latticelab.properties import (
     check_condition,
     check_cross_rickart,
@@ -18,6 +21,24 @@ from latticelab.properties import (
     check_rickpix,
     check_summand_property,
 )
+from latticelab.verdict import Verdict
+from test_duality import ROOTS
+
+
+def rickpix_by_tables(L, m):
+    """check_rickpix by composing: a member phi factors when phi o pi, read
+    off the tables, equals phi for some projection pi onto a complemented x
+    meeting ker phi trivially."""
+    lhs = check_rickart_family(L, m, "rickart").holds
+    comp = complemented_elements(L)
+    failing = next((phi for phi in m.members if not any(
+        all(phi.map[p] == v for p, v in zip(projection(L, x, xp).map, phi.map))
+        for x in comp if L.meet_of(x, phi.kernel) == L.bottom
+        for xp in complements_of(L, x))), None)
+    rhs = failing is None
+    return Verdict("rickpix", lhs == rhs,
+                   witness=None if failing is None else {"morphism": failing.as_name_map()},
+                   notes=f"kernel-complement side={lhs}, projection side={rhs}")
 
 
 class TestRickartFamily:
@@ -199,3 +220,17 @@ class TestRickpix:
         m = generated_monoid(b2)  # identity and zero only
         with pytest.raises(MissingProjectionsError):
             check_rickpix(b2, m)
+
+    def test_kernels_match_the_projection_tables(self):
+        """On each corpus root: the full monoid, the projections' monoid and
+        a seeded one generated by two members and the projections."""
+        witnessed = 0
+        for i, L in enumerate(ROOTS):
+            full = full_monoid(L)
+            gens = random.Random(i).sample(full.members, min(2, len(full)))
+            for m in (full, generated_monoid(L, (), True),
+                      generated_monoid(L, gens, True)):
+                v = check_rickpix(L, m)
+                assert v == rickpix_by_tables(L, m), (L.name, len(m))
+                witnessed += v.witness is not None
+        assert 0 < witnessed < 3 * len(ROOTS)
