@@ -42,9 +42,9 @@ class Lattice:
     """A validated finite bounded lattice.
 
     Instances are immutable after construction; all query methods are pure
-    table lookups. Derived facts (numpy tables, the modularity verdict, the
-    complement table, interval views, certified projections, the opposite
-    lattice) are memoized on the instance the first time they are computed.
+    table lookups. Derived facts (numpy tables, up-set and upper-cover
+    lists, the modularity verdict, the complement table, interval views,
+    certified projections, the opposite lattice) are memoized on the instance the first time they are computed.
     They depend only on the tables, so racing writers store equal values and
     instances stay safe to share between threads.
     """
@@ -52,7 +52,7 @@ class Lattice:
     __slots__ = (
         "name", "n", "names", "bottom", "top", "rank",
         "_up", "_down", "_join", "_meet", "_covers", "_upper_covers",
-        "_name_to_id", "_np_tables", "_interval_cache", "_key",
+        "_name_to_id", "_np_tables", "_order_lists", "_interval_cache", "_key",
         "_modular", "_complements", "_projections", "_opposite",
     )
 
@@ -75,6 +75,7 @@ class Lattice:
         self._upper_covers = tuple(upper_covers)
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
         self._np_tables = None
+        self._order_lists = None
         self._interval_cache: dict[tuple[int, int], IntervalView] = {}
         self._key: bytes | None = None
         self._modular: Verdict | None = None
@@ -164,6 +165,15 @@ class Lattice:
             meet = np.array(self._meet, dtype=np.int32)
             self._np_tables = (leq, join, meet)
         return self._np_tables
+
+    @property
+    def order_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(up-sets, upper covers): for each element, the elements above it
+        and its upper covers, as sorted tuples; built lazily."""
+        if self._order_lists is None:
+            self._order_lists = (tuple(tuple(_bits(m)) for m in self._up),
+                                 tuple(tuple(_bits(m)) for m in self._upper_covers))
+        return self._order_lists
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, n={self.n})"

@@ -1,12 +1,15 @@
 """Submonoids-with-zero of the linear endomorphisms of a lattice.
 
 Members are canonically sorted by map table. The composition table is built
-lazily, with numpy, one member row at a time: property checks that only read
-kernels and image tops stay cheap even for very large induced monoids.
+lazily, with numpy, in blocks of member rows: property checks that only read
+kernels and image tops stay cheap even for very large induced monoids. The
+annihilator calculus reads whole-table arrays derived from it once per
+monoid.
 """
 
 from __future__ import annotations
 
+import itertools
 import reprlib
 from dataclasses import dataclass
 
@@ -30,6 +33,12 @@ from .verdict import Verdict
 # with the same structure key and member list
 _COMP_CACHE: dict[tuple[bytes, tuple], np.ndarray] = {}
 
+# the composition table is built in blocks of member rows whose temporaries
+# stay near this many bytes, whatever the monoid size
+_BLOCK_BYTES = 1 << 20
+# odd multiplier of the polynomial keys that stand for member tables
+_KEY_BASE = 0x5851F42D4C957F2D
+
 
 class EndoMonoid:
     """A composition-closed set of linear endomorphisms with zero and identity.
@@ -40,7 +49,7 @@ class EndoMonoid:
 
     __slots__ = ("lattice", "members", "zero_idx", "id_idx", "_index", "_comp",
                  "_idem", "_has_all_projections", "_cosets", "_pairs",
-                 "_kernels", "_image_tops")
+                 "_kernels", "_image_tops", "_tables", "_zero_products")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
         require_modular(lattice)
@@ -62,6 +71,8 @@ class EndoMonoid:
         self._pairs = None
         self._kernels = None
         self._image_tops = None
+        self._tables = None
+        self._zero_products = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -79,32 +90,44 @@ class EndoMonoid:
         return self._index[phi.map]
 
     @property
+    def tables(self) -> np.ndarray:
+        """The member map tables as one read-only (len, n) array, in member
+        order."""
+        if self._tables is None:
+            n = self.lattice.n
+            self._tables = np.array([m.map for m in self.members],
+                                    dtype=np.min_scalar_type(n - 1))
+            self._tables.setflags(write=False)
+        return self._tables
+
+    @property
     def comp(self) -> np.ndarray:
         """comp[i, j] = index of members[i] composed after members[j].
 
-        Built lazily, one member row at a time against the sorted member
-        tables: property checks that only read kernels and images never pay
-        for it.
+        Built lazily: property checks that only read kernels and images never
+        pay for it. Each member table stands for one int64 key, distinct over
+        the members; the composites of a block of rows are looked up by key
+        with one `searchsorted`, and every hit is checked against the full
+        member table.
         """
         if self._comp is None:
-            maps = tuple(m.map for m in self.members)
-            key = (self.lattice.structure_key, maps)
+            key = (self.lattice.structure_key, tuple(m.map for m in self.members))
             table = _COMP_CACHE.get(key)
             if table is None:
-                size = len(maps)
-                arr = np.array(maps, dtype=np.int32)  # (size, n), rows sorted
-                view = arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel()
-                table = np.empty((size, size), dtype=np.int32)
-                for i in range(size):
-                    composed = np.ascontiguousarray(arr[i][arr]).view(view.dtype).ravel()
-                    pos = np.searchsorted(view, composed)
-                    if (pos >= size).any() or (view[np.minimum(pos, size - 1)] != composed).any():
-                        raise NotClosedError(f"member {i} composes outside the set")
-                    table[i] = pos
+                table = _composition_table(self.tables)
                 table.setflags(write=False)
                 _COMP_CACHE[key] = table
             self._comp = table
         return self._comp
+
+    @property
+    def zero_products(self) -> np.ndarray:
+        """comp == zero_idx, read-only. Row t is the right annihilator of the
+        single target t as a member mask, column t its left annihilator."""
+        if self._zero_products is None:
+            self._zero_products = self.comp == self.zero_idx
+            self._zero_products.setflags(write=False)
+        return self._zero_products
 
     @property
     def has_all_projections(self) -> bool:
@@ -143,13 +166,47 @@ class EndoMonoid:
 
     def idempotent_indices(self) -> tuple[int, ...]:
         if self._idem is None:
-            self._idem = tuple(
-                i for i, phi in enumerate(self.members)
-                if tuple(phi.map[v] for v in phi.map) == phi.map)
+            t = self.tables
+            square = np.take_along_axis(t, t.astype(np.intp), axis=1)
+            self._idem = tuple(np.flatnonzero((square == t).all(axis=1)).tolist())
         return self._idem
 
     def __repr__(self) -> str:
         return f"EndoMonoid({self.lattice.name!r}, size={len(self.members)})"
+
+
+def _key_weights(n: int, attempt: int) -> np.ndarray:
+    """The powers of an odd multiplier, one per table position; int64
+    arithmetic wraps, so a key is a polynomial hash of the table."""
+    return np.cumprod(np.full(n, _KEY_BASE + 2 * attempt, dtype=np.int64))
+
+
+def _composition_table(tables: np.ndarray) -> np.ndarray:
+    """comp for the sorted, distinct member tables (one per row)."""
+    size, n = tables.shape
+    for attempt in itertools.count():
+        weights = _key_weights(n, attempt)
+        keys = tables @ weights
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        if (sorted_keys[1:] != sorted_keys[:-1]).all():
+            break  # the keys tell the members apart
+    table = np.empty((size, size), dtype=np.int32)
+    index = tables.astype(np.intp)
+    # bytes live per composite at the peak of a block: the composites of
+    # this block and the last, their int64 cast for the keys, and int64
+    # positions
+    rows = max(1, _BLOCK_BYTES // (size * (n * (2 * tables.itemsize + 8) + 32)))
+    for start in range(0, size, rows):
+        composed = tables[start:start + rows][:, index]  # (rows, size, n)
+        pos = np.searchsorted(sorted_keys, composed @ weights)
+        hit = order[np.minimum(pos, size - 1, out=pos)]
+        if (tables[hit] != composed).any():
+            found = (tables[hit] == composed).all(axis=2).all(axis=1)
+            i = start + int(np.argmin(found))
+            raise NotClosedError(f"member {i} composes outside the set")
+        table[start:start + len(composed)] = hit
+    return table
 
 
 def _all_projections(L: Lattice):
@@ -240,34 +297,53 @@ class AnnihilatorSet:
 
 
 def _ann_mask(m: EndoMonoid, side: str, targets) -> np.ndarray:
-    comp = m.comp
-    size = len(m.members)
+    zero = m.zero_products
     if not targets:
-        return np.ones(size, dtype=bool)
+        return np.ones(len(m.members), dtype=bool)
     if side == "right":
-        return np.all(comp[list(targets), :] == m.zero_idx, axis=0)
-    return np.all(comp[:, list(targets)] == m.zero_idx, axis=1)
+        return zero[list(targets), :].all(axis=0)
+    return zero[:, list(targets)].all(axis=1)
+
+
+def _single_masks(m: EndoMonoid, side: str) -> np.ndarray:
+    """Row t: the one-sided annihilator of the single target t."""
+    return m.zero_products if side == "right" else m.zero_products.T
+
+
+def _row_bytes(masks: np.ndarray) -> list[bytes]:
+    """bytes(row) for each row of a boolean mask array."""
+    data = np.ascontiguousarray(masks).tobytes()
+    width = masks.shape[1]
+    return [data[i:i + width] for i in range(0, len(data), width)]
 
 
 def coset_index(m: EndoMonoid, side: str) -> dict[bytes, int]:
     """Principal one-sided ideals as boolean masks: bytes(mask) -> the first
     generating idempotent in canonical order. eps*m for the right side, m*eps
-    for the left."""
+    for the left. Every idempotent's mask is set in one scatter of its comp
+    row (right) or column (left)."""
     cached = m._cosets
     if cached is None:
         cached = {}
         m._cosets = cached
     if side not in cached:
-        comp = m.comp
-        size = len(m.members)
+        idem = list(m.idempotent_indices())
+        products = m.comp[idem, :] if side == "right" else m.comp[:, idem].T
+        masks = np.zeros((len(idem), len(m.members)), dtype=bool)
+        masks[np.arange(len(idem))[:, None], products] = True
         index: dict[bytes, int] = {}
-        for eps in m.idempotent_indices():
-            row = comp[eps, :] if side == "right" else comp[:, eps]
-            mask = np.zeros(size, dtype=bool)
-            mask[row] = True
-            index.setdefault(mask.tobytes(), eps)
+        for eps, key in zip(idem, _row_bytes(masks)):
+            index.setdefault(key, eps)
         cached[side] = index
     return cached[side]
+
+
+def principal_idempotents(m: EndoMonoid, side: str, masks) -> list[int | None]:
+    """For each row of a boolean (k, len(m)) member-mask array, the first
+    idempotent e (canonical order) with row = e*m (right) or m*e (left), or
+    None when the row is no principal one-sided ideal."""
+    cosets = coset_index(m, side)
+    return [cosets.get(key) for key in _row_bytes(masks)]
 
 
 def annihilator(m: EndoMonoid, side: str, targets) -> AnnihilatorSet:
@@ -279,7 +355,7 @@ def annihilator(m: EndoMonoid, side: str, targets) -> AnnihilatorSet:
     mask = _ann_mask(m, side, targets)
     principal = coset_index(m, side).get(mask.tobytes())
     return AnnihilatorSet(side=side, targets=targets,
-                          members=tuple(int(i) for i in np.nonzero(mask)[0]),
+                          members=tuple(np.flatnonzero(mask).tolist()),
                           principal_idempotent=principal)
 
 
@@ -292,12 +368,11 @@ def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
     right/left Baer: of arbitrary subsets, realized by intersection closure."""
     if kind in ("right_rickart", "left_rickart"):
         side = kind.split("_")[0]
-        cosets = coset_index(m, side)
-        for i in range(len(m.members)):
-            mask = _ann_mask(m, side, (i,))
-            if mask.tobytes() not in cosets:
+        singles = _single_masks(m, side)
+        for i, principal in enumerate(principal_idempotents(m, side, singles)):
+            if principal is None:
                 witness = {"target": m.members[i].as_name_map(),
-                           "annihilator_size": int(mask.sum())}
+                           "annihilator_size": int(singles[i].sum())}
                 return Verdict(kind, False, witness=witness)
         return Verdict(kind, True)
     if kind in ("right_baer", "left_baer"):
@@ -306,8 +381,8 @@ def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
         # all annihilators of subsets: the intersection closure of the
         # single-member ones, keyed by the bytes of the member mask
         singles: dict[bytes, tuple] = {}
-        for i in range(len(m.members)):
-            singles.setdefault(_ann_mask(m, side, (i,)).tobytes(), (i,))
+        for i, key in enumerate(_row_bytes(_single_masks(m, side))):
+            singles.setdefault(key, (i,))
         closed = close_under(singles, _mask_and)
         for key in sorted(closed, key=lambda k: (k.count(1), k)):
             if key not in cosets:

@@ -34,7 +34,6 @@ from .errors import (
 from .lattice import (
     IntervalView,
     Lattice,
-    _bits,
     complements_of,
     interval,
     parse_json,
@@ -92,23 +91,29 @@ def validate_linear(domain: Lattice, codomain: Lattice,
     if any(not (0 <= v < codomain.n) for v in m):
         raise ValueError("map table has out-of-range values")
 
-    zero_pre = [x for x in range(domain.n) if m[x] == codomain.bottom]
+    bottom = codomain.bottom
+    zero_pre = [x for x, v in enumerate(m) if v == bottom]
     if not zero_pre:
         raise NoKernelError("nothing maps to bottom, so no kernel exists")
     k = domain.join_all(zero_pre)
-    if m[k] != codomain.bottom:
+    if m[k] != bottom:
         raise NoKernelError(
             f"join of the zero preimage ({domain.names[k]!r}) does not map to bottom")
-    for x in range(domain.n):
-        if m[domain.join_of(x, k)] != m[x]:
+    for x, v in enumerate(m):
+        if m[domain.join_of(x, k)] != v:
             raise NoKernelError(
                 f"map({domain.names[x]!r}) differs from map(x v kernel)")
 
-    upper = domain.up_set(k)
+    up_sets, upper_covers = domain.order_lists
+    upper = up_sets[k]
     a = m[domain.top]
-    target = codomain.down_set(a)
-    images = [m[u] for u in upper]
-    if len(set(images)) != len(upper) or set(images) != set(target):
+    down_a = codomain.down_mask(a)
+    images = 0
+    for u in upper:
+        images |= 1 << m[u]
+    # distinct images set one bit each: a bijection onto [bottom, a] sets
+    # exactly the bits of down_a, one per element above k
+    if images != down_a or images.bit_count() != len(upper):
         raise NotIntervalIsoError(
             f"restriction above {domain.names[k]!r} is not a bijection onto "
             f"[bottom, {codomain.names[a]!r}]")
@@ -117,10 +122,9 @@ def validate_linear(domain: Lattice, codomain: Lattice,
     # maps the upper covers of each element onto those of its image. Upper
     # covers of u >= k stay in [k, top]; those of m[u] inside [bottom, a]
     # are the upper covers m[u] has in that interval.
-    down_a = codomain.down_mask(a)
     for u in upper:
         got = 0
-        for v in _bits(domain.upper_covers_mask(u)):
+        for v in upper_covers[u]:
             got |= 1 << m[v]
         if got != codomain.upper_covers_mask(m[u]) & down_a:
             raise NotIntervalIsoError(

@@ -1,10 +1,15 @@
 """The conformance registry and random corpus generation."""
 
+import dataclasses
+
 import pytest
 
 from latticelab import fixtures as fx
+from latticelab import morphisms
 from latticelab.conformance import (
     REGISTRY,
+    LatticeContext,
+    chk_exmorf,
     random_corpus,
     random_modular_lattice,
     run_conformance,
@@ -111,3 +116,20 @@ class TestRunner:
                     L, ctx.monoid, x, "generated").holds
                 assert ctx.op.generated(opposite(L).id_of(L.names[x])) == \
                     check_generation(L, ctx.monoid, x, "cogenerated").holds
+
+
+def test_exmorf_reports_a_wrong_extension_kernel_as_an_error(monkeypatch):
+    """An extension certified with a kernel other than ker v x' is rejected
+    by extend_from_interval, and exmorf reports that error."""
+    certify = morphisms.validate_linear
+
+    def wrong_kernel(domain, codomain, table):
+        phi = certify(domain, codomain, table)
+        other = domain.top if phi.kernel == domain.bottom else domain.bottom
+        return dataclasses.replace(phi, kernel=other)
+
+    monkeypatch.setattr(morphisms, "validate_linear", wrong_kernel)
+    status, detail = chk_exmorf(LatticeContext(fx.b2()))
+    assert status == "fail"
+    assert detail == {"x": "0", "y": "0", "x_prime": "1",
+                      "error": "extension has kernel '0', not ker v x' = '1'"}

@@ -3,18 +3,24 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latticelab import fixtures as fx
-from latticelab.conformance import random_corpus
+from latticelab import monoid as monoid_module
+from latticelab.conformance import (LatticeContext, chk_baercar, chk_kercompkergenann,
+                                    random_corpus)
 from latticelab.errors import NotClosedError, NotModularError, SizeLimitExceededError
-from latticelab.lattice import is_modular
+from latticelab.lattice import close_under, is_modular
 from latticelab.monoid import (
     MAX_GENERATED_MEMBERS,
+    EndoMonoid,
     _all_projections,
+    _mask_and,
     annihilator,
+    coset_index,
     explicit_monoid,
     full_monoid,
     generated_monoid,
@@ -43,6 +49,13 @@ class TestBuild:
     def test_explicit_must_contain_zero(self, c3):
         with pytest.raises(NotClosedError):
             explicit_monoid(c3, [identity_morphism(c3)])
+
+    def test_not_closed_names_the_first_failing_row(self, m3):
+        a, b, c = (m3.id_of(x) for x in "abc")
+        members = [identity_morphism(m3), zero_morphism(m3),
+                   projection(m3, a, b), projection(m3, b, c)]
+        with pytest.raises(NotClosedError, match=r"^member 3 composes outside the set$"):
+            explicit_monoid(m3, members)
 
     def test_explicit_must_be_closed(self, b2):
         a, b = b2.id_of("a"), b2.id_of("b")
@@ -251,3 +264,176 @@ class TestGeneratedClosure:
         # the atom permutations alone are 7! = 5040 members
         with pytest.raises(SizeLimitExceededError):
             monoid_from_spec(L, spec)
+
+
+# -- the per-row, per-target routes the whole-table arrays replace ----------
+
+
+def comp_by_rows(m):
+    """comp one member row at a time: the row's composites looked up in the
+    sorted member tables, compared as whole rows."""
+    arr = np.array([phi.map for phi in m.members], dtype=np.int32)
+    size = len(arr)
+    view = arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel()
+    table = np.empty((size, size), dtype=np.int32)
+    for i in range(size):
+        composed = np.ascontiguousarray(arr[i][arr]).view(view.dtype).ravel()
+        pos = np.searchsorted(view, composed)
+        if (pos >= size).any() or (view[np.minimum(pos, size - 1)] != composed).any():
+            raise NotClosedError(f"member {i} composes outside the set")
+        table[i] = pos
+    return table
+
+
+def ann_mask_by_targets(m, comp, side, targets):
+    mask = np.ones(len(m), dtype=bool)
+    for t in targets:
+        mask &= (comp[t, :] if side == "right" else comp[:, t]) == m.zero_idx
+    return mask
+
+
+def coset_index_by_idempotents(m, comp, side):
+    idem = [i for i, phi in enumerate(m.members)
+            if tuple(phi.map[v] for v in phi.map) == phi.map]
+    index = {}
+    for eps in idem:
+        mask = np.zeros(len(m), dtype=bool)
+        mask[comp[eps, :] if side == "right" else comp[:, eps]] = True
+        index.setdefault(mask.tobytes(), eps)
+    return idem, index
+
+
+def predicate_by_targets(m, kind, singles, cosets):
+    """monoid_predicate from the single-target masks and the coset index of
+    the kind's side."""
+    if kind.endswith("rickart"):
+        for i, mask in enumerate(singles):
+            if mask.tobytes() not in cosets:
+                return False, {"target": m.members[i].as_name_map(),
+                               "annihilator_size": int(mask.sum())}
+        return True, None
+    seeds = {}
+    for i, mask in enumerate(singles):
+        seeds.setdefault(mask.tobytes(), (i,))
+    closed = close_under(seeds, _mask_and)
+    for key in sorted(closed, key=lambda k: (k.count(1), k)):
+        if key not in cosets:
+            return False, {"generators": [m.members[g].as_name_map() for g in closed[key]],
+                           "annihilator_size": key.count(1)}
+    return True, None
+
+
+class MonoidContext(LatticeContext):
+    """A registry context whose monoid is the one given."""
+
+    def __init__(self, L, m):
+        super().__init__(L)
+        self._monoid = m
+
+    @property
+    def monoid(self):
+        return self._monoid
+
+
+def kercompkergenann_by_annihilators(ctx, singles, cosets):
+    """chk_kercompkergenann with one right annihilator per member."""
+    for phi, mask in zip(ctx.monoid.members, singles):
+        lhs = phi.kernel in ctx.comp_set
+        rhs = ctx.generated(phi.kernel) and mask.tobytes() in cosets
+        if lhs != rhs:
+            return "fail", {"morphism": phi.as_name_map(), "kernel_complemented": lhs,
+                            "generated_and_principal": rhs}
+    return "pass", None
+
+
+def baercar_by_members(ctx, cosets, right_baer):
+    """chk_baercar with the pointwise masks built member by member."""
+    L, m = ctx.L, ctx.monoid
+    a_side = ctx.baer
+    b_side = True
+    for a in range(L.n):
+        mask = np.zeros(len(m), dtype=bool)
+        for i, phi in enumerate(m.members):
+            mask[i] = phi.map[a] == L.bottom
+        b_side = b_side and mask.tobytes() in cosets
+    closure = close_under(dict.fromkeys(m.kernels, ()), L.meet_of)
+    c_side = right_baer and all(ctx.generated(e) for e in sorted(closure))
+    if not (a_side == b_side == c_side):
+        return "fail", {"baer": a_side, "pointwise_annihilators": b_side,
+                        "monoid_and_generated": c_side}
+    return "pass", None
+
+
+def corpus_monoids():
+    """The full monoid, the projections' monoid and a seeded one generated by
+    two members and the projections, on each root of the duality corpus."""
+    from test_duality import ROOTS
+    for i, L in enumerate(ROOTS):
+        full = full_monoid(L)
+        gens = random.Random(i).sample(full.members, min(2, len(full)))
+        for m in (full, generated_monoid(L, (), True), generated_monoid(L, gens, True)):
+            yield L, m
+
+
+class TestWholeTableOracle:
+    """The keyed comp build and the annihilator calculus read from whole-table
+    arrays, against the per-row build and per-target mask loops."""
+
+    def test_corpus_matches_the_per_target_routes(self):
+        failing = set()
+        for L, m in corpus_monoids():
+            comp = comp_by_rows(m)
+            assert np.array_equal(m.comp, comp), (L.name, len(m))
+            rng = random.Random(len(m))
+            singles, cosets, verdicts = {}, {}, {}
+            for side in ("right", "left"):
+                idem, cosets[side] = coset_index_by_idempotents(m, comp, side)
+                assert coset_index(m, side) == cosets[side]
+                assert m.idempotent_indices() == tuple(idem)
+                singles[side] = [ann_mask_by_targets(m, comp, side, (i,))
+                                 for i in range(len(m))]
+                subsets = [tuple(rng.sample(range(len(m)), min(size, len(m))))
+                           for size in (1, 1, 1, 2, 3, 3)]
+                for targets in subsets:
+                    mask = ann_mask_by_targets(m, comp, side, targets)
+                    ann = annihilator(m, side, targets)
+                    assert ann.members == tuple(np.flatnonzero(mask).tolist())
+                    assert ann.principal_idempotent == cosets[side].get(mask.tobytes())
+            for kind in ("right_rickart", "left_rickart", "right_baer", "left_baer"):
+                side = kind.split("_")[0]
+                v = monoid_predicate(m, kind)
+                verdicts[kind] = predicate_by_targets(m, kind, singles[side], cosets[side])
+                assert (v.holds, v.witness) == verdicts[kind], (L.name, len(m), kind)
+                if not v.holds:
+                    failing.add(kind)
+            ctx = MonoidContext(L, m)
+            assert chk_kercompkergenann(ctx) == kercompkergenann_by_annihilators(
+                ctx, singles["right"], cosets["right"]), (L.name, len(m))
+            assert chk_baercar(ctx) == baercar_by_members(
+                ctx, cosets["left"], verdicts["right_baer"][0]), (L.name, len(m))
+        assert failing == {"right_rickart", "left_rickart", "right_baer", "left_baer"}
+
+    def test_colliding_keys_are_replaced(self, monkeypatch):
+        """Weights that give two members one key are dropped for the next."""
+        weights = monoid_module._key_weights
+        monkeypatch.setattr(monoid_module, "_key_weights",
+                            lambda n, attempt: weights(n, attempt) * (attempt > 0))
+        monkeypatch.setattr(monoid_module, "_COMP_CACHE", {})
+        for name in ("c3", "b3", "m3", "excip"):
+            m = full_monoid(fx.build_fixture(name))
+            assert np.array_equal(m.comp, comp_by_rows(m)), name
+
+    def test_comp_build_memory_is_bounded(self, monkeypatch):
+        """Building comp for M6's full monoid (757 members) allocates the
+        table and at most about 2 MiB of block temporaries."""
+        monkeypatch.setattr(monoid_module, "_COMP_CACHE", {})
+        m = full_monoid(fx.mk(6))
+        assert len(m) == 757
+        m.tables  # built before tracing: not part of the comp build
+        tracemalloc.start()
+        try:
+            table = m.comp
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 2 * 2 ** 20

@@ -24,9 +24,10 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import (build_lattice, complemented_elements, complements_of,
-                                direct_product, interval)
+from latticelab.lattice import (_bits, build_lattice, complemented_elements,
+                                complements_of, direct_product, interval)
 from latticelab.morphisms import (
+    LinearMorphism,
     certify_tables,
     compose,
     enumerate_interval_isos,
@@ -426,6 +427,76 @@ def assert_batch_agrees(domain, codomain, tables):
     assert kernels.tolist() == [phi.kernel for phi in linear]
     assert image_tops.tolist() == [phi.image_top for phi in linear]
     return len(linear)
+
+
+def validate_linear_by_bits(domain, codomain, mapping):
+    """validate_linear with its clauses read off the bit masks on every
+    call: the up-set and each upper-cover set are walked bit by bit."""
+    m = tuple(mapping)
+    if len(m) != domain.n:
+        raise ValueError("map table length does not match the domain")
+    if any(not (0 <= v < codomain.n) for v in m):
+        raise ValueError("map table has out-of-range values")
+    zero_pre = [x for x in range(domain.n) if m[x] == codomain.bottom]
+    if not zero_pre:
+        raise NoKernelError("nothing maps to bottom, so no kernel exists")
+    k = domain.join_all(zero_pre)
+    if m[k] != codomain.bottom:
+        raise NoKernelError(
+            f"join of the zero preimage ({domain.names[k]!r}) does not map to bottom")
+    for x in range(domain.n):
+        if m[domain.join_of(x, k)] != m[x]:
+            raise NoKernelError(
+                f"map({domain.names[x]!r}) differs from map(x v kernel)")
+    upper = domain.up_set(k)
+    a = m[domain.top]
+    target = codomain.down_set(a)
+    images = [m[u] for u in upper]
+    if len(set(images)) != len(upper) or set(images) != set(target):
+        raise NotIntervalIsoError(
+            f"restriction above {domain.names[k]!r} is not a bijection onto "
+            f"[bottom, {codomain.names[a]!r}]")
+    down_a = codomain.down_mask(a)
+    for u in upper:
+        got = 0
+        for v in _bits(domain.upper_covers_mask(u)):
+            got |= 1 << m[v]
+        if got != codomain.upper_covers_mask(m[u]) & down_a:
+            raise NotIntervalIsoError(
+                f"upper covers of {domain.names[u]!r} do not map onto the upper "
+                f"covers of {codomain.names[m[u]]!r} below {codomain.names[a]!r}")
+    return LinearMorphism(domain=domain, codomain=codomain, map=m,
+                          kernel=k, image_top=a)
+
+
+def test_memoized_covers_match_the_bit_loops():
+    """validate_linear against validate_linear_by_bits: the same morphism,
+    or the same error class and message, on member tables, single-entry
+    perturbations of them and random tables, into the lattice itself and
+    into a lower interval, over the fixtures and the duality corpus."""
+    from test_duality import ROOTS
+    lattices = [fx.build_fixture(name) for name in fx.FIXTURE_NAMES] + ROOTS
+    seen = set()
+    for i, L in enumerate(lattices):
+        rng = random.Random(i)
+        for M in (L, interval(L, L.bottom, rng.randrange(L.n)).as_lattice):
+            members = [phi.map for phi in enumerate_linmors(L, M)]
+            tables = rng.sample(members, min(len(members), 20))
+            for base in list(tables):
+                one = list(base)
+                one[rng.randrange(L.n)] = rng.randrange(M.n)
+                tables.append(one)
+            tables += [[rng.randrange(M.n) for _ in range(L.n)] for _ in range(10)]
+            for table in tables:
+                want = raised(validate_linear_by_bits, L, M, table)
+                assert raised(validate_linear, L, M, table) == want, (L.name, M.name, table)
+                if want is None:
+                    got = validate_linear(L, M, table)
+                    ref = validate_linear_by_bits(L, M, table)
+                    assert (got.map, got.kernel, got.image_top) == \
+                        (ref.map, ref.kernel, ref.image_top)
+                seen.add("linear" if want is None else want[0])
+    assert seen == {"NoKernelError", "NotIntervalIsoError", "linear"}
 
 
 class TestCoverCertificate:
