@@ -239,11 +239,14 @@ class LatticeContext:
         """The context of the opposite lattice, whose primal facts are this
         lattice's dual facts. It is this context itself when the opposite's
         canonical order gives the same tables, as for chains and the M_n and
-        B_n fixtures, so those pay for no second monoid."""
+        B_n fixtures, so those pay for no second monoid. That case is cached
+        as None, not as a reference from the context to itself, so the
+        context and its monoid arrays are freed as soon as they are
+        unreferenced, not at the next cyclic garbage collection."""
         def build():
             op = opposite(self.L)
-            return self if op.structure_key == self.L.structure_key else LatticeContext(op)
-        return self._get("op", build)
+            return None if op.structure_key == self.L.structure_key else LatticeContext(op)
+        return self._get("op", build) or self
 
     def interval_family_prop(self, hi: int, kind: str) -> bool:
         """The Rickart-type property `kind` of [bottom, hi] with its full monoid."""

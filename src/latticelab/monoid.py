@@ -310,13 +310,6 @@ def _single_masks(m: EndoMonoid, side: str) -> np.ndarray:
     return m.zero_products if side == "right" else m.zero_products.T
 
 
-def _row_bytes(masks: np.ndarray) -> list[bytes]:
-    """bytes(row) for each row of a boolean mask array."""
-    data = np.ascontiguousarray(masks).tobytes()
-    width = masks.shape[1]
-    return [data[i:i + width] for i in range(0, len(data), width)]
-
-
 def coset_index(m: EndoMonoid, side: str) -> dict[bytes, int]:
     """Principal one-sided ideals as boolean masks: bytes(mask) -> the first
     generating idempotent in canonical order. eps*m for the right side, m*eps
@@ -332,8 +325,8 @@ def coset_index(m: EndoMonoid, side: str) -> dict[bytes, int]:
         masks = np.zeros((len(idem), len(m.members)), dtype=bool)
         masks[np.arange(len(idem))[:, None], products] = True
         index: dict[bytes, int] = {}
-        for eps, key in zip(idem, _row_bytes(masks)):
-            index.setdefault(key, eps)
+        for eps, mask in zip(idem, masks):
+            index.setdefault(mask.tobytes(), eps)
         cached[side] = index
     return cached[side]
 
@@ -343,7 +336,7 @@ def principal_idempotents(m: EndoMonoid, side: str, masks) -> list[int | None]:
     idempotent e (canonical order) with row = e*m (right) or m*e (left), or
     None when the row is no principal one-sided ideal."""
     cosets = coset_index(m, side)
-    return [cosets.get(key) for key in _row_bytes(masks)]
+    return [cosets.get(row.tobytes()) for row in masks]
 
 
 def annihilator(m: EndoMonoid, side: str, targets) -> AnnihilatorSet:
@@ -381,8 +374,8 @@ def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
         # all annihilators of subsets: the intersection closure of the
         # single-member ones, keyed by the bytes of the member mask
         singles: dict[bytes, tuple] = {}
-        for i, key in enumerate(_row_bytes(_single_masks(m, side))):
-            singles.setdefault(key, (i,))
+        for i, mask in enumerate(_single_masks(m, side)):
+            singles.setdefault(mask.tobytes(), (i,))
         closed = close_under(singles, _mask_and)
         for key in sorted(closed, key=lambda k: (k.count(1), k)):
             if key not in cosets:

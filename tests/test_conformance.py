@@ -1,6 +1,8 @@
 """The conformance registry and random corpus generation."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -133,3 +135,18 @@ def test_exmorf_reports_a_wrong_extension_kernel_as_an_error(monkeypatch):
     assert status == "fail"
     assert detail == {"x": "0", "y": "0", "x_prime": "1",
                       "error": "extension has kernel '0', not ker v x' = '1'"}
+
+
+def test_a_self_dual_context_is_freed_by_reference_counting():
+    """A context that is its own opposite holds no reference to itself, so
+    its monoid arrays go as soon as the context does."""
+    ctx = LatticeContext(fx.m3())
+    assert ctx.op is ctx
+    ctx.monoid.zero_products  # the arrays a pass over the registry builds
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
