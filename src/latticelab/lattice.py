@@ -349,7 +349,7 @@ def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
     names = list(elements)
     if len(set(names)) != len(names):
         raise ValueError("element names must be distinct")
-    cap = config.lattice_size_cap()
+    cap = config.DEFAULT_LATTICE_CAP
     if len(names) > cap:
         raise SizeLimitExceededError(f"{len(names)} elements exceeds cap {cap}")
     idx = {nm: i for i, nm in enumerate(names)}
@@ -656,7 +656,7 @@ def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     total = 1
     for f in factors:
         total *= f.n
-    cap = config.lattice_size_cap()
+    cap = config.DEFAULT_LATTICE_CAP
     if total > cap:
         raise SizeLimitExceededError(f"product size {total} exceeds cap {cap}")
     tuples = list(itertools.product(*[range(f.n) for f in factors]))

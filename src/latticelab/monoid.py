@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import reprlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +50,7 @@ class EndoMonoid:
     """
 
     __slots__ = ("lattice", "members", "zero_idx", "id_idx", "_index", "_comp",
-                 "_idem", "_has_all_projections", "_cosets", "_pairs",
+                 "_idem", "_has_all_projections", "_cosets", "_pairs", "_first",
                  "_kernels", "_image_tops", "_tables", "_zero_products")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
@@ -69,6 +71,7 @@ class EndoMonoid:
         self._has_all_projections = None
         self._cosets = None
         self._pairs = None
+        self._first = None
         self._kernels = None
         self._image_tops = None
         self._tables = None
@@ -145,23 +148,36 @@ class EndoMonoid:
         so some such composite lies in the monoid exactly when b is in pairs[a]."""
         if self._pairs is None:
             tops: dict[int, set[int]] = {}
-            for phi in self.members:
+            first: dict[str, dict[int, int]] = {"kernel": {}, "image": {}}
+            for i, phi in enumerate(self.members):
                 tops.setdefault(phi.kernel, set()).add(phi.image_top)
+                first["kernel"].setdefault(phi.kernel, i)
+                first["image"].setdefault(phi.image_top, i)
+            self._first = {side: MappingProxyType(d) for side, d in first.items()}
             self._pairs = {k: tuple(sorted(tops[k])) for k in sorted(tops)}
         return self._pairs
+
+    def first_with(self, side: str) -> Mapping[int, int]:
+        """Each distinct member kernel (side "kernel") or image top ("image"),
+        in member order of first appearance, mapped to the index of its first
+        member, read-only. A checker whose condition reads only the kernel or
+        the image top names this first member as the witness of a failing
+        one: it is the first failing member."""
+        self.pairs  # the same pass over the members records both sides
+        return self._first[side]
 
     @property
     def kernels(self) -> tuple[int, ...]:
         """The distinct member kernels, sorted."""
         if self._kernels is None:
-            self._kernels = tuple(self.pairs)
+            self._kernels = tuple(sorted(self.first_with("kernel")))
         return self._kernels
 
     @property
     def image_tops(self) -> tuple[int, ...]:
         """The distinct member image tops, sorted."""
         if self._image_tops is None:
-            self._image_tops = tuple(sorted({b for bs in self.pairs.values() for b in bs}))
+            self._image_tops = tuple(sorted(self.first_with("image")))
         return self._image_tops
 
     def idempotent_indices(self) -> tuple[int, ...]:
@@ -221,6 +237,15 @@ def full_monoid(L: Lattice) -> EndoMonoid:
     return EndoMonoid(L, enumerate_linmors(L, L))
 
 
+def _endomorphisms_of(L: Lattice, morphisms) -> list[LinearMorphism]:
+    """The morphisms given to a monoid builder, as a list; each must map L
+    to L."""
+    out = list(morphisms)
+    if any(phi.domain is not L or phi.codomain is not L for phi in out):
+        raise ValueError("generators must be endomorphisms of the lattice")
+    return out
+
+
 # generated monoids larger than this raise SizeLimitExceededError
 MAX_GENERATED_MEMBERS = 5000
 
@@ -235,12 +260,9 @@ def generated_monoid(L: Lattice, generators=(),
     then certified once.
     """
     require_modular(L)
-    seeds: dict[tuple[int, ...], LinearMorphism] = {}
-    for phi in [identity_morphism(L), zero_morphism(L), *generators,
-                *(_all_projections(L) if with_projections else ())]:
-        if phi.domain is not L or phi.codomain is not L:
-            raise ValueError("generators must be endomorphisms of the lattice")
-        seeds[phi.map] = phi
+    seeds = {phi.map: phi for phi in [
+        identity_morphism(L), zero_morphism(L), *_endomorphisms_of(L, generators),
+        *(_all_projections(L) if with_projections else ())]}
     closed = close_under(dict.fromkeys(seeds, ()),
                          lambda phi, psi: tuple(phi[v] for v in psi),
                          limit=MAX_GENERATED_MEMBERS)
@@ -250,7 +272,7 @@ def generated_monoid(L: Lattice, generators=(),
 
 def explicit_monoid(L: Lattice, members) -> EndoMonoid:
     """Verify an explicit member set is a submonoid with zero."""
-    mono = EndoMonoid(L, list(members))
+    mono = EndoMonoid(L, _endomorphisms_of(L, members))
     mono.comp  # materializes and verifies closure
     return mono
 

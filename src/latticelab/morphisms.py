@@ -213,11 +213,9 @@ def identity_morphism(L: Lattice) -> LinearMorphism:
                           kernel=L.bottom, image_top=L.top)
 
 
-def zero_morphism(domain: Lattice, codomain: Lattice | None = None) -> LinearMorphism:
-    cod = codomain if codomain is not None else domain
-    return LinearMorphism(domain=domain, codomain=cod,
-                          map=(cod.bottom,) * domain.n,
-                          kernel=domain.top, image_top=cod.bottom)
+def zero_morphism(L: Lattice) -> LinearMorphism:
+    return LinearMorphism(domain=L, codomain=L, map=(L.bottom,) * L.n,
+                          kernel=L.top, image_top=L.bottom)
 
 
 def compose(phi: LinearMorphism, psi: LinearMorphism) -> LinearMorphism:
@@ -474,25 +472,24 @@ def morphism_to_json(phi: LinearMorphism) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def morphism_from_json(text_or_doc, domain: Lattice,
-                       codomain: Lattice | None = None) -> LinearMorphism:
-    """Load a morphism; kernel and image top are recomputed, never trusted."""
+def morphism_from_json(text_or_doc, domain: Lattice) -> LinearMorphism:
+    """Load an endomorphism of domain; kernel and image top are recomputed,
+    never trusted."""
     doc = parse_json(text_or_doc) if isinstance(text_or_doc, str) else text_or_doc
-    cod = codomain if codomain is not None else domain
     if not isinstance(doc, dict):
         raise ValueError("morphism JSON must be an object")
-    if doc.get("domain") != domain.name or doc.get("codomain") != cod.name:
+    if doc.get("domain") != domain.name or doc.get("codomain") != domain.name:
         raise ValueError("morphism JSON names a different domain or codomain")
     name_map = doc.get("map")
     if not isinstance(name_map, dict):
         raise ValueError("morphism JSON needs a \"map\" object")
-    if set(name_map) != set(domain.names):
+    names = set(domain.names)
+    if set(name_map) != names:
         raise ValueError("morphism map must cover every domain element once")
-    known = set(cod.names)
     unknown = sorted({reprlib.repr(v) for v in name_map.values()
-                      if not isinstance(v, str) or v not in known})
+                      if not isinstance(v, str) or v not in names})
     if unknown:
         raise ValueError(f"morphism map sends elements to names not in "
-                         f"{cod.name!r}: {', '.join(unknown)}")
-    table = tuple(cod.id_of(name_map[nm]) for nm in domain.names)
-    return validate_linear(domain, cod, table)
+                         f"{domain.name!r}: {', '.join(unknown)}")
+    table = tuple(domain.id_of(name_map[nm]) for nm in domain.names)
+    return validate_linear(domain, domain, table)

@@ -29,40 +29,30 @@ def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
 
     rickart: every member's kernel is complemented; baer: every meet of
     member kernels is (realized as the meet closure, which covers all
-    subsets); dual variants use image tops and join closures.
+    subsets); dual variants use image tops and join closures. The witness
+    member is the first one with the failing kernel or image top.
     """
+    if kind not in ("rickart", "dual_rickart", "baer", "dual_baer"):
+        raise ValueError(f"unknown kind: {kind!r}")
     comp = set(complemented_elements(L))
-    if kind == "rickart":
-        for phi in m.members:
-            if phi.kernel not in comp:
-                return Verdict(kind, False, witness={
-                    "morphism": phi.as_name_map(),
-                    "kernel": L.names[phi.kernel]})
-        return Verdict(kind, True)
-    if kind == "dual_rickart":
-        for phi in m.members:
-            if phi.image_top not in comp:
-                return Verdict(kind, False, witness={
-                    "morphism": phi.as_name_map(),
-                    "image": L.names[phi.image_top]})
-        return Verdict(kind, True)
-    if kind in ("baer", "dual_baer"):
-        # seeded in member order, not m.kernels order: the order fixes which
-        # generators a witness lists
-        seeds: dict[int, tuple] = {}
-        for i, phi in enumerate(m.members):
-            e = phi.kernel if kind == "baer" else phi.image_top
-            seeds.setdefault(e, (i,))
-        op = L.meet_of if kind == "baer" else L.join_of
-        closed = close_under(seeds, op)
-        for e in sorted(closed):
+    side = "image" if kind.startswith("dual") else "kernel"
+    first = m.first_with(side)
+    if kind.endswith("rickart"):
+        for e, i in first.items():
             if e not in comp:
-                gens = closed[e]
                 return Verdict(kind, False, witness={
-                    "element": L.names[e],
-                    "generators": [m.members[g].as_name_map() for g in gens]})
+                    "morphism": m.members[i].as_name_map(), side: L.names[e]})
         return Verdict(kind, True)
-    raise ValueError(f"unknown kind: {kind!r}")
+    # seeded in member order, not sorted: the order fixes which generators
+    # a witness lists
+    closed = close_under({e: (i,) for e, i in first.items()},
+                         L.meet_of if side == "kernel" else L.join_of)
+    for e in sorted(closed):
+        if e not in comp:
+            return Verdict(kind, False, witness={
+                "element": L.names[e],
+                "generators": [m.members[g].as_name_map() for g in closed[e]]})
+    return Verdict(kind, True)
 
 
 def check_summand_property(L: Lattice, kind: str) -> Verdict:
@@ -177,18 +167,13 @@ def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
     kind = kind.lower()
     # phi is nonzero exactly when ker phi != top, that is, when
     # phi(top) != bottom; and phi(a) = bottom exactly when a <= ker phi
-    if kind == "k":
-        for phi in m.members:
-            if phi.kernel != L.top and essential_superfluous(L, phi.kernel, "essential"):
+    if kind in ("k", "t"):
+        side, trivial, sense = (("kernel", L.top, "essential") if kind == "k"
+                                else ("image", L.bottom, "superfluous"))
+        for e, i in m.first_with(side).items():
+            if e != trivial and essential_superfluous(L, e, sense):
                 return Verdict(kind, False, witness={
-                    "morphism": phi.as_name_map(), "kernel": L.names[phi.kernel]})
-        return Verdict(kind, True)
-    if kind == "t":
-        for phi in m.members:
-            if phi.image_top != L.bottom and essential_superfluous(
-                    L, phi.image_top, "superfluous"):
-                return Verdict(kind, False, witness={
-                    "morphism": phi.as_name_map(), "image": L.names[phi.image_top]})
+                    "morphism": m.members[i].as_name_map(), side: L.names[e]})
         return Verdict(kind, True)
     if kind == "k_co":
         kernels = [k for k in m.kernels if k != L.top]
@@ -213,7 +198,7 @@ def check_retractable(L: Lattice, m: EndoMonoid) -> Verdict:
     for k in m.kernels:
         for b in L.down_set(k):
             if not any(L.leq(b, img) and L.leq(img, k) for img in m.image_tops):
-                phi = next(p for p in m.members if p.kernel == k)
+                phi = m.members[m.first_with("kernel")[k]]
                 return Verdict("retractable", False, witness={
                     "morphism": phi.as_name_map(), "kernel": L.names[k],
                     "element": L.names[b]})
@@ -261,8 +246,8 @@ def check_rickpix(L: Lattice, m: EndoMonoid) -> Verdict:
     unfactored = {k for k in m.kernels if not any(
         L.meet_of(x, k) == L.bottom and any(L.leq(xp, k) for xp in complements_of(L, x))
         for x in comp)}
-    failing = next((phi for phi in m.members if phi.kernel in unfactored), None)
+    failing = next((i for k, i in m.first_with("kernel").items() if k in unfactored), None)
     rhs = failing is None
-    witness = None if failing is None else {"morphism": failing.as_name_map()}
+    witness = None if rhs else {"morphism": m.members[failing].as_name_map()}
     return Verdict("rickpix", lhs == rhs, witness=witness,
                    notes=f"kernel-complement side={lhs}, projection side={rhs}")

@@ -55,7 +55,7 @@ def test_criterion_1_figure_one_bridge(capsys):
         # lattice-side agreement: the induced monoid on the subgroup chain
         # is the full linear endomorphism monoid of the c3 fixture, index
         # for index, and the analyze verdict matches
-        c3 = fx.c3()
+        c3 = fx.build_fixture("c3")
         assert {phi.map for phi in mono.members} == \
             {phi.map for phi in full_monoid(c3).members}
         code = cli_run(["--json", "analyze", str(FIXTURES / "c3.json"),
@@ -77,7 +77,7 @@ def test_criterion_2_excip_fixture(capsys):
     t0 = time.time()
     ok = False
     try:
-        L = fx.excip()
+        L = fx.build_fixture("excip")
         comp = {L.names[i] for i in complemented_elements(L)}
         assert comp == {"0", "1", "a", "b"}
         assert check_summand_property(L, "cip").holds
@@ -158,7 +158,7 @@ def test_criterion_5_acc_degeneracy(capsys):
                 check_rickart_family(L, m, "baer").holds
             assert check_rickart_family(L, m, "dual_rickart").holds == \
                 check_rickart_family(L, m, "dual_baer").holds
-        c3, b2 = fx.c3(), fx.b2()
+        c3, b2 = fx.build_fixture("c3"), fx.build_fixture("b2")
         assert not check_rickart_family(c3, full_monoid(c3), "rickart").holds
         assert check_rickart_family(b2, full_monoid(b2), "rickart").holds
         ok = True

@@ -146,7 +146,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("monoid", sorted(PINNED_PRODUCT))
     def test_failing_condition_witnesses_are_pinned(self, monoid, tmp_path, capsys):
-        P = direct_product([fx.b2(), fx.c3()]).lattice
+        P = direct_product([fx.build_fixture("b2"), fx.build_fixture("c3")]).lattice
         lattice = tmp_path / "product.json"
         lattice.write_text(lattice_to_json(P))
         argv = ["--json", "analyze", str(lattice)]

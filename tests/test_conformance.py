@@ -12,6 +12,7 @@ from latticelab.conformance import (
     REGISTRY,
     LatticeContext,
     chk_exmorf,
+    chk_projection_linear,
     random_corpus,
     random_modular_lattice,
     run_conformance,
@@ -89,9 +90,9 @@ class TestRunner:
             run_conformance([c3], checks=["nope"])
 
     def test_report_json_is_deterministic(self):
-        corpus = [fx.c3(), fx.b2()]
+        corpus = [fx.build_fixture("c3"), fx.build_fixture("b2")]
         r1 = run_conformance(corpus, checks=["kerpi", "splits"], seed=5)
-        r2 = run_conformance([fx.c3(), fx.b2()], checks=["kerpi", "splits"], seed=5)
+        r2 = run_conformance([fx.build_fixture("c3"), fx.build_fixture("b2")], checks=["kerpi", "splits"], seed=5)
         assert r1.to_json() == r2.to_json()
         doc = r1.to_json_dict()
         assert doc["schema_version"] == 1
@@ -131,16 +132,33 @@ def test_exmorf_reports_a_wrong_extension_kernel_as_an_error(monkeypatch):
         return dataclasses.replace(phi, kernel=other)
 
     monkeypatch.setattr(morphisms, "validate_linear", wrong_kernel)
-    status, detail = chk_exmorf(LatticeContext(fx.b2()))
+    status, detail = chk_exmorf(LatticeContext(fx.build_fixture("b2")))
     assert status == "fail"
     assert detail == {"x": "0", "y": "0", "x_prime": "1",
                       "error": "extension has kernel '0', not ker v x' = '1'"}
 
 
+def test_projection_linear_reports_a_wrong_projection_kernel_as_an_error(monkeypatch):
+    """A projection certified with a kernel other than x' is rejected by
+    projection itself, and projection_linear reports that error."""
+    certify = morphisms.validate_linear
+
+    def wrong_kernel(domain, codomain, table):
+        phi = certify(domain, codomain, table)
+        other = domain.top if phi.kernel == domain.bottom else domain.bottom
+        return dataclasses.replace(phi, kernel=other)
+
+    monkeypatch.setattr(morphisms, "validate_linear", wrong_kernel)
+    status, detail = chk_projection_linear(LatticeContext(fx.build_fixture("b2")))
+    assert status == "fail"
+    assert detail == {"x": "0", "x_prime": "1",
+                      "error": "projection onto '0' along '1' certified with kernel '0'"}
+
+
 def test_a_self_dual_context_is_freed_by_reference_counting():
     """A context that is its own opposite holds no reference to itself, so
     its monoid arrays go as soon as the context does."""
-    ctx = LatticeContext(fx.m3())
+    ctx = LatticeContext(fx.build_fixture("m3"))
     assert ctx.op is ctx
     ctx.monoid.zero_products  # the arrays a pass over the registry builds
     ref = weakref.ref(ctx)

@@ -9,6 +9,7 @@ that raise ConsistencyError instead of asserting.
 
 import collections
 import dataclasses
+import functools
 
 import pytest
 
@@ -23,8 +24,9 @@ from latticelab.monoid import full_monoid
 from latticelab.morphisms import compose, projection
 
 EQUIVALENCE_FIXTURES = {
-    "c3": fx.c3, "b2": fx.b2, "b3": fx.b3, "m3": fx.m3,
-    "m4": lambda: fx.mk(4), "excip": fx.excip,
+    **{name: functools.partial(fx.build_fixture, name)
+       for name in ("c3", "b2", "b3", "m3", "excip")},
+    "m4": lambda: fx.mk(4),
 }
 
 
@@ -35,11 +37,11 @@ def all_projections(L):
 
 class TestMemo:
     def test_modularity_verdict_is_stored(self):
-        L = fx.m3()
+        L = fx.build_fixture("m3")
         assert is_modular(L) is is_modular(L)
 
     def test_non_modular_verdict_is_stored(self):
-        L = fx.n5()
+        L = fx.build_fixture("n5")
         v = is_modular(L)
         assert not v.holds and is_modular(L) is v
 
@@ -53,12 +55,12 @@ class TestMemo:
             a for a in range(excip.n) if complements_of(excip, a))
 
     def test_projection_is_built_once(self):
-        L = fx.b2()
+        L = fx.build_fixture("b2")
         a, b = L.id_of("a"), L.id_of("b")
         assert projection(L, a, b) is projection(L, a, b)
 
     def test_projection_on_non_modular_lattice_still_raises(self):
-        L = fx.n5()
+        L = fx.build_fixture("n5")
         with pytest.raises(NotModularError):
             projection(L, L.id_of("a"), L.id_of("c"))
         with pytest.raises(NotModularError):
@@ -97,7 +99,7 @@ def test_modular_law_runs_only_on_corpus_lattices(monkeypatch):
         return real(L)
 
     monkeypatch.setattr(lattice_mod, "_modular_law", recording)
-    corpus = [fx.excip(), fx.b3(), fx.mk(4)]
+    corpus = [fx.build_fixture("excip"), fx.build_fixture("b3"), fx.mk(4)]
     # global checks build lattices of their own
     checks = [nm for nm, c in conformance_mod.REGISTRY.items() if c.kind != "global"]
     assert run_conformance(corpus, checks=checks).total_failures == 0
@@ -125,7 +127,7 @@ def test_table_test_matches_certified_composition(name):
 
 class TestConsistencyErrors:
     def test_projection_kernel_mismatch(self, monkeypatch):
-        L = fx.b2()
+        L = fx.build_fixture("b2")
         a, b = L.id_of("a"), L.id_of("b")
         real = morphisms_mod.validate_linear
 
@@ -165,10 +167,10 @@ def test_interval_facts_are_computed_once_per_lattice(monkeypatch):
         return real(L, m, kind)
 
     monkeypatch.setattr(conformance_mod, "check_rickart_family", counting)
-    report = run_conformance([fx.b3()])
+    report = run_conformance([fx.build_fixture("b3")])
     assert report.total_failures == 0
     assert ("b3[0,a]", "rickart") in calls
     assert max(calls.values()) == 1
-    ctx = conformance_mod.LatticeContext(fx.b3())
+    ctx = conformance_mod.LatticeContext(fx.build_fixture("b3"))
     choices = conformance_mod._iso_to_complement_choices(ctx)
     assert conformance_mod._iso_to_complement_choices(ctx) is choices

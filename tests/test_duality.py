@@ -74,7 +74,7 @@ def test_dual_verdicts_are_primal_verdicts_of_the_opposite():
 
 
 def test_opposite_swaps_the_tables():
-    for L in LATTICES + [fx.n5()]:
+    for L in LATTICES + [fx.build_fixture("n5")]:
         op = opposite(L)
         assert opposite(op) is L
         assert op.n == L.n and op.bottom == 0 and op.top == L.n - 1
@@ -95,7 +95,7 @@ def test_chain_opposite_has_the_chain_key():
 
 
 def test_context_op_is_shared_only_for_equal_tables():
-    for L in (fx.c3(), fx.b3(), fx.m3()):
+    for L in (fx.build_fixture("c3"), fx.build_fixture("b3"), fx.build_fixture("m3")):
         ctx = LatticeContext(L)
         assert ctx.op is ctx
     L = next(L for L in LATTICES if opposite(L).structure_key != L.structure_key)

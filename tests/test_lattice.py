@@ -65,15 +65,6 @@ class TestBuild:
         with pytest.raises(SizeLimitExceededError):
             build_lattice(names, covers)
 
-    def test_env_var_overrides_cap(self, monkeypatch):
-        names = [f"e{i}" for i in range(5)]
-        covers = [(names[i], names[i + 1]) for i in range(4)]
-        monkeypatch.setenv("LATTICELAB_MAX_SIZE", "3")
-        with pytest.raises(SizeLimitExceededError):
-            build_lattice(names, covers)
-        monkeypatch.setenv("LATTICELAB_MAX_SIZE", "10")
-        assert build_lattice(names, covers).n == 5
-
     def test_cover_roundtrip(self, excip):
         """Rebuilding from the extracted covers reproduces the cover set."""
         got = {(excip.names[a], excip.names[b]) for a, b in excip.covers()}
@@ -210,7 +201,7 @@ class TestInterval:
 
 class TestProduct:
     def test_square_is_two_by_two(self, c2, b2):
-        prod = direct_product([c2, fx.c2()])
+        prod = direct_product([c2, fx.build_fixture("c2")])
         covers_by_name = {(prod.lattice.names[a], prod.lattice.names[b])
                           for a, b in prod.lattice.covers()}
         assert prod.lattice.n == 4
@@ -272,7 +263,7 @@ class TestModularityWitnessIsos:
     def test_complement_interval_maps_are_inverse(self, excip):
         """For a complement pair (a, a'), meeting with a and joining with a'
         are mutually inverse between [a', top] and [bottom, a]."""
-        for L in (excip, fx.m3(), fx.b3()):
+        for L in (excip, fx.build_fixture("m3"), fx.build_fixture("b3")):
             for a in complemented_elements(L):
                 for ap in complements_of(L, a):
                     upper = interval(L, ap, L.top).members
@@ -345,7 +336,7 @@ class TestSerialization:
         assert lattice_to_json(again) == text
 
     def test_json_is_byte_stable(self, b3):
-        assert lattice_to_json(b3) == lattice_to_json(fx.b3())
+        assert lattice_to_json(b3) == lattice_to_json(fx.build_fixture("b3"))
 
     def test_malformed_json(self):
         with pytest.raises(ValueError):
@@ -369,8 +360,10 @@ class TestSerialization:
         dot = lattice_to_dot(c3)
         assert dot.startswith('digraph "c3"')
         assert '"0" -> "n";' in dot and '"n" -> "1";' in dot
-        assert dot == lattice_to_dot(fx.c3())
+        assert dot == lattice_to_dot(fx.build_fixture("c3"))
 
     def test_packaged_fixtures_match_builders(self):
+        """build_fixture reads the packaged JSON; serializing its lattice
+        gives back the same bytes."""
         for name in fx.FIXTURE_NAMES:
             assert fx.fixture_json(name) == lattice_to_json(fx.build_fixture(name))

@@ -64,6 +64,17 @@ class TestBuild:
         m = explicit_monoid(b2, members)
         assert len(m) == 3
 
+    def test_members_of_another_lattice_are_rejected(self, b2):
+        """End(c4) has four tables of length 4, and two of them are not
+        linear on b2: neither builder takes another lattice's morphisms."""
+        foreign = full_monoid(fx.chain(4)).members
+        assert len(foreign) == 4
+        refusal = r"^generators must be endomorphisms of the lattice$"
+        with pytest.raises(ValueError, match=refusal):
+            explicit_monoid(b2, foreign)
+        with pytest.raises(ValueError, match=refusal):
+            generated_monoid(b2, foreign[1:2])
+
     def test_minimal_monoid(self, excip):
         m = generated_monoid(excip)
         assert len(m) == 2

@@ -579,8 +579,8 @@ class TestCoverCertificate:
         assert want[0] == "NotIntervalIsoError"
 
     @pytest.mark.parametrize("build", [
-        lambda: direct_product([fx.c3(), fx.m3()]).lattice,
-        lambda: direct_product([fx.b2(), fx.c2(), fx.c3()]).lattice,
+        lambda: direct_product([fx.build_fixture("c3"), fx.build_fixture("m3")]).lattice,
+        lambda: direct_product([fx.build_fixture("b2"), fx.build_fixture("c2"), fx.build_fixture("c3")]).lattice,
         lambda: subgroup_lattice(AbelianGroup.from_spec("2,2,2")),
         lambda: subgroup_lattice(AbelianGroup.from_spec("2,2,4")),
     ], ids=["c3xm3", "b2xc2xc3", "sub_2,2,2", "sub_2,2,4"])

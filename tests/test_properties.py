@@ -120,7 +120,7 @@ class TestConditions:
         # chain x 2: the upper interval over (n,1) is a two-chain, matching
         # [bottom, (0,1)] with (0,1) complemented, yet (n,1) has no complement
         from latticelab.lattice import direct_product
-        L = direct_product([fx.c3(), fx.c2()]).lattice
+        L = direct_product([fx.build_fixture("c3"), fx.build_fixture("c2")]).lattice
         v = check_condition(L, full_monoid(L), "md2")
         assert not v.holds
         assert v.witness["a"] == "(n,1)"
@@ -128,7 +128,7 @@ class TestConditions:
 
     def test_mc2_failure_on_product(self):
         from latticelab.lattice import direct_product
-        L = direct_product([fx.c3(), fx.c2()]).lattice
+        L = direct_product([fx.build_fixture("c3"), fx.build_fixture("c2")]).lattice
         assert not check_condition(L, full_monoid(L), "mc2").holds
 
     def test_monoid_required(self, c3):
