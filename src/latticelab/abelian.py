@@ -7,12 +7,15 @@ intersection meets, generated joins).
 
 Every endomorphism f induces a map on subgroups, H -> f(H), which certifies
 as a linear morphism of the subgroup lattice; the induced monoid collects
-the distinct ones. For groups whose endomorphism count exceeds the
-enumeration cap, the kernel and image element sets of the induced monoid
-are computed exactly through quotient/subgroup types instead (for finite
-abelian groups, K is the kernel of some endomorphism iff the quotient by K
-embeds back into the group, and the subgroup and quotient types coincide);
-that route is cross-validated against enumeration wherever both run.
+the distinct ones.
+
+Every subgroup K of a finite abelian group M is both the kernel and the
+image of an endomorphism. M is isomorphic to its character group M^, and
+characters of M/K are the characters of M that vanish on K. So M/K is
+isomorphic to a subgroup of M^ ≅ M, and K is the kernel of M -> M/K -> M.
+Dually, restriction maps M^ onto K^, so K ≅ K^ is isomorphic to a quotient
+M/K', and K is the image of M -> M/K' ≅ K. The module side of the bridge
+therefore quantifies over every subgroup and needs no endomorphism.
 """
 
 from __future__ import annotations
@@ -339,29 +342,14 @@ def induced_map(f: GroupHom) -> LinearMorphism:
 # -- the batch sweep over all endomorphisms --------------------------------------
 
 
-class _EndoSweep(NamedTuple):
-    rows: np.ndarray  # the distinct induced maps, one sorted row each
-    kernel_masks: frozenset[int]
-    image_masks: frozenset[int]
-
-
-@cache
-def _endo_sweep(g: AbelianGroup) -> _EndoSweep:
-    """Distinct induced rows and kernel/image masks for End(M)."""
-    tables = _hom_tables(g, _gen_images(g))  # checks the endomorphism cap first
-    powers = np.left_shift(np.uint64(1), np.arange(g.order, dtype=np.uint64))
-    kernel_masks = frozenset(
-        int(v) for v in np.unique(np.bitwise_or.reduce(
-            np.where(tables == 0, powers, np.uint64(0)), axis=1)))
-    image_masks = frozenset(
-        int(v) for v in np.unique(
-            np.bitwise_or.reduce(powers[tables], axis=1)))
-    rows = _induced_rows(g, tables)
+def _endo_sweep(g: AbelianGroup) -> np.ndarray:
+    """The distinct induced rows of End(M), one sorted row each."""
+    rows = _induced_rows(g, _hom_tables(g, _gen_images(g)))  # checks the cap first
     # as big-endian bytes, rows compare in lexicographic order
     keys = np.ascontiguousarray(rows, dtype=">u2").view(
         np.dtype((np.void, 2 * rows.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
-    return _EndoSweep(rows[first], kernel_masks, image_masks)
+    return rows[first]
 
 
 @cache
@@ -372,7 +360,7 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
     composition table stays lazy, so large induced monoids remain usable for
     kernel/image scans. Cached per group.
     """
-    rows = _endo_sweep(g).rows  # checks the endomorphism cap first
+    rows = _endo_sweep(g)  # checks the endomorphism cap first
     lat = subgroup_lattice(g)
     kernels, image_tops = certify_tables(lat, lat, rows)
     return EndoMonoid(lat, [LinearMorphism(lat, lat, tuple(row), k, a)
@@ -380,148 +368,49 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
                                                  image_tops.tolist())])
 
 
-# -- abelian group types and embedding tests --------------------------------------
-
-
-def _primes_of(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _partition_from_counts(counts: list[int], p: int) -> tuple[int, ...]:
-    """Descending exponent partition from the tower counts[i] = number of
-    elements killed by p^i.
-
-    For a p-group of type (p^l1, p^l2, ...), counts[i]/counts[i-1] equals p
-    to the number of parts >= i; the partition is the conjugate of that
-    sequence.
-    """
-    mults = []
-    for i in range(1, len(counts)):
-        ratio = counts[i] // counts[i - 1]
-        e = 0
-        while ratio > 1:
-            ratio //= p
-            e += 1
-        mults.append(e)  # number of parts >= i
-    width = mults[0] if mults else 0
-    return tuple(sum(1 for a in mults if a > j) for j in range(width))
-
-
-def _type_embeds(sub: dict[int, tuple[int, ...]],
-                 amb: dict[int, tuple[int, ...]]) -> bool:
-    """Componentwise domination of descending partitions, prime by prime."""
-    for p, parts in sub.items():
-        other = amb.get(p, ())
-        for j, lam in enumerate(parts):
-            if j >= len(other) or lam > other[j]:
-                return False
-    return True
-
-
-def _type(g: AbelianGroup, within: int, kmask: int = 1) -> dict[int, tuple[int, ...]]:
-    """Per-prime descending exponent partitions of within/K, for subgroup
-    masks K <= within (the default K is the zero subgroup).
-
-    p^i kills the coset of x exactly when p^i x lands in K, so the tower is
-    the number of such x in `within`, over |K|. Scalars reduce modulo the
-    group exponent.
-    """
-    data = _group_data(g)
-    ksize = kmask.bit_count()
-    exponent = g.invariant_factors[-1] if g.invariant_factors else 1
-    elems = list(_bits(within))
-    in_k = np.zeros(g.order, dtype=bool)
-    in_k[list(_bits(kmask))] = True
-    out: dict[int, tuple[int, ...]] = {}
-    for p in _primes_of(len(elems) // ksize):
-        counts = [1]  # counts[i]: cosets of K in `within` killed by p^i
-        while len(counts) < 2 or counts[-1] > counts[-2]:
-            sc = data.sc_mul[pow(p, len(counts), exponent)]
-            counts.append(int(np.count_nonzero(in_k[sc[elems]])) // ksize)
-        out[p] = _partition_from_counts(counts, p)
-    return out
-
-
-@cache
-def _kernel_image_sets_by_type(g: AbelianGroup) -> tuple[frozenset[int], frozenset[int]]:
-    """Masks of subgroups that occur as kernels (quotient embeds back) and as
-    images (subgroup embeds as a quotient; same test by duality)."""
-    full = (1 << g.order) - 1
-    amb = _type(g, full)
-    masks = _subgroup_masks(g)
-    return (frozenset(m for m in masks if _type_embeds(_type(g, full, m), amb)),
-            frozenset(m for m in masks if _type_embeds(_type(g, m), amb)))
-
-
 # -- the bridge verdicts -----------------------------------------------------------
 
 
-def _module_side_summand(g: AbelianGroup, kmask: int) -> bool:
-    """Direct-summand test by complement search over subgroups: a trivial
-    intersection of the right size forces the sum to be everything."""
-    ksize = kmask.bit_count()
-    for cmask in _subgroup_masks(g):
-        if kmask & cmask == 1 and ksize * cmask.bit_count() == g.order:
-            return True
-    return False
+@cache
+def _first_non_summand(g: AbelianGroup) -> int | None:
+    """The first subgroup mask, in mask order, that is not a direct summand,
+    or None. A subgroup C with K ^ C = 0 and |K||C| = |M| is a complement of
+    K, since a trivial intersection of the right size forces K + C = M."""
+    masks = _subgroup_masks(g)
+    for kmask in sorted(masks):
+        ksize = kmask.bit_count()
+        if not any(kmask & cmask == 1 and ksize * cmask.bit_count() == g.order
+                   for cmask in masks):
+            return kmask
+    return None
 
 
 def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
     """Module-side and lattice-side complement verdicts, asserted equal.
 
-    The module side quantifies endomorphism kernels (baer: their
-    intersections) or images (dual kinds: their sums) and runs the summand
-    test with group arithmetic. The lattice side runs the kernel/image
-    family check over the induced monoid on the subgroup lattice. A
-    disagreement raises ConsistencyError. Groups whose endomorphism count
-    fits config.DEFAULT_ENDO_CAP enumerate End(M); larger ones take the
-    kernel and image sets from quotient and subgroup types instead.
+    Every subgroup of M is the kernel and the image of an endomorphism (see
+    the module docstring), and the subgroups are closed under intersection
+    and sum. So for all four kinds the module side asks whether every
+    subgroup is a direct summand, tested with group arithmetic, and names the
+    first one in mask order that is not. The lattice side runs the
+    kernel/image family check over the induced monoid when End(M) fits
+    config.DEFAULT_ENDO_CAP; above the cap it asks whether every element of
+    the subgroup lattice is complemented. A disagreement raises
+    ConsistencyError.
     """
     if kind not in ("rickart", "baer", "dual_rickart", "dual_baer"):
         raise ValueError(f"unknown kind: {kind!r}")
-    by_enumeration = g.endo_count() <= config.DEFAULT_ENDO_CAP
-
     sub = _subgroup_lattice(g)
     lat = sub.lattice
-
-    # module side: kernel/image masks straight from homomorphism tables
-    if by_enumeration:
-        sweep = _endo_sweep(g)
-        kernel_masks, image_masks = sweep.kernel_masks, sweep.image_masks
-    else:
-        kernel_masks, image_masks = _kernel_image_sets_by_type(g)
-
-    module_targets = kernel_masks if kind in ("rickart", "baer") else image_masks
-    # baer kinds: intersections of kernels, sums of images
-    op = {"baer": int.__and__, "dual_baer": partial(_pair_sum, g)}.get(kind)
-    if op is not None:
-        module_targets = set(close_under(dict.fromkeys(module_targets, ()), op))
-    module_witness = next((m for m in sorted(module_targets)
-                           if not _module_side_summand(g, m)), None)
+    module_witness = _first_non_summand(g)
     module_ok = module_witness is None
 
-    # lattice side
-    if by_enumeration:
-        mono = induced_monoid(g)
-        lattice_verdict = check_rickart_family(lat, mono, kind)
-        lattice_ok = lattice_verdict.holds
+    if g.endo_count() <= config.DEFAULT_ENDO_CAP:
+        lattice_ok = check_rickart_family(lat, induced_monoid(g), kind).holds
         notes = "lattice side via induced monoid enumeration"
     else:
-        # the type route feeds both sides the same masks; this side tests
-        # complements in the lattice instead of summands in the group
-        comp = set(complemented_elements(lat))
-        lattice_ok = all(sub.mask_index[m] in comp for m in module_targets)
-        notes = "lattice side via quotient-type kernel/image sets"
+        lattice_ok = len(complemented_elements(lat)) == lat.n
+        notes = "lattice side via complements of all subgroups, each a kernel and an image"
 
     if module_ok != lattice_ok:
         raise ConsistencyError(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fixtures
 from .abelian import AbelianGroup, induced_monoid, rickart_module_direct
-from .conformance import random_corpus, run_conformance
+from .conformance import REGISTRY, random_corpus, run_conformance
 from .errors import LatticeLabError
 from .lattice import (
     Lattice,
@@ -48,6 +48,8 @@ PROP_CHOICES = (
 DEFAULT_PROPS = (
     "modular", "rickart", "baer", "dual_rickart", "dual_baer", "cip", "csp",
 )
+
+MODULE_PROPS = ("rickart", "baer", "dual_rickart", "dual_baer")
 
 
 def _load_lattice(path: str) -> Lattice:
@@ -82,16 +84,18 @@ def _emit(doc, as_json: bool, human_lines):
             print(line)
 
 
-def _parse_props(csv: str) -> list[str]:
-    if csv == "all":
-        return list(PROP_CHOICES)
-    props = [p.strip().lower() for p in csv.split(",") if p.strip()]
-    unknown = [p for p in props if p not in PROP_CHOICES]
+def _parse_names(csv: str, choices, what: str, lower: bool = False) -> list[str]:
+    """A comma-separated selection: each field stripped (and lowercased, for
+    property names), empty fields skipped, the first of a repeat kept. An
+    unknown name or an empty selection is a usage error."""
+    fields = (f.strip() for f in csv.split(","))
+    names = list(dict.fromkeys(f.lower() if lower else f for f in fields if f))
+    unknown = [n for n in names if n not in choices]
     if unknown:
-        raise ValueError(f"unknown properties: {unknown}")
-    if not props:
-        raise ValueError("no properties selected")
-    return props
+        raise ValueError(f"unknown {what}: {unknown}")
+    if not names:
+        raise ValueError(f"no {what} selected")
+    return names
 
 
 def cmd_validate(args) -> int:
@@ -111,7 +115,8 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     L = _load_lattice(args.lattice)
-    props = _parse_props(args.props)
+    props = (list(PROP_CHOICES) if args.props == "all"
+             else _parse_names(args.props, PROP_CHOICES, "properties", lower=True))
     # an explicit spec file is always read and built, so a bad one is an error
     # whatever the properties; the default full monoid is built only if used
     monoid = None
@@ -173,13 +178,7 @@ def cmd_module(args) -> int:
     grp = AbelianGroup.from_spec(args.group)
     mono = induced_monoid(grp)
     lat = mono.lattice
-    props = [p.strip().lower() for p in args.props.split(",") if p.strip()]
-    unknown = [p for p in props
-               if p not in ("rickart", "baer", "dual_rickart", "dual_baer")]
-    if unknown:
-        raise ValueError(f"unknown module properties: {unknown}")
-    if not props:
-        raise ValueError("no module properties selected")
+    props = _parse_names(args.props, MODULE_PROPS, "module properties", lower=True)
     results = [rickart_module_direct(grp, p) for p in props]
     if args.json:
         # the document json.dumps(indent=2) writes, with the "induced_maps"
@@ -223,7 +222,7 @@ def cmd_theorems(args) -> int:
         corpus.extend(fixtures.build_fixture(nm) for nm in fixtures.MODULAR_FIXTURES)
     if args.random:
         corpus.extend(random_corpus(args.random, args.max_size, args.seed))
-    checks = [c.strip() for c in args.checks.split(",")] if args.checks else None
+    checks = None if args.checks is None else _parse_names(args.checks, REGISTRY, "checks")
     report = run_conformance(corpus, checks=checks, seed=args.seed)
     if args.json:
         print(report.to_json(), end="")
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("module", help="finite abelian group bridge")
     p.add_argument("--group", required=True,
                    help="comma-separated invariant factors, e.g. 4 or 2,4")
-    p.add_argument("--props", default="rickart,baer,dual_rickart,dual_baer")
+    p.add_argument("--props", default=",".join(MODULE_PROPS))
     p.set_defaults(fn=cmd_module)
 
     p = sub.add_parser("theorems", help="run the conformance registry")

@@ -18,6 +18,7 @@ from .lattice import (
     complements_of,
     essential_superfluous,
     interval,
+    is_modular,
 )
 from .monoid import EndoMonoid
 from .morphisms import enumerate_linmors, iso_composites
@@ -106,18 +107,16 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
             certs[L.names[x]] = L.names[found]
         return Verdict(kind, True, witness={"certificates": certs})
     if kind == "d1":
+        # in a modular lattice, for c <= x and a complement c' of c, x ^ c'
+        # is superfluous exactly when x is superfluous in [c, top], which is
+        # isomorphic to [0, c']: if one complement of c works, the first does
+        tried = 1 if is_modular(L).holds else None
         certs = {}
         for x in range(L.n):
-            found = None
-            for c in comp:
-                if not L.leq(c, x):
-                    continue
-                for cp in complements_of(L, c):
-                    if essential_superfluous(L, L.meet_of(x, cp), "superfluous"):
-                        found = (c, cp)
-                        break
-                if found:
-                    break
+            found = next(((c, cp) for c in comp if L.leq(c, x)
+                          for cp in complements_of(L, c)[:tried]
+                          if essential_superfluous(L, L.meet_of(x, cp), "superfluous")),
+                         None)
             if found is None:
                 return Verdict(kind, False, witness={"element": L.names[x]})
             certs[L.names[x]] = [L.names[found[0]], L.names[found[1]]]
@@ -165,31 +164,30 @@ def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
     """Vanishing conditions tying essential kernels and superfluous images to
     the zero morphism, plus their converses."""
     kind = kind.lower()
+    if kind not in ("k", "t", "k_co", "t_co"):
+        raise ValueError(f"unknown kind: {kind!r}")
     # phi is nonzero exactly when ker phi != top, that is, when
     # phi(top) != bottom; and phi(a) = bottom exactly when a <= ker phi
+    side, trivial, sense = (("kernel", L.top, "essential") if kind[0] == "k"
+                            else ("image", L.bottom, "superfluous"))
+    first = m.first_with(side)
     if kind in ("k", "t"):
-        side, trivial, sense = (("kernel", L.top, "essential") if kind == "k"
-                                else ("image", L.bottom, "superfluous"))
-        for e, i in m.first_with(side).items():
+        for e, i in first.items():
             if e != trivial and essential_superfluous(L, e, sense):
                 return Verdict(kind, False, witness={
                     "morphism": m.members[i].as_name_map(), side: L.names[e]})
         return Verdict(kind, True)
-    if kind == "k_co":
-        kernels = [k for k in m.kernels if k != L.top]
-        for a in range(L.n):
-            if not any(L.leq(a, k) for k in kernels):
-                if not essential_superfluous(L, a, "essential"):
-                    return Verdict(kind, False, witness={"element": L.names[a]})
-        return Verdict(kind, True)
-    if kind == "t_co":
-        tops = [b for b in m.image_tops if b != L.bottom]
-        for a in range(L.n):
-            if not any(L.leq(b, a) for b in tops):
-                if not essential_superfluous(L, a, "superfluous"):
-                    return Verdict(kind, False, witness={"element": L.names[a]})
-        return Verdict(kind, True)
-    raise ValueError(f"unknown kind: {kind!r}")
+    # k_co: an a below no nonzero member's kernel must be essential;
+    # t_co: an a above no nonzero member's image top must be superfluous
+    reach = L.down_mask if side == "kernel" else L.up_mask
+    covered = 0
+    for e in first:
+        if e != trivial:
+            covered |= reach(e)
+    for a in range(L.n):
+        if not covered >> a & 1 and not essential_superfluous(L, a, sense):
+            return Verdict(kind, False, witness={"element": L.names[a]})
+    return Verdict(kind, True)
 
 
 def check_retractable(L: Lattice, m: EndoMonoid) -> Verdict:

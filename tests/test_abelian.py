@@ -1,4 +1,12 @@
-"""Finite abelian groups, subgroup lattices, and the induced monoid."""
+"""Finite abelian groups, subgroup lattices, and the induced monoid.
+
+The bridge rests on one theorem: every subgroup of a finite abelian group M
+is both a kernel and an image of an endomorphism. Two independent routes
+check it here. The quotient and subgroup types below say that every M/K
+and every K embeds in M, for every group of order at most 64; and the
+kernels and images read off the endomorphism tables are every subgroup, for
+every group whose endomorphisms can be enumerated up to order 32.
+"""
 
 from math import prod
 
@@ -9,16 +17,13 @@ from latticelab import config
 from latticelab.abelian import (
     AbelianGroup,
     GroupHom,
-    _endo_sweep,
     _gen_images,
     _group_data,
     _hom_tables,
     _induced_rows,
-    _kernel_image_sets_by_type,
     _pair_sum,
-    _primes_of,
     _subgroup_lattice,
-    _type,
+    _subgroup_masks,
     endomorphisms,
     hom_compose,
     induced_map,
@@ -27,10 +32,12 @@ from latticelab.abelian import (
     subgroup_lattice,
 )
 from latticelab.errors import DomainMismatchError, SizeLimitExceededError
-from latticelab.lattice import is_modular
+from latticelab.lattice import _bits, complemented_elements, is_modular
 from latticelab.morphisms import compose, enumerate_linmors
 
 KINDS = ("rickart", "baer", "dual_rickart", "dual_baer")
+ENUMERATION_NOTE = "lattice side via induced monoid enumeration"
+COMPLEMENT_NOTE = "lattice side via complements of all subgroups, each a kernel and an image"
 
 
 def invariant_factor_chains(max_order, chain=()):
@@ -41,6 +48,95 @@ def invariant_factor_chains(max_order, chain=()):
     while prod(chain) * d <= max_order:
         yield from invariant_factor_chains(max_order, chain + (d,))
         d += step
+
+
+def _primes_of(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _partition_from_counts(counts, p):
+    """Descending exponent partition from the tower counts[i] = number of
+    elements killed by p^i.
+
+    For a p-group of type (p^l1, p^l2, ...), counts[i]/counts[i-1] equals p
+    to the number of parts >= i; the partition is the conjugate of that
+    sequence.
+    """
+    mults = []
+    for i in range(1, len(counts)):
+        ratio = counts[i] // counts[i - 1]
+        e = 0
+        while ratio > 1:
+            ratio //= p
+            e += 1
+        mults.append(e)  # number of parts >= i
+    width = mults[0] if mults else 0
+    return tuple(sum(1 for a in mults if a > j) for j in range(width))
+
+
+def _type_embeds(sub, amb):
+    """Componentwise domination of descending partitions, prime by prime."""
+    for p, parts in sub.items():
+        other = amb.get(p, ())
+        for j, lam in enumerate(parts):
+            if j >= len(other) or lam > other[j]:
+                return False
+    return True
+
+
+def _type(g, within, kmask=1):
+    """Per-prime descending exponent partitions of within/K, for subgroup
+    masks K <= within (the default K is the zero subgroup).
+
+    p^i kills the coset of x exactly when p^i x lands in K, so the tower is
+    the number of such x in `within`, over |K|. Scalars reduce modulo the
+    group exponent.
+    """
+    data = _group_data(g)
+    ksize = kmask.bit_count()
+    exponent = g.invariant_factors[-1] if g.invariant_factors else 1
+    elems = list(_bits(within))
+    in_k = np.zeros(g.order, dtype=bool)
+    in_k[list(_bits(kmask))] = True
+    out = {}
+    for p in _primes_of(len(elems) // ksize):
+        counts = [1]  # counts[i]: cosets of K in `within` killed by p^i
+        while len(counts) < 2 or counts[-1] > counts[-2]:
+            sc = data.sc_mul[pow(p, len(counts), exponent)]
+            counts.append(int(np.count_nonzero(in_k[sc[elems]])) // ksize)
+        out[p] = _partition_from_counts(counts, p)
+    return out
+
+
+def kernel_image_sets_by_type(g):
+    """Masks of subgroups K whose quotient M/K embeds in M (the kernels) and
+    of subgroups that embed as a quotient of M (the images; the same test,
+    since a finite abelian group and its subgroups match their quotients)."""
+    full = (1 << g.order) - 1
+    amb = _type(g, full)
+    masks = _subgroup_masks(g)
+    return ({m for m in masks if _type_embeds(_type(g, full, m), amb)},
+            {m for m in masks if _type_embeds(_type(g, m), amb)})
+
+
+def kernel_image_sets_by_tables(g):
+    """Masks of the kernels and the images of every endomorphism, read off
+    the homomorphism tables as uint64 element masks (order at most 64)."""
+    tables = _hom_tables(g, _gen_images(g))
+    powers = np.left_shift(np.uint64(1), np.arange(g.order, dtype=np.uint64))
+    kernels = np.bitwise_or.reduce(np.where(tables == 0, powers, np.uint64(0)), axis=1)
+    images = np.bitwise_or.reduce(powers[tables], axis=1)
+    return {int(v) for v in np.unique(kernels)}, {int(v) for v in np.unique(images)}
 
 
 def type_from_invariant_factors(g):
@@ -78,14 +174,6 @@ class TestGroups:
         with pytest.raises(SizeLimitExceededError):
             AbelianGroup.from_spec("128")
 
-    def test_order_cap_fits_uint64_masks(self):
-        # _endo_sweep packs subgroups into np.uint64 masks, one bit per element
-        assert config.DEFAULT_GROUP_ORDER_CAP <= np.iinfo(np.uint64).bits
-        g = AbelianGroup.from_spec(str(config.DEFAULT_GROUP_ORDER_CAP))
-        sweep = _endo_sweep(g)
-        assert (1 << g.order) - 1 in sweep.kernel_masks  # the zero map
-        assert (1 << g.order) - 1 in sweep.image_masks  # the identity
-
     def test_elements(self):
         g = AbelianGroup.from_spec("2,4")
         assert len(g.elements) == 8
@@ -97,6 +185,24 @@ class TestGroups:
         for chain in chains:
             g = AbelianGroup(chain)
             assert _type(g, (1 << g.order) - 1) == type_from_invariant_factors(g), chain
+
+    def test_every_quotient_and_subgroup_embeds(self):
+        """By type, every M/K and every K embeds in M, for every group of
+        order at most 64: every subgroup is a kernel and an image."""
+        for chain in invariant_factor_chains(64):
+            g = AbelianGroup(chain)
+            masks = set(_subgroup_masks(g))
+            assert kernel_image_sets_by_type(g) == (masks, masks), chain
+
+    def test_every_subgroup_is_a_kernel_and_an_image(self):
+        """Read off the endomorphism tables, the kernels and the images are
+        every subgroup, for every enumerable group of order at most 32."""
+        groups = [AbelianGroup(c) for c in invariant_factor_chains(32)]
+        groups = [g for g in groups if g.endo_count() <= config.DEFAULT_ENDO_CAP]
+        assert len(groups) == 54
+        for g in groups:
+            masks = set(_subgroup_masks(g))
+            assert kernel_image_sets_by_tables(g) == (masks, masks), g
 
 
 class TestSubgroupLattice:
@@ -318,32 +424,47 @@ class TestBridgeVerdicts:
         assert rickart_module_direct(AbelianGroup.from_spec("6"), "rickart").holds
         assert not rickart_module_direct(AbelianGroup.from_spec("12"), "rickart").holds
 
-    def test_type_route_agrees_with_enumeration(self, monkeypatch):
+    def test_complement_route_agrees_with_induced_monoid(self, monkeypatch):
+        """With the endomorphism cap forced to 0, every group takes the
+        route that asks for every subgroup to be complemented; verdict and
+        witness match the induced-monoid route on every enumerable group of
+        order at most 32."""
         groups = [AbelianGroup(c) for c in invariant_factor_chains(32)]
         groups = [g for g in groups if g.endo_count() <= config.DEFAULT_ENDO_CAP]
         assert len(groups) == 54
         enumerated = {}
         for g in groups:
-            sweep = _endo_sweep(g)
-            kernels, images = _kernel_image_sets_by_type(g)
-            assert kernels == set(sweep.kernel_masks), g
-            assert images == set(sweep.image_masks), g
             for kind in KINDS:
                 v = rickart_module_direct(g, kind)
-                assert "enumeration" in v.notes
+                assert v.notes == ENUMERATION_NOTE
                 enumerated[g, kind] = (v.holds, v.witness)
         monkeypatch.setattr(config, "DEFAULT_ENDO_CAP", 0)
         for g in groups:
             for kind in KINDS:
                 v = rickart_module_direct(g, kind)
-                assert "quotient-type" in v.notes
+                assert v.notes == COMPLEMENT_NOTE
                 assert (v.holds, v.witness) == enumerated[g, kind], (g, kind)
 
-    def test_over_cap_group_uses_type_route(self):
-        g = AbelianGroup.from_spec("2,2,2,2,2")
-        v = rickart_module_direct(g, "rickart")
-        assert v.holds
-        assert "quotient-type" in v.notes
+    @pytest.mark.parametrize("spec", ["2,2,2,2,2", "2,2,4,4", "2,2,2,2,4"])
+    def test_over_cap_groups_use_complement_route(self, spec):
+        """Above the cap: every subgroup is a direct summand exactly when
+        every invariant factor is squarefree, and the witness is the first
+        subgroup, in mask order, with no complement in the lattice."""
+        g = AbelianGroup.from_spec(spec)
+        assert g.endo_count() > config.DEFAULT_ENDO_CAP
+        sub = _subgroup_lattice(g)
+        comp = set(complemented_elements(sub.lattice))
+        first = next((m for m in sorted(sub.masks) if sub.mask_index[m] not in comp),
+                     None)
+        squarefree = all(all(d % (p * p) for p in _primes_of(d))
+                         for d in g.invariant_factors)
+        for kind in KINDS:
+            v = rickart_module_direct(g, kind)
+            assert v.notes == COMPLEMENT_NOTE
+            assert v.holds == squarefree == (first is None), kind
+            if not v.holds:
+                assert v.witness == {
+                    "subgroup": sub.lattice.names[sub.mask_index[first]]}, kind
 
     def test_induced_kernel_is_the_kernel_subgroup(self):
         """The lattice kernel of f_* is exactly Ker f as a subgroup."""

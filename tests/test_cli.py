@@ -610,6 +610,59 @@ class TestTheorems:
         assert json.loads(out)["lattice_count"] == 1
 
 
+
+class TestListOptions:
+    """`analyze --props`, `module --props` and `theorems --checks` parse the
+    same way: fields are stripped, empty ones skipped, the first of a repeat
+    kept; an unknown name or an empty selection exits 2."""
+
+    C3 = str(FIXTURES / "c3.json")
+
+    def assert_usage_error(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", C3, "--props", ""],
+        ["analyze", C3, "--props", " , "],
+        ["module", "--group", "4", "--props", ""],
+        ["theorems", "--checks", ""],
+        ["theorems", "--checks", ","],
+    ])
+    def test_empty_selection(self, capsys, argv):
+        self.assert_usage_error(capsys, argv, "selected")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", C3, "--props", "rickart,zzz"],
+        ["module", "--group", "4", "--props", "rickart,zzz"],
+        ["theorems", "--checks", "rickpix,zzz"],
+    ])
+    def test_unknown_name(self, capsys, argv):
+        self.assert_usage_error(capsys, argv, "unknown")
+
+    @pytest.mark.parametrize("head,plain,variants", [
+        (["analyze", C3, "--props"], "rickart",
+         ["rickart,", " rickart ,", "rickart,rickart", "RICKART,rickart"]),
+        (["module", "--group", "4", "--props"], "rickart",
+         ["rickart,", "rickart,,rickart", "Rickart, rickart"]),
+        (["theorems", "--checks"], "rickpix",
+         ["rickpix,", " rickpix", "rickpix,rickpix"]),
+    ])
+    def test_empty_fields_and_repeats(self, capsys, head, plain, variants):
+        want = run_capture(capsys, head + [plain])
+        assert want[1].count(plain) == 1
+        for variant in variants:
+            assert run_capture(capsys, head + [variant]) == want, variant
+
+    def test_check_names_keep_their_case(self, capsys):
+        code, out = run_capture(capsys, ["theorems", "--checks", "baercarK,dbaercarT"])
+        assert code == 0
+        assert "baercarK: pass=" in out and "dbaercarT: pass=" in out
+        self.assert_usage_error(capsys, ["theorems", "--checks", "baercark"], "unknown")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "latticelab.cli", "endos",

@@ -7,7 +7,8 @@ checker names as witness the first member whose kernel or image top fails.
 The library reads that member from `EndoMonoid.first_with`. The reference
 definitions below keep the scan over every member, and the verdict and
 witness JSON must agree on the duality corpus roots, each with its full
-monoid and two seeded generated ones.
+monoid and two seeded generated ones. The co-nonsingularity kinds k_co and
+t_co are one branch in the library; their reference keeps the two.
 """
 
 import json
@@ -68,6 +69,24 @@ def nonsingularity_scan(L, m, kind):
     return Verdict(kind, True)
 
 
+def cononsingularity_branches(L, m, kind):
+    """k_co and t_co as two branches, each over the sorted kernels or image
+    tops."""
+    if kind == "k_co":
+        kernels = [k for k in m.kernels if k != L.top]
+        for a in range(L.n):
+            if not any(L.leq(a, k) for k in kernels):
+                if not essential_superfluous(L, a, "essential"):
+                    return Verdict(kind, False, witness={"element": L.names[a]})
+        return Verdict(kind, True)
+    tops = [b for b in m.image_tops if b != L.bottom]
+    for a in range(L.n):
+        if not any(L.leq(b, a) for b in tops):
+            if not essential_superfluous(L, a, "superfluous"):
+                return Verdict(kind, False, witness={"element": L.names[a]})
+    return Verdict(kind, True)
+
+
 def retractable_scan(L, m):
     for k in m.kernels:
         for b in L.down_set(k):
@@ -124,6 +143,8 @@ def routes(L, m):
         yield kind, check_rickart_family, rickart_family_scan, (L, m, kind)
     for kind in ("k", "t"):
         yield kind, check_nonsingularity, nonsingularity_scan, (L, m, kind)
+    for kind in ("k_co", "t_co"):
+        yield kind, check_nonsingularity, cononsingularity_branches, (L, m, kind)
     yield "retractable", check_retractable, retractable_scan, (L, m)
     yield "rickpix", check_rickpix, rickpix_scan, (L, m)
     yield ("chk_retractable", conformance_mod.chk_retractable, chk_retractable_scan,
