@@ -38,6 +38,9 @@ from .morphisms import LinearMorphism, certify_tables, validate_linear
 from .properties import check_rickart_family
 from .verdict import Verdict
 
+# the properties rickart_module_direct compares on both sides
+KINDS = ("rickart", "baer", "dual_rickart", "dual_baer")
+
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -398,7 +401,7 @@ def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
     the subgroup lattice is complemented. A disagreement raises
     ConsistencyError.
     """
-    if kind not in ("rickart", "baer", "dual_rickart", "dual_baer"):
+    if kind not in KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
     sub = _subgroup_lattice(g)
     lat = sub.lattice

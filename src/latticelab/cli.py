@@ -14,8 +14,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import fixtures
-from .abelian import AbelianGroup, induced_monoid, rickart_module_direct
-from .conformance import REGISTRY, random_corpus, run_conformance
+from .abelian import KINDS, AbelianGroup, induced_monoid, rickart_module_direct
+from .conformance import REGISTRY, random_corpus, run_conformance, select_names
 from .errors import LatticeLabError
 from .lattice import (
     Lattice,
@@ -48,8 +48,6 @@ PROP_CHOICES = (
 DEFAULT_PROPS = (
     "modular", "rickart", "baer", "dual_rickart", "dual_baer", "cip", "csp",
 )
-
-MODULE_PROPS = ("rickart", "baer", "dual_rickart", "dual_baer")
 
 
 def _load_lattice(path: str) -> Lattice:
@@ -86,16 +84,12 @@ def _emit(doc, as_json: bool, human_lines):
 
 def _parse_names(csv: str, choices, what: str, lower: bool = False) -> list[str]:
     """A comma-separated selection: each field stripped (and lowercased, for
-    property names), empty fields skipped, the first of a repeat kept. An
-    unknown name or an empty selection is a usage error."""
-    fields = (f.strip() for f in csv.split(","))
-    names = list(dict.fromkeys(f.lower() if lower else f for f in fields if f))
-    unknown = [n for n in names if n not in choices]
-    if unknown:
-        raise ValueError(f"unknown {what}: {unknown}")
+    property names), empty fields skipped, then select_names. An empty
+    selection is a usage error."""
+    names = [f.strip() for f in csv.split(",") if f.strip()]
     if not names:
         raise ValueError(f"no {what} selected")
-    return names
+    return select_names([n.lower() for n in names] if lower else names, choices, what)
 
 
 def cmd_validate(args) -> int:
@@ -175,10 +169,11 @@ def cmd_product(args) -> int:
 
 
 def cmd_module(args) -> int:
+    # the selection is read first: a bad one exits before any group is built
+    props = _parse_names(args.props, KINDS, "module properties", lower=True)
     grp = AbelianGroup.from_spec(args.group)
     mono = induced_monoid(grp)
     lat = mono.lattice
-    props = _parse_names(args.props, MODULE_PROPS, "module properties", lower=True)
     results = [rickart_module_direct(grp, p) for p in props]
     if args.json:
         # the document json.dumps(indent=2) writes, with the "induced_maps"
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("module", help="finite abelian group bridge")
     p.add_argument("--group", required=True,
                    help="comma-separated invariant factors, e.g. 4 or 2,4")
-    p.add_argument("--props", default=",".join(MODULE_PROPS))
+    p.add_argument("--props", default=",".join(KINDS))
     p.set_defaults(fn=cmd_module)
 
     p = sub.add_parser("theorems", help="run the conformance registry")

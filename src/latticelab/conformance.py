@@ -1056,6 +1056,16 @@ class CorpusReport:
         return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
+def select_names(names, choices, what: str) -> list[str]:
+    """The names in first-seen order, a repeat dropped; a name not among the
+    choices raises ValueError("unknown <what>: [...]")."""
+    names = list(dict.fromkeys(names))
+    unknown = [nm for nm in names if nm not in choices]
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
+    return names
+
+
 def run_conformance(corpus, checks=None, *,
                     seed: int | None = None) -> CorpusReport:
     """Evaluate the registry over the corpus, each lattice with its full monoid.
@@ -1066,10 +1076,7 @@ def run_conformance(corpus, checks=None, *,
     PAIR_PRODUCT_CAP. Global checks run once. A check named more than once
     runs once, in first-seen order.
     """
-    names = list(dict.fromkeys(checks)) if checks else list(REGISTRY)
-    unknown = [nm for nm in names if nm not in REGISTRY]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
+    names = select_names(checks, REGISTRY, "checks") if checks else list(REGISTRY)
 
     usable: list[LatticeContext] = []
     skipped_lattices = []

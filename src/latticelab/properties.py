@@ -18,7 +18,6 @@ from .lattice import (
     complements_of,
     essential_superfluous,
     interval,
-    is_modular,
 )
 from .monoid import EndoMonoid
 from .morphisms import enumerate_linmors, iso_composites
@@ -107,16 +106,18 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
             certs[L.names[x]] = L.names[found]
         return Verdict(kind, True, witness={"certificates": certs})
     if kind == "d1":
-        # in a modular lattice, for c <= x and a complement c' of c, x ^ c'
-        # is superfluous exactly when x is superfluous in [c, top], which is
-        # isomorphic to [0, c']: if one complement of c works, the first does
-        tried = 1 if is_modular(L).holds else None
         certs = {}
         for x in range(L.n):
-            found = next(((c, cp) for c in comp if L.leq(c, x)
-                          for cp in complements_of(L, c)[:tried]
-                          if essential_superfluous(L, L.meet_of(x, cp), "superfluous")),
-                         None)
+            found = None
+            for c in comp:
+                if not L.leq(c, x):
+                    continue
+                for cp in complements_of(L, c):
+                    if essential_superfluous(L, L.meet_of(x, cp), "superfluous"):
+                        found = (c, cp)
+                        break
+                if found:
+                    break
             if found is None:
                 return Verdict(kind, False, witness={"element": L.names[x]})
             certs[L.names[x]] = [L.names[found[0]], L.names[found[1]]]

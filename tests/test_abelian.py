@@ -15,6 +15,7 @@ import pytest
 
 from latticelab import config
 from latticelab.abelian import (
+    KINDS,
     AbelianGroup,
     GroupHom,
     _gen_images,
@@ -35,7 +36,6 @@ from latticelab.errors import DomainMismatchError, SizeLimitExceededError
 from latticelab.lattice import _bits, complemented_elements, is_modular
 from latticelab.morphisms import compose, enumerate_linmors
 
-KINDS = ("rickart", "baer", "dual_rickart", "dual_baer")
 ENUMERATION_NOTE = "lattice side via induced monoid enumeration"
 COMPLEMENT_NOTE = "lattice side via complements of all subgroups, each a kernel and an image"
 

@@ -648,13 +648,21 @@ class TestListOptions:
         (["module", "--group", "4", "--props"], "rickart",
          ["rickart,", "rickart,,rickart", "Rickart, rickart"]),
         (["theorems", "--checks"], "rickpix",
-         ["rickpix,", " rickpix", "rickpix,rickpix"]),
+         ["rickpix,", " rickpix"]),
     ])
     def test_empty_fields_and_repeats(self, capsys, head, plain, variants):
         want = run_capture(capsys, head + [plain])
         assert want[1].count(plain) == 1
         for variant in variants:
             assert run_capture(capsys, head + [variant]) == want, variant
+
+    def test_module_reads_the_selection_before_the_group(self, capsys):
+        """A bad --props exits 2 before any group is built, so it is the
+        error reported for a group spec that is bad too."""
+        self.assert_usage_error(capsys, ["module", "--group", "1,x", "--props", "zzz"],
+                                "unknown module properties: ['zzz']")
+        self.assert_usage_error(capsys, ["module", "--group", "1,x", "--props", ","],
+                                "no module properties selected")
 
     def test_check_names_keep_their_case(self, capsys):
         code, out = run_capture(capsys, ["theorems", "--checks", "baercarK,dbaercarT"])

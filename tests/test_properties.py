@@ -8,8 +8,7 @@ import pytest
 
 from latticelab import fixtures as fx
 from latticelab.errors import MissingProjectionsError
-from latticelab.lattice import (build_lattice, complemented_elements, complements_of,
-                                essential_superfluous, interval)
+from latticelab.lattice import build_lattice, complemented_elements, complements_of, interval
 from latticelab.monoid import full_monoid, generated_monoid
 from latticelab.morphisms import projection
 from latticelab.properties import (
@@ -23,8 +22,7 @@ from latticelab.properties import (
     check_summand_property,
 )
 from latticelab.verdict import Verdict
-from test_duality import LATTICES, ROOTS
-from test_pair_index import non_modular_lattices
+from test_duality import ROOTS
 
 
 def rickpix_by_tables(L, m):
@@ -41,27 +39,6 @@ def rickpix_by_tables(L, m):
     return Verdict("rickpix", lhs == rhs,
                    witness=None if failing is None else {"morphism": failing.as_name_map()},
                    notes=f"kernel-complement side={lhs}, projection side={rhs}")
-
-
-def d1_by_every_complement(L):
-    """D1 trying every complement of each complemented c <= x, in order."""
-    comp = complemented_elements(L)
-    certs = {}
-    for x in range(L.n):
-        found = None
-        for c in comp:
-            if not L.leq(c, x):
-                continue
-            for cp in complements_of(L, c):
-                if essential_superfluous(L, L.meet_of(x, cp), "superfluous"):
-                    found = (c, cp)
-                    break
-            if found:
-                break
-        if found is None:
-            return Verdict("d1", False, witness={"element": L.names[x]})
-        certs[L.names[x]] = [L.names[found[0]], L.names[found[1]]]
-    return Verdict("d1", True, witness={"certificates": certs})
 
 
 class TestRickartFamily:
@@ -125,18 +102,6 @@ class TestConditions:
 
     def test_chain_d1(self, c3):
         assert check_condition(c3, None, "d1").holds
-
-    def test_d1_matches_the_loop_over_every_complement(self):
-        """On a modular lattice only the first complement of each c is
-        tried (x ^ c' is superfluous exactly when x is superfluous in
-        [c, top], isomorphic to [0, c']); elsewhere every one is. Verdicts
-        and certificates match the loop over every complement on the duality
-        corpus and on random non-modular lattices."""
-        corpus = LATTICES + non_modular_lattices(1000, 5)
-        mismatches = [L.name for L in corpus
-                      if check_condition(L, None, "d1") != d1_by_every_complement(L)]
-        assert mismatches == []
-        assert any(not check_condition(L, None, "d1").holds for L in LATTICES)
 
     def test_chain_md2_holds_vacuously(self, c3):
         """The middle element admits an iso onto [bottom, n], but n is not
