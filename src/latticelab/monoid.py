@@ -9,7 +9,6 @@ monoid.
 
 from __future__ import annotations
 
-import itertools
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NotClosedError
+from .errors import NotClosedError, SizeLimitExceededError
 from .lattice import (Lattice, close_under, complemented_elements, complements_of,
                       require_modular)
 from .morphisms import (
@@ -38,8 +37,6 @@ _COMP_CACHE: dict[tuple[bytes, tuple], np.ndarray] = {}
 # the composition table is built in blocks of member rows whose temporaries
 # stay near this many bytes, whatever the monoid size
 _BLOCK_BYTES = 1 << 20
-# odd multiplier of the polynomial keys that stand for member tables
-_KEY_BASE = 0x5851F42D4C957F2D
 
 
 class EndoMonoid:
@@ -108,10 +105,9 @@ class EndoMonoid:
         """comp[i, j] = index of members[i] composed after members[j].
 
         Built lazily: property checks that only read kernels and images never
-        pay for it. Each member table stands for one int64 key, distinct over
-        the members; the composites of a block of rows are looked up by key
-        with one `searchsorted`, and every hit is checked against the full
-        member table.
+        pay for it. The composites of a block of rows walk a trie of the
+        sorted member tables, one table position at a time, and reach the
+        index of the member they equal or a dead end.
         """
         if self._comp is None:
             key = (self.lattice.structure_key, tuple(m.map for m in self.members))
@@ -191,37 +187,48 @@ class EndoMonoid:
         return f"EndoMonoid({self.lattice.name!r}, size={len(self.members)})"
 
 
-def _key_weights(n: int, attempt: int) -> np.ndarray:
-    """The powers of an odd multiplier, one per table position; int64
-    arithmetic wraps, so a key is a polynomial hash of the table."""
-    return np.cumprod(np.full(n, _KEY_BASE + 2 * attempt, dtype=np.int64))
-
-
 def _composition_table(tables: np.ndarray) -> np.ndarray:
-    """comp for the sorted, distinct member tables (one per row)."""
+    """comp for the sorted, distinct member tables (one per row).
+
+    The member tables form a trie: the nodes at depth x are their distinct
+    prefixes of length x. Node 0 is a dead end that every missing edge
+    leads to, node 1 the root, and an edge out of depth n-1 leads to member
+    index + 1. child[node * n + value] holds the target of each edge, times
+    n for an inner node, so walking a composite's values down the trie adds
+    each value to the state and looks the sum up. The walk ends at index + 1
+    exactly when the composite is a member.
+    """
     size, n = tables.shape
-    for attempt in itertools.count():
-        weights = _key_weights(n, attempt)
-        keys = tables @ weights
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        if (sorted_keys[1:] != sorted_keys[:-1]).all():
-            break  # the keys tell the members apart
+    # the first position where each table leaves the one before it: its
+    # prefixes from there on are new nodes
+    first = np.zeros(size, dtype=np.intp)
+    first[1:] = (tables[1:] != tables[:-1]).argmax(axis=1)
+    # state[x, r]: where the walk of member r's own table stands after x
+    # positions, its depth-x node times n (nodes numbered depth by depth),
+    # and after all n positions r + 1
+    state = np.empty((n + 1, size), dtype=np.intp)
+    state[0] = 1
+    state[1:n] = np.cumsum(first <= np.arange(n - 1)[:, None]).reshape(n - 1, size) + 1
+    state[:n] *= n
+    state[n] = np.arange(1, size + 1)
+    child = np.zeros(n * (2 + size * (n - 1) - int(first.sum())), dtype=np.intp)
+    child[state[:n] + tables.T] = state[1:]
     table = np.empty((size, size), dtype=np.int32)
-    index = tables.astype(np.intp)
-    # bytes live per composite at the peak of a block: the composites of
-    # this block and the last, their int64 cast for the keys, and int64
-    # positions
-    rows = max(1, _BLOCK_BYTES // (size * (n * (2 * tables.itemsize + 8) + 32)))
+    cols = tables.T.astype(np.intp)  # cols[x][j]: member j's value at x
+    # bytes live per composite at the peak of a block: the state before and
+    # after a step, and one gathered value
+    rows = max(1, _BLOCK_BYTES // (size * (16 + tables.itemsize)))
     for start in range(0, size, rows):
-        composed = tables[start:start + rows][:, index]  # (rows, size, n)
-        pos = np.searchsorted(sorted_keys, composed @ weights)
-        hit = order[np.minimum(pos, size - 1, out=pos)]
-        if (tables[hit] != composed).any():
-            found = (tables[hit] == composed).all(axis=2).all(axis=1)
-            i = start + int(np.argmin(found))
+        block = np.ascontiguousarray(tables[start:start + rows].T)
+        # cur[j, i]: the state of members[start + i] composed after members[j]
+        cur = np.full((size, block.shape[1]), n, dtype=np.intp)
+        for x in range(n):
+            cur += block[cols[x]]
+            cur = child.take(cur)
+        if not cur.all():
+            i = start + int(np.argmin(cur.all(axis=0)))
             raise NotClosedError(f"member {i} composes outside the set")
-        table[start:start + len(composed)] = hit
+        table[start:start + block.shape[1]] = cur.T - 1
     return table
 
 
@@ -246,8 +253,17 @@ def _endomorphisms_of(L: Lattice, morphisms) -> list[LinearMorphism]:
     return out
 
 
-# generated monoids larger than this raise SizeLimitExceededError
+# generated monoids larger than this, and explicit member lists longer than
+# this, raise SizeLimitExceededError
 MAX_GENERATED_MEMBERS = 5000
+
+
+def _require_member_count(count: int) -> None:
+    """Refuse an explicit member list over the cap before any member is
+    certified or any composition table allocated."""
+    if count > MAX_GENERATED_MEMBERS:
+        raise SizeLimitExceededError(
+            f"{count} explicit members exceeds cap {MAX_GENERATED_MEMBERS}")
 
 
 def generated_monoid(L: Lattice, generators=(),
@@ -272,7 +288,9 @@ def generated_monoid(L: Lattice, generators=(),
 
 def explicit_monoid(L: Lattice, members) -> EndoMonoid:
     """Verify an explicit member set is a submonoid with zero."""
-    mono = EndoMonoid(L, _endomorphisms_of(L, members))
+    members = _endomorphisms_of(L, members)
+    _require_member_count(len(members))
+    mono = EndoMonoid(L, members)
     mono.comp  # materializes and verifies closure
     return mono
 
@@ -291,6 +309,8 @@ def monoid_from_spec(L: Lattice, spec) -> EndoMonoid:
     docs = spec.get(field, [])
     if not isinstance(docs, list):
         raise ValueError(f"monoid spec field {field!r} must be a list of morphisms")
+    if kind == "explicit":
+        _require_member_count(len(docs))
     morphisms = [morphism_from_json(doc, L) for doc in docs]
     if kind == "explicit":
         return explicit_monoid(L, morphisms)
@@ -367,6 +387,10 @@ def annihilator(m: EndoMonoid, side: str, targets) -> AnnihilatorSet:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
     targets = tuple(sorted(set(targets)))
+    outside = [t for t in targets if not 0 <= t < len(m)]
+    if outside:
+        raise ValueError(f"annihilator targets must be member indices in "
+                         f"[0, {len(m)}): {reprlib.repr(outside)}")
     mask = _ann_mask(m, side, targets)
     principal = coset_index(m, side).get(mask.tobytes())
     return AnnihilatorSet(side=side, targets=targets,

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticelab import fixtures as fx
+from latticelab import monoid as monoid_module
 from latticelab.abelian import _subgroup_lattice
 from latticelab.cli import run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
 from latticelab.lattice import direct_product, lattice_from_json, lattice_to_json
+from latticelab.monoid import full_monoid
 from latticelab.morphisms import morphism_to_json, validate_linear
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -316,6 +318,14 @@ class TestMalformedInput:
         err = self.run_error(capsys, [
             "analyze", str(lattice), "--monoid", str(path), "--props", "rickart"])
         assert "5000" in err
+
+    def test_explicit_monoid_over_the_member_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(monoid_module, "MAX_GENERATED_MEMBERS", 2)
+        docs = [json.loads(morphism_to_json(phi))
+                for phi in full_monoid(fx.build_fixture("c3"))]
+        for members in (docs, [7, 7, 7]):
+            err = self.spec_run(tmp_path, capsys, {"kind": "explicit", "members": members})
+            assert err == "error: 3 explicit members exceeds cap 2\n"
 
     def test_spec_that_is_not_an_object(self, tmp_path, capsys):
         self.spec_run(tmp_path, capsys, ["generated"])
