@@ -9,6 +9,7 @@ monoid.
 
 from __future__ import annotations
 
+import numbers
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -386,11 +387,13 @@ def annihilator(m: EndoMonoid, side: str, targets) -> AnnihilatorSet:
     principal (canonical order), if any."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-    targets = tuple(sorted(set(targets)))
-    outside = [t for t in targets if not 0 <= t < len(m)]
+    targets = tuple(targets)
+    outside = [t for t in targets
+               if not isinstance(t, numbers.Integral) or not 0 <= t < len(m)]
     if outside:
         raise ValueError(f"annihilator targets must be member indices in "
                          f"[0, {len(m)}): {reprlib.repr(outside)}")
+    targets = tuple(sorted(set(targets)))
     mask = _ann_mask(m, side, targets)
     principal = coset_index(m, side).get(mask.tobytes())
     return AnnihilatorSet(side=side, targets=targets,

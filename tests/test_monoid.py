@@ -171,7 +171,7 @@ class TestAnnihilator:
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_target_outside_the_monoid_is_rejected(self, b2, side):
         m = full_monoid(b2)
-        for targets in ((-1,), (0, len(m)), (99,)):
+        for targets in ((-1,), (0, len(m)), (99,), (1.5,), ("1",)):
             with pytest.raises(ValueError, match=rf"^annihilator targets must be "
                                                  rf"member indices in \[0, {len(m)}\): "):
                 annihilator(m, side, targets)
