@@ -61,10 +61,18 @@ class AbelianGroup:
 
     @classmethod
     def from_spec(cls, spec: str) -> "AbelianGroup":
-        """Parse comma-separated invariant factors; "1" is the trivial group."""
+        """Parse comma-separated invariant factors; "1" is the trivial group.
+
+        Each field is ASCII decimal digits: `int` alone would also read
+        "1_6" as 16 and "+4" or a non-ASCII digit as 4.
+        """
         parts = [p.strip() for p in spec.split(",")]
         if not all(parts):
             raise ValueError(f"group spec {reprlib.repr(spec)} has an empty field")
+        for p in parts:
+            if not (p.isascii() and p.isdigit()):
+                raise ValueError(f"group spec field {reprlib.repr(p)} is not a "
+                                 f"decimal number")
         factors = tuple(int(p) for p in parts)
         return cls(() if factors == (1,) else factors)
 

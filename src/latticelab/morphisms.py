@@ -34,6 +34,7 @@ from .errors import (
 from .lattice import (
     IntervalView,
     Lattice,
+    _bits,
     complements_of,
     interval,
     parse_json,
@@ -317,29 +318,30 @@ def _iso_tables(A: Lattice, B: Lattice) -> tuple[tuple[int, ...], ...]:
         if sorted(pa) == sorted(pb):
             n = A.n
             cand = [tuple(j for j in range(n) if pb[j] == pa[i]) for i in range(n)]
+            # the positions u < i below and above i: v fits position i exactly
+            # when the assigned elements below and above v are their images
+            below = [tuple(_bits(A.down_mask(i) & ((1 << i) - 1))) for i in range(n)]
+            above = [tuple(_bits(A.up_mask(i) & ((1 << i) - 1))) for i in range(n)]
+            down = [B.down_mask(v) for v in range(n)]
+            up = [B.up_mask(v) for v in range(n)]
             assign = [-1] * n
-            used = [False] * n
 
-            def bt(i: int) -> None:
+            def bt(i: int, used: int) -> None:
                 if i == n:
                     out.append(tuple(assign))
                     return
+                want_down = want_up = 0
+                for u in below[i]:
+                    want_down |= 1 << assign[u]
+                for u in above[i]:
+                    want_up |= 1 << assign[u]
                 for v in cand[i]:
-                    if used[v]:
-                        continue
-                    ok = True
-                    for u in range(i):
-                        w = assign[u]
-                        if A.leq(u, i) != B.leq(w, v) or A.leq(i, u) != B.leq(v, w):
-                            ok = False
-                            break
-                    if ok:
+                    if (not used >> v & 1 and down[v] & used == want_down
+                            and up[v] & used == want_up):
                         assign[i] = v
-                        used[v] = True
-                        bt(i + 1)
-                        used[v] = False
+                        bt(i + 1, used | 1 << v)
 
-            bt(0)
+            bt(0, 0)
     result = tuple(out)
     _ISO_CACHE[key] = result
     return result
@@ -422,6 +424,26 @@ def enumerate_linmors(L: Lattice, M: Lattice | None = None) -> list[LinearMorphi
 # -- extension from an interval ------------------------------------------------
 
 
+def extension_table(phi: LinearMorphism, dom_view: IntervalView,
+                    cod_view: IntervalView, x_prime: int) -> tuple[int, ...]:
+    """The table a -> phi((a v x') ^ x) of `extend_from_interval`, with its
+    checks on the arguments but not yet certified."""
+    L = dom_view.parent
+    if cod_view.parent is not L:
+        raise ValueError("both intervals must sit in the same lattice")
+    if dom_view.lo != L.bottom or cod_view.lo != L.bottom:
+        raise ValueError("extension applies to lower intervals")
+    if phi.domain is not dom_view.as_lattice or phi.codomain is not cod_view.as_lattice:
+        raise ValueError("morphism does not match the supplied intervals")
+    x = dom_view.hi
+    if x_prime not in complements_of(L, x):
+        raise NotAComplementError(
+            f"{L.names[x_prime]!r} is not a complement of {L.names[x]!r}")
+    return tuple(
+        cod_view.members[phi.map[dom_view.from_parent[L.meet_of(L.join_of(a, x_prime), x)]]]
+        for a in range(L.n))
+
+
 def extend_from_interval(phi: LinearMorphism, dom_view: IntervalView,
                          cod_view: IntervalView, x_prime: int) -> LinearMorphism:
     """Extend phi: [bottom, x] -> [bottom, y] to the whole lattice.
@@ -434,20 +456,7 @@ def extend_from_interval(phi: LinearMorphism, dom_view: IntervalView,
     the top without mapping to bottom.)
     """
     L = dom_view.parent
-    if cod_view.parent is not L:
-        raise ValueError("both intervals must sit in the same lattice")
-    if dom_view.lo != L.bottom or cod_view.lo != L.bottom:
-        raise ValueError("extension applies to lower intervals")
-    if phi.domain is not dom_view.as_lattice or phi.codomain is not cod_view.as_lattice:
-        raise ValueError("morphism does not match the supplied intervals")
-    x = dom_view.hi
-    if x_prime not in complements_of(L, x):
-        raise NotAComplementError(
-            f"{L.names[x_prime]!r} is not a complement of {L.names[x]!r}")
-    table = tuple(
-        cod_view.members[phi.map[dom_view.from_parent[L.meet_of(L.join_of(a, x_prime), x)]]]
-        for a in range(L.n))
-    ext = validate_linear(L, L, table)
+    ext = validate_linear(L, L, extension_table(phi, dom_view, cod_view, x_prime))
     expected = L.join_of(dom_view.members[phi.kernel], x_prime)
     if ext.kernel != expected:
         raise ConsistencyError(

@@ -164,6 +164,15 @@ class TestGroups:
             with pytest.raises(ValueError, match="empty field"):
                 AbelianGroup.from_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["1_6", "+4", "-4", "\u0664", "2,\uff14", "4.0",
+                                      "0x4", "2,4x"])
+    def test_fields_must_be_ascii_decimal_digits(self, spec):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            AbelianGroup.from_spec(spec)
+
+    def test_padded_fields_still_parse(self):
+        assert AbelianGroup.from_spec(" 2 , 04").invariant_factors == (2, 4)
+
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):
             AbelianGroup.from_spec("4,2")

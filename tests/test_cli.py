@@ -348,6 +348,11 @@ class TestMalformedInput:
     def test_group_spec_with_an_empty_field(self, capsys, spec):
         self.run_error(capsys, ["module", "--group", spec])
 
+    @pytest.mark.parametrize("spec", ["1_6", "+4", "\u0664", "2,\uff14"])
+    def test_group_spec_field_that_is_not_ascii_digits(self, capsys, spec):
+        err = self.run_error(capsys, ["module", "--group", spec])
+        assert err.count("\n") == 1 and "not a decimal number" in err
+
     @pytest.mark.parametrize("monoid", ["full", "generated"])
     def test_monoid_on_a_non_modular_lattice(self, tmp_path, capsys, monoid):
         if monoid == "generated":

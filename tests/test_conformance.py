@@ -2,22 +2,32 @@
 
 import dataclasses
 import gc
+import random
+import sys
 import weakref
 
 import pytest
 
+from latticelab import conformance
 from latticelab import fixtures as fx
 from latticelab import morphisms
 from latticelab.conformance import (
     REGISTRY,
     LatticeContext,
     chk_exmorf,
+    chk_kerpi,
+    chk_linmor_joins,
     chk_projection_linear,
     random_corpus,
     random_modular_lattice,
     run_conformance,
 )
-from latticelab.lattice import is_modular, lattice_to_json
+from latticelab.errors import LatticeLabError, NotIntervalIsoError
+from latticelab.lattice import complements_of, interval, is_modular, lattice_to_json
+from latticelab.monoid import EndoMonoid, full_monoid
+from latticelab.morphisms import LinearMorphism, compose, enumerate_linmors
+
+from test_duality import ROOTS
 
 # every check id named by the acceptance gate must exist
 ACCEPTANCE_CHECKS = [
@@ -168,3 +178,211 @@ def test_a_self_dual_context_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- the three morphism checks against their plain loops ----------------------
+# The loops below certify every extension and every composite anew, and test
+# each join in Python; the registry's checks must report the same first
+# failure, or pass, wherever these do.
+
+
+def exmorf_every_y(ctx):
+    L = ctx.L
+    for x in ctx.comp:
+        vx = interval(L, L.bottom, x)
+        xps = complements_of(L, x)
+        for y in range(L.n):
+            vy = interval(L, L.bottom, y)
+            for phi in enumerate_linmors(vx.as_lattice, vy.as_lattice):
+                for xp in xps:
+                    try:
+                        ext = morphisms.extend_from_interval(phi, vx, vy, xp)
+                    except LatticeLabError as exc:
+                        return "fail", {"x": L.names[x], "y": L.names[y],
+                                        "x_prime": L.names[xp], "error": str(exc)}
+                    restr = all(ext.map[vx.members[t]] == vy.members[phi.map[t]]
+                                for t in range(vx.as_lattice.n))
+                    if not restr:
+                        return "fail", {"x": L.names[x], "y": L.names[y],
+                                        "clause": "restriction"}
+    return "pass", None
+
+
+def kerpi_by_compose(ctx):
+    L = ctx.L
+    for x in ctx.comp:
+        for xp in complements_of(L, x):
+            pix = morphisms.projection(L, x, xp)
+            for y in ctx.comp:
+                for yp in complements_of(L, y):
+                    piy = morphisms.projection(L, y, yp)
+                    got = compose(piy, pix).kernel
+                    want = L.join_of(L.meet_of(x, yp), xp)
+                    if got != want:
+                        return "fail", {"x": L.names[x], "x_prime": L.names[xp],
+                                        "y": L.names[y], "y_prime": L.names[yp],
+                                        "got": L.names[got], "want": L.names[want]}
+    return "pass", None
+
+
+def linmor_joins_by_pairs(ctx):
+    L = ctx.L
+    for phi in ctx.monoid.members:
+        if phi.map[L.bottom] != L.bottom:
+            return "fail", {"morphism": phi.as_name_map(), "clause": "bottom"}
+        for x in range(L.n):
+            for y in range(x, L.n):
+                if phi.map[L.join_of(x, y)] != L.join_of(phi.map[x], phi.map[y]):
+                    return "fail", {"morphism": phi.as_name_map(),
+                                    "x": L.names[x], "y": L.names[y]}
+    return "pass", None
+
+
+ORACLES = ((chk_exmorf, exmorf_every_y), (chk_kerpi, kerpi_by_compose),
+           (chk_linmor_joins, linmor_joins_by_pairs))
+
+# small lattices with complements to spare, for the injected faults
+FAULT_LATTICES = [fx.build_fixture(nm) for nm in ("b2", "b3", "m3", "excip")] + [
+    fx.mk(4), *random_corpus(4, 8, 42)]
+
+
+def _picks(items, count=8):
+    """Up to `count` items spread over the list, its first and last included."""
+    items = list(items)
+    if len(items) <= count:
+        return items
+    return [items[round(i * (len(items) - 1) / (count - 1))] for i in range(count)]
+
+
+def test_checks_match_their_loops_on_the_duality_corpus():
+    for L in ROOTS:
+        ctx = LatticeContext(L)
+        for check, oracle in ORACLES:
+            assert check(ctx) == oracle(ctx) == ("pass", None), (L.name, check)
+
+
+@pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
+def test_exmorf_reports_a_rejected_extension_like_its_loop(monkeypatch, L):
+    certify = morphisms.validate_linear
+    seen = []
+
+    def record(domain, codomain, table):
+        phi = certify(domain, codomain, table)
+        if domain is L:
+            seen.append(phi.map)
+        return phi
+
+    monkeypatch.setattr(morphisms, "validate_linear", record)
+    exmorf_every_y(LatticeContext(L))
+    tables = _picks(dict.fromkeys(seen))
+    assert tables
+    for bad in tables:
+        def reject(domain, codomain, table, bad=bad):
+            if tuple(table) == bad:
+                raise NotIntervalIsoError("rejected on purpose")
+            return certify(domain, codomain, table)
+
+        monkeypatch.setattr(morphisms, "validate_linear", reject)
+        ctx = LatticeContext(L)
+        got = chk_exmorf(ctx)
+        assert got[0] == "fail" and got[1]["error"] == "rejected on purpose"
+        assert got == exmorf_every_y(ctx), bad
+
+
+@pytest.mark.parametrize("name", ["b2", "b3", "m3"])
+def test_exmorf_reports_a_wrong_restriction_like_its_loop(monkeypatch, name):
+    """An automorphism whose extension table comes out as the identity
+    certifies, with the right kernel, and fails the restriction clause."""
+    L = fx.build_fixture(name)
+    real = morphisms.extension_table
+    autos = [phi.map for phi in full_monoid(L) if phi.kernel == L.bottom
+             and phi.image_top == L.top and phi.map != tuple(range(L.n))]
+    assert autos
+    for bad in _picks(autos):
+        def wrong(phi, dom_view, cod_view, x_prime, bad=bad):
+            table = real(phi, dom_view, cod_view, x_prime)
+            return tuple(range(L.n)) if table == bad else table
+
+        monkeypatch.setattr(morphisms, "extension_table", wrong)
+        monkeypatch.setattr(conformance, "extension_table", wrong)
+        ctx = LatticeContext(L)
+        got = chk_exmorf(ctx)
+        assert got == ("fail", {"x": L.names[L.top], "y": L.names[L.top],
+                                "clause": "restriction"})
+        assert got == exmorf_every_y(ctx), bad
+
+
+@pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
+def test_kerpi_reports_a_wrong_composite_kernel_like_its_loop(monkeypatch, L):
+    seen = []
+
+    def record(phi, psi):
+        out = morphisms.compose(phi, psi)
+        seen.append(out.map)
+        return out
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "compose", record)
+    kerpi_by_compose(LatticeContext(L))
+    tables = _picks(dict.fromkeys(seen))
+    assert tables
+    for bad in tables:
+        def wrong(phi, psi, bad=bad):
+            out = morphisms.compose(phi, psi)
+            if out.map != bad:
+                return out
+            other = L.top if out.kernel == L.bottom else L.bottom
+            return dataclasses.replace(out, kernel=other)
+
+        monkeypatch.setattr(conformance, "compose", wrong)
+        monkeypatch.setattr(module, "compose", wrong)
+        ctx = LatticeContext(L)
+        got = chk_kerpi(ctx)
+        assert got[0] == "fail"
+        assert got == kerpi_by_compose(ctx), bad
+
+
+@pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
+def test_linmor_joins_reports_a_bad_member_like_its_loop(L):
+    rng = random.Random(L.n)
+    members = list(full_monoid(L).members)
+    known = {phi.map for phi in members}
+    failures = 0
+    for trial in range(24):
+        bogus = []
+        for _ in range(1 + trial % 2):  # with two, the first failing one is named
+            table = [rng.randrange(L.n) for _ in range(L.n)]
+            if trial % 3:  # most keep bottom, so a join is what fails
+                table[L.bottom] = L.bottom
+            if tuple(table) not in known:
+                bogus.append(LinearMorphism(domain=L, codomain=L, map=tuple(table),
+                                            kernel=L.bottom, image_top=L.top))
+        ctx = LatticeContext(L)
+        ctx._cache["monoid"] = EndoMonoid(L, members + bogus)
+        got = chk_linmor_joins(ctx)
+        failures += got[0] == "fail"
+        assert got == linmor_joins_by_pairs(ctx), bogus
+    assert failures
+
+
+@pytest.mark.parametrize("L,extensions,composites", [
+    (fx.mk(6), 757, 38), (fx.build_fixture("b3"), 34, 8)], ids=["m6", "b3"])
+def test_each_distinct_table_is_certified_once(monkeypatch, L, extensions,
+                                               composites):
+    """exmorf extends, and kerpi composes, once per distinct table."""
+    made = {"extend": [], "compose": []}
+
+    def counted(kind, fn):
+        def call(*args):
+            out = fn(*args)
+            made[kind].append(out.map)
+            return out
+        return call
+
+    monkeypatch.setattr(conformance, "extend_from_interval",
+                        counted("extend", conformance.extend_from_interval))
+    monkeypatch.setattr(conformance, "compose", counted("compose", compose))
+    ctx = LatticeContext(L)
+    assert chk_exmorf(ctx) == chk_kerpi(ctx) == ("pass", None)
+    assert len(made["extend"]) == len(set(made["extend"])) == extensions
+    assert len(made["compose"]) == len(set(made["compose"])) == composites

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from latticelab import config
 from latticelab import fixtures as fx
+from latticelab import morphisms
 from latticelab.abelian import AbelianGroup, subgroup_lattice
 from latticelab.conformance import random_corpus, random_modular_lattice
 from latticelab.errors import (
@@ -44,6 +45,8 @@ from latticelab.morphisms import (
     validate_linear,
     zero_morphism,
 )
+
+from test_duality import ROOTS
 
 
 def brute_force_linmors(L, M):
@@ -336,6 +339,60 @@ def brute_force_isos(A, B):
                for x in range(sa.n) for y in range(sa.n)):
             out.append(perm)
     return sorted(out)
+
+
+def iso_tables_by_leq(A, B):
+    """The interval-iso search that tests each candidate against every
+    assigned position with `leq`, both ways; same pruning and order."""
+    out = []
+    if A.n == B.n:
+        pa = morphisms._iso_profile(A)
+        pb = morphisms._iso_profile(B)
+        if sorted(pa) == sorted(pb):
+            n = A.n
+            cand = [tuple(j for j in range(n) if pb[j] == pa[i]) for i in range(n)]
+            assign = [-1] * n
+            used = [False] * n
+
+            def bt(i):
+                if i == n:
+                    out.append(tuple(assign))
+                    return
+                for v in cand[i]:
+                    if used[v]:
+                        continue
+                    if all(A.leq(u, i) == B.leq(assign[u], v)
+                           and A.leq(i, u) == B.leq(v, assign[u]) for u in range(i)):
+                        assign[i] = v
+                        used[v] = True
+                        bt(i + 1)
+                        used[v] = False
+
+            bt(0)
+    return tuple(out)
+
+
+def test_iso_tables_match_the_leq_search(monkeypatch):
+    """Every equal-size pair ([k, top], [bottom, a]) of the duality corpus,
+    M3 x M3 and B2 x C2 x C4 gives the same tables in the same order."""
+    monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
+    roots = ROOTS + [
+        direct_product([fx.build_fixture("m3")] * 2).lattice,
+        direct_product([fx.build_fixture("b2"), fx.chain(2), fx.chain(4)]).lattice]
+    pairs = {}
+    for L in roots:
+        ups = [interval(L, k, L.top).as_lattice for k in range(L.n)]
+        downs = [interval(L, L.bottom, a).as_lattice for a in range(L.n)]
+        for A in ups:
+            for B in downs:
+                if A.n == B.n:
+                    pairs.setdefault((A.structure_key, B.structure_key), (A, B))
+    found = 0
+    for A, B in pairs.values():
+        want = iso_tables_by_leq(A, B)
+        assert morphisms._iso_tables(A, B) == want, (A.name, B.name)
+        found += len(want)
+    assert found
 
 
 @pytest.mark.parametrize("name", ["c3", "b2", "m3", "excip"])
