@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -462,18 +463,26 @@ def chk_lemmaret(ctx):
 
 
 def chk_splits(ctx):
+    """a is complemented exactly when the inclusion of [bottom, a] splits,
+    and exactly when the quotient onto [a, top] splits.
+
+    Both Hom-sets are slices of End(L). A linear map L -> [bottom, a] is,
+    after the inclusion, a member with image top <= a; it retracts when it
+    fixes [bottom, a]. A linear map [a, top] -> L is, after y -> y v a, a
+    member with kernel >= a (phi(a) = bottom); it is a section when
+    a v phi(u) = u on [a, top].
+    """
     L = ctx.L
+    tables = ctx.monoid.tables
+    leq, join, _ = L.tables_np
     for a in range(L.n):
-        va = interval(L, L.bottom, a)
-        sub = va.as_lattice
-        retracts = any(
-            all(phi.map[va.members[t]] == t for t in range(sub.n))
-            for phi in enumerate_linmors(L, sub))
-        vu = interval(L, a, L.top)
-        squ = vu.as_lattice
-        sections = any(
-            all(vu.from_parent[L.join_of(a, phi.map[u])] == u for u in range(squ.n))
-            for phi in enumerate_linmors(squ, L))
+        retraction = leq[tables[:, L.top], a]
+        for t in L.down_set(a):
+            retraction &= tables[:, t] == t
+        section = tables[:, a] == L.bottom
+        for u in L.up_set(a):
+            section &= join[a][tables[:, u]] == u
+        retracts, sections = bool(retraction.any()), bool(section.any())
         is_comp = a in ctx.comp_set
         if not (is_comp == retracts == sections):
             return _fail(a=L.names[a], complemented=is_comp,
@@ -622,40 +631,38 @@ def chk_projection_linear(ctx):
 def chk_exmorf(ctx):
     """Each phi: [bottom, x] -> [bottom, y] extends along each complement x'.
 
-    A phi whose image top y' is below y gives the same extension as its
-    corestriction onto [bottom, y'], which an earlier y met (ids follow
-    rank), so only the phi onto [bottom, y] are extended. Each distinct
-    extension table is certified once; every later phi and x' reaching it
-    still has its kernel compared with ker v x' and its restriction checked.
+    Such a phi onto [bottom, y] is a map of Hom([bottom, x], L) with image top
+    y, so that Hom-set is enumerated once per x, with the whole lattice as
+    its codomain view, and taken in order of image top: y ascends, and the
+    maps with one y keep their table order. Each distinct extension table is
+    certified once; every later phi and x' reaching it still has its kernel
+    compared with ker v x' and its restriction checked.
     """
     L = ctx.L
+    vl = interval(L, L.bottom, L.top)
     kernels = {}  # each distinct extension table to its certified kernel
     for x in ctx.comp:
         vx = interval(L, L.bottom, x)
         xps = complements_of(L, x)
-        for y in range(L.n):
-            vy = interval(L, L.bottom, y)
-            top = vy.as_lattice.top
-            for phi in enumerate_linmors(vx.as_lattice, vy.as_lattice):
-                if phi.image_top != top:
-                    continue
-                for xp in xps:
-                    try:
-                        table = extension_table(phi, vx, vy, xp)
-                        got = kernels.get(table)
-                        if got is None:
-                            kernels[table] = extend_from_interval(phi, vx, vy, xp).kernel
-                        elif got != L.join_of(vx.members[phi.kernel], xp):
-                            # certifying again raises the kernel error
-                            extend_from_interval(phi, vx, vy, xp)
-                    except LatticeLabError as exc:
-                        return _fail(x=L.names[x], y=L.names[y],
-                                     x_prime=L.names[xp], error=str(exc))
-                    restr = all(table[vx.members[t]] == vy.members[phi.map[t]]
-                                for t in range(vx.as_lattice.n))
-                    if not restr:
-                        return _fail(x=L.names[x], y=L.names[y],
-                                     clause="restriction")
+        for phi in sorted(enumerate_linmors(vx.as_lattice, vl.as_lattice),
+                          key=attrgetter("image_top")):
+            y = vl.members[phi.image_top]
+            for xp in xps:
+                try:
+                    table = extension_table(phi, vx, vl, xp)
+                    got = kernels.get(table)
+                    if got is None:
+                        kernels[table] = extend_from_interval(phi, vx, vl, xp).kernel
+                    elif got != L.join_of(vx.members[phi.kernel], xp):
+                        # certifying again raises the kernel error
+                        extend_from_interval(phi, vx, vl, xp)
+                except LatticeLabError as exc:
+                    return _fail(x=L.names[x], y=L.names[y],
+                                 x_prime=L.names[xp], error=str(exc))
+                restr = all(table[vx.members[t]] == vl.members[phi.map[t]]
+                            for t in range(vx.as_lattice.n))
+                if not restr:
+                    return _fail(x=L.names[x], y=L.names[y], clause="restriction")
     return _ok()
 
 
@@ -669,34 +676,24 @@ def chk_fi_join(ctx):
     return _ok()
 
 
-def _iso_to_complement_choices(ctx) -> dict[int, tuple[int, ...]]:
-    """For each a, the b's admitting an iso [a, top] -> [bottom, b] whose
-    composite through quotient and inclusion lies in the monoid: the image
-    tops of the members with kernel a."""
-    return ctx._get("iso_to_complement_choices", lambda: {
-        a: ctx.monoid.pairs.get(a, ()) for a in range(ctx.L.n)})
-
-
 def chk_booluniqb_exists(ctx):
-    L = ctx.L
-    choices = _iso_to_complement_choices(ctx)
-    lhs = ctx.rickart and all(choices[a] for a in range(L.n))
+    L, pairs = ctx.L, ctx.monoid.pairs
+    lhs = ctx.rickart and all(pairs.get(a, ()) for a in range(L.n))
     rhs = len(ctx.comp) == L.n
     return _ok() if lhs == rhs else _fail(
         rickart=ctx.rickart,
-        choices={L.names[a]: [L.names[b] for b in bs]
-                 for a, bs in choices.items()},
+        choices={L.names[a]: [L.names[b] for b in pairs.get(a, ())]
+                 for a in range(L.n)},
         complemented=rhs)
 
 
 def chk_booluniqb_unique(ctx):
-    L = ctx.L
-    choices = _iso_to_complement_choices(ctx)
-    if not (ctx.rickart and all(len(choices[a]) == 1 for a in range(L.n))):
+    L, pairs = ctx.L, ctx.monoid.pairs
+    if not (ctx.rickart and all(len(pairs.get(a, ())) == 1 for a in range(L.n))):
         return _skip("hypothesis (rickart with unique target) not met")
     if not is_boolean(L).holds:
-        return _fail(choices={L.names[a]: [L.names[b] for b in bs]
-                              for a, bs in choices.items()})
+        return _fail(choices={L.names[a]: [L.names[b] for b in pairs.get(a, ())]
+                              for a in range(L.n)})
     return _ok()
 
 

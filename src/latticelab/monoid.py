@@ -32,8 +32,8 @@ from .morphisms import (
 from .verdict import Verdict
 
 # composition tables are index-level data, reusable across lattice instances
-# with the same structure key and member list
-_COMP_CACHE: dict[tuple[bytes, tuple], np.ndarray] = {}
+# with the same structure key and member tables, keyed by the tables' bytes
+_COMP_CACHE: dict[tuple[bytes, bytes], np.ndarray] = {}
 
 # the composition table is built in blocks of member rows whose temporaries
 # stay near this many bytes, whatever the monoid size
@@ -111,7 +111,7 @@ class EndoMonoid:
         index of the member they equal or a dead end.
         """
         if self._comp is None:
-            key = (self.lattice.structure_key, tuple(m.map for m in self.members))
+            key = (self.lattice.structure_key, self.tables.tobytes())
             table = _COMP_CACHE.get(key)
             if table is None:
                 table = _composition_table(self.tables)

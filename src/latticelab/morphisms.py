@@ -284,64 +284,44 @@ class IntervalIso:
     backward: tuple[int, ...]
 
 
-def _corank(L: Lattice) -> list[int]:
-    out = [0] * L.n
-    for a, b in reversed(L.covers()):
-        out[a] = max(out[a], out[b] + 1)
-    return out
-
-
-def _iso_profile(L: Lattice) -> list[tuple[int, ...]]:
-    up_deg = [0] * L.n
-    down_deg = [0] * L.n
-    for a, b in L.covers():
-        up_deg[a] += 1
-        down_deg[b] += 1
-    cor = _corank(L)
-    return [(L.rank[i], cor[i], up_deg[i], down_deg[i],
-             L.up_mask(i).bit_count(), L.down_mask(i).bit_count())
-            for i in range(L.n)]
-
-
 _ISO_CACHE: dict[tuple[bytes, bytes], tuple[tuple[int, ...], ...]] = {}
 
 
 def _iso_tables(A: Lattice, B: Lattice) -> tuple[tuple[int, ...], ...]:
+    """Every order isomorphism A -> B as a forward table, sorted.
+
+    Isomorphisms keep rank. The positions p of A are filled in rank order,
+    each with an unused element v of B of its rank, which fits when its
+    down-set among the used elements is the image of p's strict down-set;
+    no used element has a larger rank, so none lies above v.
+    """
     key = (A.structure_key, B.structure_key)
     hit = _ISO_CACHE.get(key)
     if hit is not None:
         return hit
     out: list[tuple[int, ...]] = []
-    if A.n == B.n:
-        pa = _iso_profile(A)
-        pb = _iso_profile(B)
-        if sorted(pa) == sorted(pb):
-            n = A.n
-            cand = [tuple(j for j in range(n) if pb[j] == pa[i]) for i in range(n)]
-            # the positions u < i below and above i: v fits position i exactly
-            # when the assigned elements below and above v are their images
-            below = [tuple(_bits(A.down_mask(i) & ((1 << i) - 1))) for i in range(n)]
-            above = [tuple(_bits(A.up_mask(i) & ((1 << i) - 1))) for i in range(n)]
-            down = [B.down_mask(v) for v in range(n)]
-            up = [B.up_mask(v) for v in range(n)]
-            assign = [-1] * n
+    if sorted(A.rank) == sorted(B.rank):
+        n = A.n
+        order = sorted(range(n), key=A.rank.__getitem__)
+        cand = [[v for v in range(n) if B.rank[v] == A.rank[p]] for p in order]
+        below = [tuple(_bits(A.down_mask(p) & ~(1 << p))) for p in order]
+        down = [B.down_mask(v) for v in range(n)]
+        assign = [-1] * n
 
-            def bt(i: int, used: int) -> None:
-                if i == n:
-                    out.append(tuple(assign))
-                    return
-                want_down = want_up = 0
-                for u in below[i]:
-                    want_down |= 1 << assign[u]
-                for u in above[i]:
-                    want_up |= 1 << assign[u]
-                for v in cand[i]:
-                    if (not used >> v & 1 and down[v] & used == want_down
-                            and up[v] & used == want_up):
-                        assign[i] = v
-                        bt(i + 1, used | 1 << v)
+        def bt(step: int, used: int) -> None:
+            if step == n:
+                out.append(tuple(assign))
+                return
+            want = 0
+            for u in below[step]:
+                want |= 1 << assign[u]
+            for v in cand[step]:
+                if not used >> v & 1 and down[v] & used == want:
+                    assign[order[step]] = v
+                    bt(step + 1, used | 1 << v)
 
-            bt(0, 0)
+        bt(0, 0)
+        out.sort()  # rank order differs from id order off graded lattices
     result = tuple(out)
     _ISO_CACHE[key] = result
     return result
@@ -350,8 +330,8 @@ def _iso_tables(A: Lattice, B: Lattice) -> tuple[tuple[int, ...], ...]:
 def enumerate_interval_isos(A: IntervalView, B: IntervalView) -> list[IntervalIso]:
     """All order isomorphisms A -> B, in lexicographic order of the forward table.
 
-    Backtracking assigns elements in canonical order and prunes by rank,
-    corank, and cover degrees; an empty list means the posets differ.
+    Backtracking assigns elements of equal rank, checking each against the
+    down-sets of those already assigned; an empty list means the posets differ.
     """
     isos = []
     for fwd in _iso_tables(A.as_lattice, B.as_lattice):

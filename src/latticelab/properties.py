@@ -235,7 +235,10 @@ def check_rickpix(L: Lattice, m: EndoMonoid) -> Verdict:
 
     On a modular lattice phi o pi equals phi exactly when ker pi <= ker phi,
     so the projection side is one lattice test per distinct kernel k: some
-    complemented x has x ^ k = bottom and a complement x' <= k.
+    complemented x has x ^ k = bottom and a complement x' <= k. That holds
+    exactly when k is complemented, since k = x' v (x ^ k) = x' by the
+    modular law, so the two sides always agree: the check pins only that
+    `check_rickart_family` and the per-kernel test do.
     """
     if not m.has_all_projections:
         raise MissingProjectionsError(

@@ -18,6 +18,7 @@ from latticelab.conformance import (
     chk_kerpi,
     chk_linmor_joins,
     chk_projection_linear,
+    chk_splits,
     random_corpus,
     random_modular_lattice,
     run_conformance,
@@ -180,10 +181,11 @@ def test_a_self_dual_context_is_freed_by_reference_counting():
         gc.enable()
 
 
-# -- the three morphism checks against their plain loops ----------------------
-# The loops below certify every extension and every composite anew, and test
-# each join in Python; the registry's checks must report the same first
-# failure, or pass, wherever these do.
+# -- the four morphism checks against their plain loops -----------------------
+# The loops below certify every extension and every composite anew, test
+# each join in Python, and enumerate the Hom-sets of each interval; the
+# registry's checks must report the same first failure, or pass, wherever
+# these do.
 
 
 def exmorf_every_y(ctx):
@@ -238,8 +240,28 @@ def linmor_joins_by_pairs(ctx):
     return "pass", None
 
 
+def splits_by_hom_sets(ctx):
+    L = ctx.L
+    for a in range(L.n):
+        va = interval(L, L.bottom, a)
+        sub = va.as_lattice
+        retracts = any(
+            all(phi.map[va.members[t]] == t for t in range(sub.n))
+            for phi in enumerate_linmors(L, sub))
+        vu = interval(L, a, L.top)
+        squ = vu.as_lattice
+        sections = any(
+            all(vu.from_parent[L.join_of(a, phi.map[u])] == u for u in range(squ.n))
+            for phi in enumerate_linmors(squ, L))
+        is_comp = a in ctx.comp_set
+        if not (is_comp == retracts == sections):
+            return "fail", {"a": L.names[a], "complemented": is_comp,
+                            "inclusion_splits": retracts, "quotient_splits": sections}
+    return "pass", None
+
+
 ORACLES = ((chk_exmorf, exmorf_every_y), (chk_kerpi, kerpi_by_compose),
-           (chk_linmor_joins, linmor_joins_by_pairs))
+           (chk_linmor_joins, linmor_joins_by_pairs), (chk_splits, splits_by_hom_sets))
 
 # small lattices with complements to spare, for the injected faults
 FAULT_LATTICES = [fx.build_fixture(nm) for nm in ("b2", "b3", "m3", "excip")] + [
@@ -363,6 +385,21 @@ def test_linmor_joins_reports_a_bad_member_like_its_loop(L):
         failures += got[0] == "fail"
         assert got == linmor_joins_by_pairs(ctx), bogus
     assert failures
+
+
+@pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
+def test_splits_reports_a_wrong_complemented_set_like_its_loop(L):
+    """With one complemented element missing from the context's set, or one
+    element too many, splits fails like its per-interval loop."""
+    ctx = LatticeContext(L)
+    comp = set(ctx.comp)
+    faults = [comp - {a} for a in comp] + [comp | {a} for a in range(L.n)
+                                           if a not in comp]
+    for wrong in faults:
+        ctx._cache["comp_set"] = wrong
+        got = chk_splits(ctx)
+        assert got[0] == "fail"
+        assert got == splits_by_hom_sets(ctx), sorted(wrong)
 
 
 @pytest.mark.parametrize("L,extensions,composites", [

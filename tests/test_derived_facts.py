@@ -157,8 +157,9 @@ class TestConsistencyErrors:
 
 
 def test_interval_facts_are_computed_once_per_lattice(monkeypatch):
-    """The per-interval family verdicts and the iso-to-complement choices
-    live on the conformance context, so one run computes each once."""
+    """The per-interval family verdicts live on the conformance context, and
+    the iso-to-complement choices (the monoid's kernel/image-top pairs) on
+    its monoid, so one run computes each once."""
     calls = collections.Counter()
     real = conformance_mod.check_rickart_family
 
@@ -172,5 +173,5 @@ def test_interval_facts_are_computed_once_per_lattice(monkeypatch):
     assert ("b3[0,a]", "rickart") in calls
     assert max(calls.values()) == 1
     ctx = conformance_mod.LatticeContext(fx.build_fixture("b3"))
-    choices = conformance_mod._iso_to_complement_choices(ctx)
-    assert conformance_mod._iso_to_complement_choices(ctx) is choices
+    choices = ctx.monoid.pairs
+    assert ctx.monoid.pairs is choices

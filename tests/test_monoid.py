@@ -231,6 +231,22 @@ class TestCompositionTable:
                 composed = tuple(phi.map[v] for v in psi.map)
                 assert m.members[int(comp[i, j])].map == composed
 
+    def test_cache_is_keyed_by_structure_and_member_tables(self, monkeypatch):
+        """Equal member sets on two equal-structure lattices share one cached
+        table; a different member set gets its own."""
+        monkeypatch.setattr(monoid_module, "_COMP_CACHE", {})
+        first, second = fx.build_fixture("b2"), fx.build_fixture("b2")
+        assert first is not second and first.structure_key == second.structure_key
+        full = [full_monoid(L) for L in (first, second)]
+        assert full[0].comp is full[1].comp
+        assert len(monoid_module._COMP_CACHE) == 1
+        generated = generated_monoid(first, with_projections=True)
+        assert len(generated) < len(full[0])
+        assert generated.comp is not full[0].comp
+        assert len(monoid_module._COMP_CACHE) == 2
+        assert {key[1] for key in monoid_module._COMP_CACHE} == {
+            full[0].tables.tobytes(), generated.tables.tobytes()}
+
 
 def two_sided_closure(seed_maps, n, cap):
     """Independent route: add every product of two members, in both orders,

@@ -341,13 +341,29 @@ def brute_force_isos(A, B):
     return sorted(out)
 
 
+def iso_profile(L):
+    """Per element: rank, corank, upper and lower cover counts, and the
+    sizes of the up-set and the down-set; an isomorphism keeps all six."""
+    corank = [0] * L.n
+    up_deg = [0] * L.n
+    down_deg = [0] * L.n
+    for a, b in reversed(L.covers()):
+        corank[a] = max(corank[a], corank[b] + 1)
+        up_deg[a] += 1
+        down_deg[b] += 1
+    return [(L.rank[i], corank[i], up_deg[i], down_deg[i],
+             L.up_mask(i).bit_count(), L.down_mask(i).bit_count())
+            for i in range(L.n)]
+
+
 def iso_tables_by_leq(A, B):
-    """The interval-iso search that tests each candidate against every
-    assigned position with `leq`, both ways; same pruning and order."""
+    """The interval-iso search that prunes candidates by the six-part
+    profile and tests each one against every assigned position with `leq`,
+    both ways, assigning positions in id order."""
     out = []
     if A.n == B.n:
-        pa = morphisms._iso_profile(A)
-        pb = morphisms._iso_profile(B)
+        pa = iso_profile(A)
+        pb = iso_profile(B)
         if sorted(pa) == sorted(pb):
             n = A.n
             cand = [tuple(j for j in range(n) if pb[j] == pa[i]) for i in range(n)]
@@ -374,11 +390,15 @@ def iso_tables_by_leq(A, B):
 
 def test_iso_tables_match_the_leq_search(monkeypatch):
     """Every equal-size pair ([k, top], [bottom, a]) of the duality corpus,
-    M3 x M3 and B2 x C2 x C4 gives the same tables in the same order."""
+    M3 x M3, B2 x C2 x C4, C2^5, C4 x C8 and M7 gives the same tables in the
+    same order."""
     monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
     roots = ROOTS + [
         direct_product([fx.build_fixture("m3")] * 2).lattice,
-        direct_product([fx.build_fixture("b2"), fx.chain(2), fx.chain(4)]).lattice]
+        direct_product([fx.build_fixture("b2"), fx.chain(2), fx.chain(4)]).lattice,
+        direct_product([fx.chain(2)] * 5).lattice,
+        direct_product([fx.chain(4), fx.chain(8)]).lattice,
+        fx.mk(7)]
     pairs = {}
     for L in roots:
         ups = [interval(L, k, L.top).as_lattice for k in range(L.n)]
@@ -395,12 +415,52 @@ def test_iso_tables_match_the_leq_search(monkeypatch):
     assert found
 
 
-@pytest.mark.parametrize("name", ["c3", "b2", "m3", "excip"])
-def test_interval_isos_match_permutation_oracle(name):
-    L = fx.build_fixture(name)
-    views = [interval(L, lo, hi)
-             for lo in range(L.n) for hi in range(L.n) if L.leq(lo, hi)]
-    small = [v for v in views if len(v.members) <= 5]
+def non_graded_pair():
+    """[lo, top] of a lattice that is not graded, and a lattice M with the
+    same ranks that is not isomorphic to it. In [lo, top], y < z1, z2, and
+    x1, x2 sit above longer chains from the bottom, so they have rank one
+    in the interval but larger ids than z1 and z2. In M, r1 lies above two
+    elements of rank one; no element of [lo, top] does."""
+    L = build_lattice(
+        ["0", "lo", "y", "z1", "z2", "u1", "u2", "u3", "x1", "v1", "v2", "v3",
+         "x2", "1"],
+        [("0", "lo"), ("lo", "y"), ("y", "z1"), ("y", "z2"), ("z1", "1"),
+         ("z2", "1"), ("0", "u1"), ("u1", "u2"), ("u2", "u3"), ("u3", "x1"),
+         ("0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "x2"), ("lo", "x1"),
+         ("lo", "x2"), ("x1", "1"), ("x2", "1")], name="ng")
+    M = build_lattice(["0", "p", "q1", "q2", "r1", "r2", "t"],
+                      [("0", "p"), ("0", "q1"), ("0", "q2"), ("p", "r1"),
+                       ("q1", "r1"), ("p", "r2"), ("r1", "t"), ("r2", "t"),
+                       ("q2", "t")], name="m")
+    return L, interval(L, L.id_of("lo"), L.top), M
+
+
+def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
+    """Positions filled in id order would take [lo, top] onto M; filled in
+    rank order they do not, and the four automorphisms come out in table
+    order although rank order visits x1 and x2 before z1 and z2."""
+    L, upper, M = non_graded_pair()
+    A = upper.as_lattice
+    assert list(A.rank) != sorted(A.rank)
+    assert enumerate_interval_isos(upper, interval(M, M.bottom, M.top)) == []
+    autos = [iso.forward for iso in enumerate_interval_isos(upper, upper)]
+    assert len(autos) == 4 and autos == brute_force_isos(upper, upper)
+    for phi in enumerate_linmors(L, M):
+        assert validate_linear(L, M, phi.map).kernel == phi.kernel
+
+
+def _views(L, size):
+    return [v for v in (interval(L, lo, hi) for lo in range(L.n)
+                        for hi in range(L.n) if L.leq(lo, hi))
+            if len(v.members) <= size]
+
+
+@pytest.mark.parametrize("L,size", [
+    pytest.param(L, size, id=L.name) for L, size in
+    [*[(fx.build_fixture(name), 5) for name in ("c3", "b2", "m3", "excip")],
+     *[(L, 6) for L in random_corpus(10, 7, 1)]]])
+def test_interval_isos_match_permutation_oracle(L, size):
+    small = _views(L, size)
     for a in small:
         for b in small:
             got = sorted(iso.forward for iso in enumerate_interval_isos(a, b))

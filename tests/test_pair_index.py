@@ -140,7 +140,7 @@ def pair_mismatches(L, m):
     bad = scan_mismatches(L, m)
     md2 = md2_scan(L, m)
     ctx = context_with(L, m)
-    choices = conformance_mod._iso_to_complement_choices(ctx)
+    choices = {a: ctx.monoid.pairs.get(a, ()) for a in range(L.n)}
     if choices != choices_scan(L, m):
         bad.append("choices")
     clause = image_clause_scan(L, m)
