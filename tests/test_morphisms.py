@@ -415,12 +415,14 @@ def test_iso_tables_match_the_leq_search(monkeypatch):
     assert found
 
 
-def non_graded_pair():
-    """[lo, top] of a lattice that is not graded, and a lattice M with the
-    same ranks that is not isomorphic to it. In [lo, top], y < z1, z2, and
-    x1, x2 sit above longer chains from the bottom, so they have rank one
-    in the interval but larger ids than z1 and z2. In M, r1 lies above two
-    elements of rank one; no element of [lo, top] does."""
+def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
+    """[lo, top] of a lattice that is not graded: y < z1, z2, and x1, x2 sit
+    above longer chains from the bottom, so they have rank one in the
+    interval but larger ids than z1 and z2. M has the same ranks, but its r1
+    of rank two lies above two elements of rank one, so the two are not
+    isomorphic. Positions filled in id order would take [lo, top] onto M;
+    filled in rank order they do not, and the four automorphisms come out
+    in table order although rank order visits x1 and x2 before z1 and z2."""
     L = build_lattice(
         ["0", "lo", "y", "z1", "z2", "u1", "u2", "u3", "x1", "v1", "v2", "v3",
          "x2", "1"],
@@ -432,14 +434,7 @@ def non_graded_pair():
                       [("0", "p"), ("0", "q1"), ("0", "q2"), ("p", "r1"),
                        ("q1", "r1"), ("p", "r2"), ("r1", "t"), ("r2", "t"),
                        ("q2", "t")], name="m")
-    return L, interval(L, L.id_of("lo"), L.top), M
-
-
-def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
-    """Positions filled in id order would take [lo, top] onto M; filled in
-    rank order they do not, and the four automorphisms come out in table
-    order although rank order visits x1 and x2 before z1 and z2."""
-    L, upper, M = non_graded_pair()
+    upper = interval(L, L.id_of("lo"), L.top)
     A = upper.as_lattice
     assert list(A.rank) != sorted(A.rank)
     assert enumerate_interval_isos(upper, interval(M, M.bottom, M.top)) == []
@@ -449,18 +444,15 @@ def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
         assert validate_linear(L, M, phi.map).kernel == phi.kernel
 
 
-def _views(L, size):
-    return [v for v in (interval(L, lo, hi) for lo in range(L.n)
-                        for hi in range(L.n) if L.leq(lo, hi))
-            if len(v.members) <= size]
-
-
 @pytest.mark.parametrize("L,size", [
     pytest.param(L, size, id=L.name) for L, size in
     [*[(fx.build_fixture(name), 5) for name in ("c3", "b2", "m3", "excip")],
      *[(L, 6) for L in random_corpus(10, 7, 1)]]])
 def test_interval_isos_match_permutation_oracle(L, size):
-    small = _views(L, size)
+    """Every pair of intervals of L with at most `size` elements."""
+    views = [interval(L, lo, hi)
+             for lo in range(L.n) for hi in range(L.n) if L.leq(lo, hi)]
+    small = [v for v in views if len(v.members) <= size]
     for a in small:
         for b in small:
             got = sorted(iso.forward for iso in enumerate_interval_isos(a, b))
