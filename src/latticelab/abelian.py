@@ -373,10 +373,7 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
     """
     rows = _endo_sweep(g)  # checks the endomorphism cap first
     lat = subgroup_lattice(g)
-    kernels, image_tops = certify_tables(lat, lat, rows)
-    return EndoMonoid(lat, [LinearMorphism(lat, lat, tuple(row), k, a)
-                            for row, k, a in zip(rows.tolist(), kernels.tolist(),
-                                                 image_tops.tolist())])
+    return EndoMonoid.from_tables(lat, rows, *certify_tables(lat, lat, rows))
 
 
 # -- the bridge verdicts -----------------------------------------------------------

@@ -13,6 +13,8 @@ import sys
 from json.encoder import encode_basestring
 from pathlib import Path
 
+import numpy as np
+
 from . import fixtures
 from .abelian import KINDS, AbelianGroup, induced_monoid, rickart_module_direct
 from .conformance import REGISTRY, random_corpus, run_conformance, select_names
@@ -195,13 +197,18 @@ def cmd_module(args) -> int:
 
 def _name_maps_json(mono: EndoMonoid) -> str:
     """The members as a list of name maps, as json.dumps(indent=2,
-    ensure_ascii=False) writes it one level deep: each name is encoded once
-    and each "x": "y" line is built once."""
+    ensure_ascii=False) writes it one level deep. Each name is encoded once,
+    and each "x": "y" line is built once with the separator that follows it;
+    the member tables pick the lines in one gather, for one join."""
+    n = mono.lattice.n
     names = [encode_basestring(nm) for nm in mono.lattice.names]
-    lines = [[f"{x}: {y}" for y in names] for x in names]
-    maps = (",\n      ".join([lx[y] for lx, y in zip(lines, phi.map)])
-            for phi in mono.members)
-    return "[\n    {\n      " + "\n    },\n    {\n      ".join(maps) + "\n    }\n  ]"
+    seps = [",\n      "] * (n - 1) + ["\n    },\n    {\n      "]
+    lines = np.array([[f"{x}: {y}{sep}" for y in names]
+                      for x, sep in zip(names, seps)], dtype=object)
+    cells = lines[np.arange(n), mono.tables]
+    cells[0, 0] = "[\n    {\n      " + cells[0, 0]
+    cells[-1, -1] = cells[-1, -1][:-len(seps[-1])] + "\n    }\n  ]"
+    return "".join(cells.ravel().tolist())
 
 
 def cmd_theorems(args) -> int:

@@ -46,6 +46,7 @@ from .monoid import (_BLOCK_BYTES, EndoMonoid, full_monoid, monoid_predicate,
                      principal_idempotents)
 from .morphisms import (
     LinearMorphism,
+    _linmor_tables,
     compose,
     enumerate_linmors,
     extend_from_interval,
@@ -201,7 +202,7 @@ class LatticeContext:
     @property
     def fully_invariant(self) -> tuple[int, ...]:
         return self._get("fi", lambda: fully_invariant_elements(
-            self.L, self.monoid.members))
+            self.L, self.monoid.tables))
 
     @property
     def families(self) -> list[tuple[int, ...]] | None:
@@ -356,11 +357,11 @@ def chk_kercompkergenann(ctx):
         return _skip("monoid too large for annihilator calculus")
     m = ctx.monoid
     principal = principal_idempotents(m, "right", m.zero_products)
-    for phi, eps in zip(m.members, principal):
-        lhs = phi.kernel in ctx.comp_set
-        rhs = ctx.generated(phi.kernel) and eps is not None
+    for i, (k, eps) in enumerate(zip(m.member_kernels.tolist(), principal)):
+        lhs = k in ctx.comp_set
+        rhs = ctx.generated(k) and eps is not None
         if lhs != rhs:
-            return _fail(morphism=phi.as_name_map(), kernel_complemented=lhs,
+            return _fail(morphism=m[i].as_name_map(), kernel_complemented=lhs,
                          generated_and_principal=rhs)
     return _ok()
 
@@ -404,13 +405,12 @@ def chk_kerpi(ctx):
 
 def chk_idemcomp(ctx):
     L, m = ctx.L, ctx.monoid
-    for i in m.idempotent_indices():
-        phi = m.members[i]
-        if (L.meet_of(phi.kernel, phi.image_top) != L.bottom
-                or L.join_of(phi.kernel, phi.image_top) != L.top):
-            return _fail(morphism=phi.as_name_map(),
-                         kernel=L.names[phi.kernel],
-                         image=L.names[phi.image_top])
+    idem = list(m.idempotent_indices())
+    for i, k, a in zip(idem, m.member_kernels[idem].tolist(),
+                       m.member_image_tops[idem].tolist()):
+        if L.meet_of(k, a) != L.bottom or L.join_of(k, a) != L.top:
+            return _fail(morphism=m[i].as_name_map(),
+                         kernel=L.names[k], image=L.names[a])
     return _ok()
 
 
@@ -607,7 +607,7 @@ def chk_linmor_joins(ctx):
         bad[:, 1:] = T[:, joined] != join[T[:, xs], T[:, ys]]
         if bad.any():
             row, col = divmod(int(np.argmax(bad)), bad.shape[1])
-            phi = m.members[start + row]
+            phi = m[start + row]
             if col == 0:
                 return _fail(morphism=phi.as_name_map(), clause="bottom")
             return _fail(morphism=phi.as_name_map(),
@@ -761,7 +761,7 @@ def chk_retractable(ctx):
         for k, i in ctx.monoid.first_with("kernel").items():
             if not ctx.generated(k):
                 return _fail(clause="retractable implies kernels generated",
-                             morphism=ctx.monoid.members[i].as_name_map())
+                             morphism=ctx.monoid[i].as_name_map())
     return _ok()
 
 
@@ -834,7 +834,7 @@ def chk_prod_rickart_pairs(ctxL, ctxM):
     L, M = ctxL.L, ctxM.L
     P = direct_product([L, M]).lattice
     comp = set(complemented_elements(P))
-    lhs = all(phi.kernel in comp for phi in enumerate_linmors(P))
+    lhs = comp.issuperset(_linmor_tables(P, P)[1].tolist())
     rhs = all(check_cross_rickart(A, B).holds
               for A in (L, M) for B in (L, M))
     return _ok() if lhs == rhs else _fail(product_rickart=lhs, pairwise=rhs)

@@ -22,11 +22,11 @@ from .lattice import (Lattice, close_under, complemented_elements, complements_o
                       require_modular)
 from .morphisms import (
     LinearMorphism,
-    enumerate_linmors,
+    _linmor_tables,
+    certify_tables,
     identity_morphism,
     morphism_from_json,
     projection,
-    validate_linear,
     zero_morphism,
 )
 from .verdict import Verdict
@@ -45,25 +45,56 @@ class EndoMonoid:
 
     The lattice must be modular, as for the linear maps of Albu and Iosif:
     off modular lattices a composite of linear maps need not be linear.
+
+    A linear map is fixed by its table, and its kernel and image top are read
+    off it, so the monoid stores three read-only arrays in member order:
+    `tables` (one map table per row, sorted), `member_kernels` and
+    `member_image_tops`. `LinearMorphism` objects are built only on demand:
+    `m[i]` makes the one for row i, and `members` makes them all once.
     """
 
-    __slots__ = ("lattice", "members", "zero_idx", "id_idx", "_index", "_comp",
-                 "_idem", "_has_all_projections", "_cosets", "_pairs", "_first",
-                 "_kernels", "_image_tops", "_tables", "_zero_products")
+    __slots__ = ("lattice", "tables", "member_kernels", "member_image_tops",
+                 "zero_idx", "id_idx", "_members", "_index", "_comp", "_idem",
+                 "_has_all_projections", "_cosets", "_pairs", "_first",
+                 "_kernels", "_image_tops", "_zero_products")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
-        require_modular(lattice)
-        self.lattice = lattice
         unique = {m.map: m for m in members}  # a repeated table is one member
-        self.members = tuple(unique[t] for t in sorted(unique))
-        self._index = {m.map: i for i, m in enumerate(self.members)}
-        zero = (lattice.bottom,) * lattice.n
-        ident = tuple(range(lattice.n))
-        if zero not in self._index or ident not in self._index:
+        self._setup(lattice, np.array(list(unique), dtype=np.intp).reshape(-1, lattice.n),
+                    [m.kernel for m in unique.values()],
+                    [m.image_top for m in unique.values()])
+
+    @classmethod
+    def from_tables(cls, lattice: Lattice, tables, kernels, image_tops) -> EndoMonoid:
+        """The monoid of certified rows, given in any order: each row of
+        `tables` a linear map table of the lattice, with its kernel and image
+        top. A repeated row raises ValueError."""
+        m = cls.__new__(cls)
+        m._setup(lattice, tables, kernels, image_tops)
+        return m
+
+    def _setup(self, lattice: Lattice, tables, kernels, image_tops) -> None:
+        require_modular(lattice)
+        n = lattice.n
+        tables = np.asarray(tables)
+        order = np.lexsort(tables.T[::-1])  # rows in lexicographic order
+        tables = tables[order].astype(np.min_scalar_type(n - 1), copy=False)
+        if (tables[1:] == tables[:-1]).all(axis=1).any():
+            raise ValueError("a member table is repeated")
+        # hits[r]: whether row r is the zero map, and whether it is the identity
+        hits = (tables[:, None] == np.array([[lattice.bottom] * n, range(n)])).all(axis=2)
+        if not hits.any(axis=0).all():
             raise NotClosedError("a submonoid with zero must contain the zero "
                                  "morphism and the identity")
-        self.zero_idx = self._index[zero]
-        self.id_idx = self._index[ident]
+        self.lattice = lattice
+        self.tables = tables
+        self.member_kernels = np.asarray(kernels, dtype=np.intp)[order]
+        self.member_image_tops = np.asarray(image_tops, dtype=np.intp)[order]
+        for arr in (self.tables, self.member_kernels, self.member_image_tops):
+            arr.setflags(write=False)
+        self.zero_idx, self.id_idx = hits.argmax(axis=0).tolist()
+        self._members = None
+        self._index = None
         self._comp = None
         self._idem = None
         self._has_all_projections = None
@@ -72,34 +103,41 @@ class EndoMonoid:
         self._first = None
         self._kernels = None
         self._image_tops = None
-        self._tables = None
         self._zero_products = None
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.tables)
 
     def __iter__(self):
         return iter(self.members)
 
     def __getitem__(self, i: int) -> LinearMorphism:
-        return self.members[i]
-
-    def contains_map(self, table: tuple[int, ...]) -> bool:
-        return table in self._index
-
-    def index_of(self, phi: LinearMorphism) -> int:
-        return self._index[phi.map]
+        L = self.lattice
+        return LinearMorphism(L, L, tuple(self.tables[i].tolist()),
+                              int(self.member_kernels[i]),
+                              int(self.member_image_tops[i]))
 
     @property
-    def tables(self) -> np.ndarray:
-        """The member map tables as one read-only (len, n) array, in member
-        order."""
-        if self._tables is None:
-            n = self.lattice.n
-            self._tables = np.array([m.map for m in self.members],
-                                    dtype=np.min_scalar_type(n - 1))
-            self._tables.setflags(write=False)
-        return self._tables
+    def members(self) -> tuple[LinearMorphism, ...]:
+        """Every member as a `LinearMorphism`, in member order, built once."""
+        if self._members is None:
+            L = self.lattice
+            self._members = tuple(
+                LinearMorphism(L, L, tuple(row), k, a)
+                for row, k, a in zip(self.tables.tolist(), self.member_kernels.tolist(),
+                                     self.member_image_tops.tolist()))
+        return self._members
+
+    def _map_index(self) -> dict[tuple[int, ...], int]:
+        if self._index is None:
+            self._index = {tuple(row): i for i, row in enumerate(self.tables.tolist())}
+        return self._index
+
+    def contains_map(self, table: tuple[int, ...]) -> bool:
+        return table in self._map_index()
+
+    def index_of(self, phi: LinearMorphism) -> int:
+        return self._map_index()[phi.map]
 
     @property
     def comp(self) -> np.ndarray:
@@ -133,8 +171,9 @@ class EndoMonoid:
     def has_all_projections(self) -> bool:
         """Whether every projection, for every complement choice, is a member."""
         if self._has_all_projections is None:
+            index = self._map_index()
             self._has_all_projections = all(
-                pi.map in self._index for pi in _all_projections(self.lattice))
+                pi.map in index for pi in _all_projections(self.lattice))
         return self._has_all_projections
 
     @property
@@ -146,10 +185,11 @@ class EndoMonoid:
         if self._pairs is None:
             tops: dict[int, set[int]] = {}
             first: dict[str, dict[int, int]] = {"kernel": {}, "image": {}}
-            for i, phi in enumerate(self.members):
-                tops.setdefault(phi.kernel, set()).add(phi.image_top)
-                first["kernel"].setdefault(phi.kernel, i)
-                first["image"].setdefault(phi.image_top, i)
+            for i, (k, a) in enumerate(zip(self.member_kernels.tolist(),
+                                           self.member_image_tops.tolist())):
+                tops.setdefault(k, set()).add(a)
+                first["kernel"].setdefault(k, i)
+                first["image"].setdefault(a, i)
             self._first = {side: MappingProxyType(d) for side, d in first.items()}
             self._pairs = {k: tuple(sorted(tops[k])) for k in sorted(tops)}
         return self._pairs
@@ -185,7 +225,7 @@ class EndoMonoid:
         return self._idem
 
     def __repr__(self) -> str:
-        return f"EndoMonoid({self.lattice.name!r}, size={len(self.members)})"
+        return f"EndoMonoid({self.lattice.name!r}, size={len(self)})"
 
 
 def _composition_table(tables: np.ndarray) -> np.ndarray:
@@ -242,7 +282,7 @@ def _all_projections(L: Lattice):
 def full_monoid(L: Lattice) -> EndoMonoid:
     """End_lin(L), enumerated and cached by lattice structure."""
     require_modular(L)
-    return EndoMonoid(L, enumerate_linmors(L, L))
+    return EndoMonoid.from_tables(L, *_linmor_tables(L, L))
 
 
 def _endomorphisms_of(L: Lattice, morphisms) -> list[LinearMorphism]:
@@ -273,18 +313,49 @@ def generated_monoid(L: Lattice, generators=(),
     projections) under composition.
 
     Every product of seeds is a shorter product followed by one more seed,
-    so the right closure under seeds reaches all of them; each new table is
-    then certified once.
+    so the right closure under seeds reaches all of them. It runs in array
+    rounds: each round composes the frontier rows with every seed in one
+    gather, in blocks of rows, and keeps the composites whose bytes are new.
+    The new tables are then certified in one batch.
     """
     require_modular(L)
     seeds = {phi.map: phi for phi in [
         identity_morphism(L), zero_morphism(L), *_endomorphisms_of(L, generators),
         *(_all_projections(L) if with_projections else ())]}
-    closed = close_under(dict.fromkeys(seeds, ()),
-                         lambda phi, psi: tuple(phi[v] for v in psi),
-                         limit=MAX_GENERATED_MEMBERS)
-    return EndoMonoid(L, [seeds[t] if t in seeds else validate_linear(L, L, t)
-                          for t in closed])
+    n = L.n
+    S = np.array(list(seeds), dtype=np.min_scalar_type(n - 1)).reshape(-1, n)
+    row_key = np.dtype((np.void, S.itemsize * n))
+    seen = {row.tobytes() for row in S}
+    found = []
+    frontier = S
+    # bytes live per composite at the peak of a block: its row, the sorted
+    # copy of it, and the sort's intp index arrays
+    rows = max(1, _BLOCK_BYTES // (len(S) * (2 * n * S.itemsize + 24)))
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), rows):
+            # C[f, s] = frontier[start + f] after S[s]
+            C = frontier[start:start + rows][:, S].reshape(-1, n)
+            keys = C.view(row_key).ravel()
+            _, first = np.unique(keys, return_index=True)
+            unseen = []
+            for i in first.tolist():
+                key = keys[i].tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    unseen.append(i)
+            if len(seen) > MAX_GENERATED_MEMBERS:
+                raise SizeLimitExceededError(
+                    f"closure exceeded {MAX_GENERATED_MEMBERS} elements")
+            fresh.append(C[unseen])
+        frontier = np.concatenate(fresh)
+        found.append(frontier)
+    new = np.concatenate(found)
+    kernels, image_tops = certify_tables(L, L, new)
+    return EndoMonoid.from_tables(
+        L, np.concatenate([S, new]),
+        np.concatenate([[phi.kernel for phi in seeds.values()], kernels]),
+        np.concatenate([[phi.image_top for phi in seeds.values()], image_tops]))
 
 
 def explicit_monoid(L: Lattice, members) -> EndoMonoid:
@@ -342,7 +413,7 @@ class AnnihilatorSet:
 def _ann_mask(m: EndoMonoid, side: str, targets) -> np.ndarray:
     zero = m.zero_products
     if not targets:
-        return np.ones(len(m.members), dtype=bool)
+        return np.ones(len(m), dtype=bool)
     if side == "right":
         return zero[list(targets), :].all(axis=0)
     return zero[:, list(targets)].all(axis=1)
@@ -365,7 +436,7 @@ def coset_index(m: EndoMonoid, side: str) -> dict[bytes, int]:
     if side not in cached:
         idem = list(m.idempotent_indices())
         products = m.comp[idem, :] if side == "right" else m.comp[:, idem].T
-        masks = np.zeros((len(idem), len(m.members)), dtype=bool)
+        masks = np.zeros((len(idem), len(m)), dtype=bool)
         masks[np.arange(len(idem))[:, None], products] = True
         index: dict[bytes, int] = {}
         for eps, mask in zip(idem, masks):
@@ -413,7 +484,7 @@ def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
         singles = _single_masks(m, side)
         for i, principal in enumerate(principal_idempotents(m, side, singles)):
             if principal is None:
-                witness = {"target": m.members[i].as_name_map(),
+                witness = {"target": m[i].as_name_map(),
                            "annihilator_size": int(singles[i].sum())}
                 return Verdict(kind, False, witness=witness)
         return Verdict(kind, True)
@@ -428,7 +499,7 @@ def monoid_predicate(m: EndoMonoid, kind: str) -> Verdict:
         closed = close_under(singles, _mask_and)
         for key in sorted(closed, key=lambda k: (k.count(1), k)):
             if key not in cosets:
-                witness = {"generators": [m.members[g].as_name_map()
+                witness = {"generators": [m[g].as_name_map()
                                           for g in closed[key]],
                            "annihilator_size": key.count(1)}
                 return Verdict(kind, False, witness=witness)

@@ -16,6 +16,7 @@ of [k, top].
 
 from __future__ import annotations
 
+import itertools
 import json
 import reprlib
 from dataclasses import dataclass
@@ -359,28 +360,51 @@ def iso_composites(src: IntervalView, dst: IntervalView, pre):
 
 # -- enumeration of all linear morphisms --------------------------------------
 
-_LINMOR_CACHE: dict[tuple[bytes, bytes], tuple[tuple[tuple[int, ...], int, int], ...]] = {}
+_LINMOR_CACHE: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _linmor_tables(L: Lattice, M: Lattice) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every linear morphism L -> M as three read-only arrays: the map tables,
+    one row each in lexicographic order, their kernels and their image tops.
+
+    Each (kernel, image top) pair with intervals of one size contributes the
+    composites of its interval isomorphisms, collected as one flat list of
+    values, so no table is held as a tuple.
+    """
+    cap = config.DEFAULT_ENUM_CAP
+    if max(L.n, M.n) > cap:
+        raise SizeLimitExceededError(
+            f"enumeration over {max(L.n, M.n)} elements exceeds cap {cap}")
     key = (L.structure_key, M.structure_key)
     hit = _LINMOR_CACHE.get(key)
     if hit is not None:
         return hit
-    found: list[tuple[tuple[int, ...], int, int]] = []
+    flat: list[int] = []  # the tables, one after another
+    kernels: list[int] = []
+    image_tops: list[int] = []
     for k in range(L.n):
         up_view = interval(L, k, L.top)
         join_k = [L.join_of(x, k) for x in range(L.n)]
         for a in range(M.n):
             dn_view = interval(M, M.bottom, a)
             if len(dn_view.members) == len(up_view.members):
-                found.extend((table, k, a)
-                             for table in iso_composites(up_view, dn_view, join_k))
-    found.sort(key=lambda t: t[0])
-    if len({t[0] for t in found}) != len(found):
+                start = len(flat)
+                flat.extend(itertools.chain.from_iterable(
+                    iso_composites(up_view, dn_view, join_k)))
+                count = (len(flat) - start) // L.n
+                kernels += [k] * count
+                image_tops += [a] * count
+    tables = np.array(flat, dtype=np.min_scalar_type(M.n - 1)).reshape(-1, L.n)
+    order = np.lexsort(tables.T[::-1])
+    tables = tables[order]
+    if (tables[1:] == tables[:-1]).all(axis=1).any():
         raise ConsistencyError(
             f"two factorizations give the same map from {L.name} to {M.name}")
-    result = tuple(found)
+    kernels = np.array(kernels, dtype=np.intp)[order]
+    image_tops = np.array(image_tops, dtype=np.intp)[order]
+    result = (tables, kernels, image_tops)
+    for arr in result:
+        arr.setflags(write=False)
     _LINMOR_CACHE[key] = result
     return result
 
@@ -393,12 +417,10 @@ def enumerate_linmors(L: Lattice, M: Lattice | None = None) -> list[LinearMorphi
     result (kernel, image top, restriction).
     """
     M = M if M is not None else L
-    cap = config.DEFAULT_ENUM_CAP
-    if max(L.n, M.n) > cap:
-        raise SizeLimitExceededError(
-            f"enumeration over {max(L.n, M.n)} elements exceeds cap {cap}")
+    tables, kernels, image_tops = _linmor_tables(L, M)
     return [LinearMorphism(domain=L, codomain=M, map=t, kernel=k, image_top=a)
-            for t, k, a in _linmor_tables(L, M)]
+            for t, k, a in zip(map(tuple, tables.tolist()), kernels.tolist(),
+                               image_tops.tolist())]
 
 
 # -- extension from an interval ------------------------------------------------
@@ -445,11 +467,12 @@ def extend_from_interval(phi: LinearMorphism, dom_view: IntervalView,
     return ext
 
 
-def fully_invariant_elements(L: Lattice, morphisms) -> tuple[int, ...]:
-    """Elements x with phi(x) <= x for every morphism in the collection."""
-    members = list(morphisms)
-    return tuple(x for x in range(L.n)
-                 if all(L.leq(phi.map[x], x) for phi in members))
+def fully_invariant_elements(L: Lattice, tables) -> tuple[int, ...]:
+    """Elements x with phi(x) <= x for every map table phi, one per row of
+    `tables`."""
+    T = np.asarray(tables, dtype=np.intp).reshape(-1, L.n)
+    leq = L.tables_np[0]
+    return tuple(np.flatnonzero(leq[T, np.arange(L.n)].all(axis=0)).tolist())
 
 
 # -- serialization -------------------------------------------------------------

@@ -20,7 +20,7 @@ from .lattice import (
     interval,
 )
 from .monoid import EndoMonoid
-from .morphisms import enumerate_linmors, iso_composites
+from .morphisms import LinearMorphism, _linmor_tables, iso_composites
 from .verdict import Verdict
 
 
@@ -41,7 +41,7 @@ def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
         for e, i in first.items():
             if e not in comp:
                 return Verdict(kind, False, witness={
-                    "morphism": m.members[i].as_name_map(), side: L.names[e]})
+                    "morphism": m[i].as_name_map(), side: L.names[e]})
         return Verdict(kind, True)
     # seeded in member order, not sorted: the order fixes which generators
     # a witness lists
@@ -51,7 +51,7 @@ def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
         if e not in comp:
             return Verdict(kind, False, witness={
                 "element": L.names[e],
-                "generators": [m.members[g].as_name_map() for g in closed[e]]})
+                "generators": [m[g].as_name_map() for g in closed[e]]})
     return Verdict(kind, True)
 
 
@@ -176,7 +176,7 @@ def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
         for e, i in first.items():
             if e != trivial and essential_superfluous(L, e, sense):
                 return Verdict(kind, False, witness={
-                    "morphism": m.members[i].as_name_map(), side: L.names[e]})
+                    "morphism": m[i].as_name_map(), side: L.names[e]})
         return Verdict(kind, True)
     # k_co: an a below no nonzero member's kernel must be essential;
     # t_co: an a above no nonzero member's image top must be superfluous
@@ -197,7 +197,7 @@ def check_retractable(L: Lattice, m: EndoMonoid) -> Verdict:
     for k in m.kernels:
         for b in L.down_set(k):
             if not any(L.leq(b, img) and L.leq(img, k) for img in m.image_tops):
-                phi = m.members[m.first_with("kernel")[k]]
+                phi = m[m.first_with("kernel")[k]]
                 return Verdict("retractable", False, witness={
                     "morphism": phi.as_name_map(), "kernel": L.names[k],
                     "element": L.names[b]})
@@ -219,12 +219,16 @@ def check_generation(L: Lattice, m: EndoMonoid, x: int, kind: str) -> Verdict:
 
 
 def check_cross_rickart(L: Lattice, M: Lattice) -> Verdict:
-    """Kernels of every linear morphism L -> M are complemented in L."""
+    """Kernels of every linear morphism L -> M are complemented in L. Only
+    the kernel array of Hom(L, M) is read; the witness, the first failing
+    map in table order, is the one morphism built."""
     comp = set(complemented_elements(L))
-    for phi in enumerate_linmors(L, M):
-        if phi.kernel not in comp:
+    tables, kernels, image_tops = _linmor_tables(L, M)
+    for i, k in enumerate(kernels.tolist()):
+        if k not in comp:
+            phi = LinearMorphism(L, M, tuple(tables[i].tolist()), k, int(image_tops[i]))
             return Verdict("cross_rickart", False, witness={
-                "morphism": phi.as_name_map(), "kernel": L.names[phi.kernel]})
+                "morphism": phi.as_name_map(), "kernel": L.names[k]})
     return Verdict("cross_rickart", True)
 
 
@@ -250,6 +254,6 @@ def check_rickpix(L: Lattice, m: EndoMonoid) -> Verdict:
         for x in comp)}
     failing = next((i for k, i in m.first_with("kernel").items() if k in unfactored), None)
     rhs = failing is None
-    witness = None if rhs else {"morphism": m.members[failing].as_name_map()}
+    witness = None if rhs else {"morphism": m[failing].as_name_map()}
     return Verdict("rickpix", lhs == rhs, witness=witness,
                    notes=f"kernel-complement side={lhs}, projection side={rhs}")

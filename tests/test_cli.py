@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 
 from latticelab import fixtures as fx
 from latticelab import monoid as monoid_module
-from latticelab.abelian import _subgroup_lattice
-from latticelab.cli import run
+from latticelab.abelian import AbelianGroup, _subgroup_lattice, induced_monoid
+from latticelab.cli import _name_maps_json, run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
-from latticelab.lattice import direct_product, lattice_from_json, lattice_to_json
-from latticelab.monoid import full_monoid
+from latticelab.lattice import (build_lattice, direct_product, lattice_from_json,
+                                lattice_to_json)
+from latticelab.monoid import explicit_monoid, full_monoid
 from latticelab.morphisms import morphism_to_json, validate_linear
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -568,6 +570,67 @@ class TestModule:
         assert run(["module", "--group", "2,2,2,2,2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert _subgroup_lattice.cache_info().misses == 0
+
+
+def name_maps_by_members(mono):
+    """The per-member renderer: each name encoded once, each member's lines
+    joined on their own, then the members joined."""
+    names = [encode_basestring(nm) for nm in mono.lattice.names]
+    lines = [[f"{x}: {y}" for y in names] for x in names]
+    maps = (",\n      ".join([lx[y] for lx, y in zip(lines, phi.map)])
+            for phi in mono.members)
+    return "[\n    {\n      " + "\n    },\n    {\n      ".join(maps) + "\n    }\n  ]"
+
+
+class TestNameMapsJson:
+    """`module --json` renders "induced_maps" from the member tables; it must
+    be what json.dumps writes for the members' name maps, one level deep."""
+
+    @staticmethod
+    def assert_renders_like_json_dumps(mono):
+        got = _name_maps_json(mono)
+        doc = json.dumps({"k": [phi.as_name_map() for phi in mono.members]},
+                         indent=2, ensure_ascii=False)
+        assert '{\n  "k": ' + got + "\n}" == doc
+        assert got == name_maps_by_members(mono)
+
+    @pytest.mark.parametrize("group", ["2", "2,2", "2,2,2", "2,4"])
+    def test_induced_monoids(self, group):
+        self.assert_renders_like_json_dumps(induced_monoid(AbelianGroup.from_spec(group)))
+
+    def test_names_that_need_escaping(self):
+        """A quote, a backslash and a non-ASCII letter among the names, on
+        M3 and on the one-element lattice, whose one line opens and closes
+        the list."""
+        names = ["0", 'q"', "b\\", "é", "1"]
+        covers = [("0", a) for a in names[1:4]] + [(a, "1") for a in names[1:4]]
+        L = build_lattice(names, covers, name="esc")
+        point = build_lattice(['"p"'], [], name="point")
+        for lat in (L, point):
+            mono = explicit_monoid(lat, full_monoid(lat).members)
+            self.assert_renders_like_json_dumps(mono)
+
+
+def test_cli_run_leaves_numpy_ma_unimported():
+    """numpy 2 imports numpy.ma lazily, for one np.unique without
+    return_index, return_inverse or return_counts; that import costs about
+    25 ms once per process. A CLI run must not pay it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    if bare.stdout.strip() == "True":
+        pytest.skip("a bare `import numpy` already loads numpy.ma")
+    code = ("import contextlib, io, sys\n"
+            "from latticelab.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    run(['analyze', {str(FIXTURES / 'm3.json')!r}, '--props', 'all'])\n"
+            "    run(['module', '--group', '2,4'])\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
 class TestTheorems:

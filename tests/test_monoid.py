@@ -10,6 +10,7 @@ import pytest
 
 from latticelab import fixtures as fx
 from latticelab import monoid as monoid_module
+from latticelab.abelian import AbelianGroup, induced_monoid
 from latticelab.conformance import (LatticeContext, chk_baercar, chk_kercompkergenann,
                                     random_corpus)
 from latticelab.errors import NotClosedError, NotModularError, SizeLimitExceededError
@@ -29,6 +30,9 @@ from latticelab.monoid import (
 )
 from latticelab.morphisms import (identity_morphism, morphism_to_json, projection,
                                   zero_morphism)
+
+from test_duality import LATTICES
+from test_pair_index import monoids
 
 
 class TestBuild:
@@ -127,6 +131,83 @@ class TestBuild:
                  "map": {"0": "0", "n": "n", "1": "1"}},
             ]})
         assert len(e) == 2
+
+
+def triples(morphisms):
+    """(map, kernel, image top) of each morphism: LinearMorphism equality
+    compares maps only."""
+    return [(phi.map, phi.kernel, phi.image_top) for phi in morphisms]
+
+
+def pair_index_monoids():
+    """Every monoid of the pair-index tests over the duality corpus, and two
+    induced monoids."""
+    for i, L in enumerate(LATTICES):
+        yield from monoids(L, i)
+    for spec in ("2,2,2", "2,4,4"):  # past the cache, so members start unbuilt
+        yield induced_monoid.__wrapped__(AbelianGroup.from_spec(spec))
+
+
+class TestArrayBacked:
+    """The array-backed monoid: `from_tables` on shuffled rows and the member
+    list constructor set up the same monoid, and members are built on
+    demand from the rows."""
+
+    NOT_CLOSED = r"^a submonoid with zero must contain the zero morphism and the identity$"
+
+    def test_from_tables_and_member_lists_agree(self):
+        rng = np.random.default_rng(3)
+        count = 0
+        for m in pair_index_monoids():
+            L = m.lattice
+            assert m._members is None, L.name
+            by_index = triples(m[i] for i in range(len(m)))
+            assert m._members is None, L.name  # m[i] builds no member list
+            perm = rng.permutation(len(m))
+            shuffled = EndoMonoid.from_tables(L, m.tables[perm], m.member_kernels[perm],
+                                              m.member_image_tops[perm])
+            listed = EndoMonoid(L, [m.members[i] for i in perm])
+            for other in (shuffled, listed):
+                assert other.tables.dtype == m.tables.dtype
+                for name in ("tables", "member_kernels", "member_image_tops"):
+                    assert np.array_equal(getattr(other, name), getattr(m, name)), name
+                    assert not getattr(other, name).flags.writeable
+                assert (other.zero_idx, other.id_idx) == (m.zero_idx, m.id_idx)
+                assert other.pairs == m.pairs
+                for side in ("kernel", "image"):
+                    assert dict(other.first_with(side)) == dict(m.first_with(side))
+                assert triples(other.members) == triples(m.members)
+            assert by_index == triples(m.members)
+            assert triples(m[i] for i in range(len(m))) == triples(m.members)
+            count += 1
+        assert count == 3 * len(LATTICES) + 2
+
+    def test_members_agree_with_the_rows(self):
+        m = full_monoid(fx.build_fixture("m3"))
+        for i, phi in enumerate(m.members):
+            assert phi.map == tuple(m.tables[i].tolist())
+            assert (phi.kernel, phi.image_top) == (m.member_kernels[i],
+                                                   m.member_image_tops[i])
+            assert m.index_of(phi) == i and m.contains_map(phi.map)
+
+    def test_repeated_row_is_refused(self):
+        for m in pair_index_monoids():
+            if len(m) < 2:
+                continue
+            rows = np.r_[np.arange(len(m)), len(m) // 2]
+            with pytest.raises(ValueError, match=r"^a member table is repeated$"):
+                EndoMonoid.from_tables(m.lattice, m.tables[rows], m.member_kernels[rows],
+                                       m.member_image_tops[rows])
+
+    @pytest.mark.parametrize("missing", ["zero_idx", "id_idx"])
+    def test_set_without_zero_or_identity_is_refused(self, missing):
+        for m in pair_index_monoids():
+            keep = np.arange(len(m)) != getattr(m, missing)
+            with pytest.raises(NotClosedError, match=self.NOT_CLOSED):
+                EndoMonoid.from_tables(m.lattice, m.tables[keep], m.member_kernels[keep],
+                                       m.member_image_tops[keep])
+            with pytest.raises(NotClosedError, match=self.NOT_CLOSED):
+                EndoMonoid(m.lattice, [phi for phi, k in zip(m.members, keep) if k])
 
 
 class TestIdempotents:
@@ -266,13 +347,38 @@ def two_sided_closure(seed_maps, n, cap):
                            dtype=np.int64)
 
 
+def right_closure(seed_maps):
+    """The one-pair-at-a-time route: close the seed tables under composing
+    each frontier table after each seed, with the generated monoid's cap."""
+    return close_under(dict.fromkeys(seed_maps, ()),
+                       lambda phi, psi: tuple(phi[v] for v in psi),
+                       limit=MAX_GENERATED_MEMBERS)
+
+
 class TestGeneratedClosure:
     """generated_monoid against a two-sided closure and the full monoid."""
 
-    def test_matches_two_sided_closure(self):
+    CAPPED = r"^closure exceeded 5000 elements$"
+
+    def test_matches_two_sided_closure(self, monkeypatch):
+        """Also with 64-byte blocks, one frontier row per block, and against
+        the one-pair-at-a-time close_under route."""
         lattices = [fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
         rng = random.Random(5)
         capped = 0
+        block_sizes = (monoid_module._BLOCK_BYTES, 64)
+
+        def generated(gens, with_projections):
+            """The monoid built with the default blocks and with 64-byte ones,
+            which must agree."""
+            built = []
+            for block_bytes in block_sizes:
+                monkeypatch.setattr(monoid_module, "_BLOCK_BYTES", block_bytes)
+                built.append(generated_monoid(L, gens, with_projections))
+            for name in ("tables", "member_kernels", "member_image_tops"):
+                assert np.array_equal(getattr(built[0], name), getattr(built[1], name))
+            return built[0]
+
         for L in lattices + random_corpus(40, 9, 5):
             if not is_modular(L).holds:  # n5
                 for with_projections in (False, True):
@@ -290,11 +396,20 @@ class TestGeneratedClosure:
                     want = two_sided_closure(seeds, L.n, MAX_GENERATED_MEMBERS)
                     if len(want) > MAX_GENERATED_MEMBERS:
                         capped += 1
-                        with pytest.raises(SizeLimitExceededError):
-                            generated_monoid(L, gens, with_projections)
+                        with pytest.raises(SizeLimitExceededError, match=self.CAPPED):
+                            right_closure(seeds)
+                        for block_bytes in block_sizes:
+                            monkeypatch.setattr(monoid_module, "_BLOCK_BYTES", block_bytes)
+                            with pytest.raises(SizeLimitExceededError, match=self.CAPPED):
+                                generated_monoid(L, gens, with_projections)
                         continue
-                    got = generated_monoid(L, gens, with_projections)
+                    assert set(right_closure(seeds)) == want, (L.name, count)
+                    got = generated(gens, with_projections)
                     assert {phi.map for phi in got} == want, (L.name, count)
+                    at = [full.index_of(phi) for phi in got]
+                    assert np.array_equal(got.member_kernels, full.member_kernels[at])
+                    assert np.array_equal(got.member_image_tops,
+                                          full.member_image_tops[at])
                     for phi in got:
                         ref = full.members[full.index_of(phi)]
                         assert (phi.kernel, phi.image_top) == (ref.kernel, ref.image_top)

@@ -46,7 +46,8 @@ from latticelab.morphisms import (
     zero_morphism,
 )
 
-from test_duality import ROOTS
+from test_duality import LATTICES, ROOTS
+from test_pair_index import monoids
 
 
 def brute_force_linmors(L, M):
@@ -241,18 +242,34 @@ class TestExtension:
             extend_from_interval(identity_morphism(va.as_lattice), va, va, m3.top)
 
 
+def fully_invariant_by_loop(L, morphisms):
+    """The elements x with phi(x) <= x for every morphism, one at a time."""
+    members = list(morphisms)
+    return tuple(x for x in range(L.n)
+                 if all(L.leq(phi.map[x], x) for phi in members))
+
+
 class TestFullyInvariant:
     def test_chain_everything_invariant(self, c3):
-        assert fully_invariant_elements(c3, enumerate_linmors(c3)) == (0, 1, 2)
+        tables = [phi.map for phi in enumerate_linmors(c3)]
+        assert fully_invariant_elements(c3, tables) == (0, 1, 2)
 
     def test_diamond_only_bounds(self, m3):
-        got = fully_invariant_elements(m3, enumerate_linmors(m3))
+        got = fully_invariant_elements(m3, [phi.map for phi in enumerate_linmors(m3)])
         assert got == (m3.bottom, m3.top)
 
     def test_id_zero_leave_everything(self, excip):
         got = fully_invariant_elements(
-            excip, [identity_morphism(excip), zero_morphism(excip)])
+            excip, [identity_morphism(excip).map, zero_morphism(excip).map])
         assert got == tuple(range(excip.n))
+
+    def test_matches_the_loop_on_the_duality_corpus(self):
+        """The whole-table gather against the per-morphism loop, on End(L)
+        and on the seeded generated monoids of the pair-index tests."""
+        for i, L in enumerate(LATTICES):
+            for m in monoids(L, i):
+                assert fully_invariant_elements(L, m.tables) == \
+                    fully_invariant_by_loop(L, m.members), L.name
 
 
 class TestDerivedInvariants:

@@ -10,7 +10,7 @@ from latticelab import fixtures as fx
 from latticelab.errors import MissingProjectionsError
 from latticelab.lattice import build_lattice, complemented_elements, complements_of, interval
 from latticelab.monoid import full_monoid, generated_monoid
-from latticelab.morphisms import projection
+from latticelab.morphisms import enumerate_linmors, projection
 from latticelab.properties import (
     check_condition,
     check_cross_rickart,
@@ -185,6 +185,17 @@ class TestGeneration:
         assert v.witness["reached"] == "0"
 
 
+def cross_rickart_by_loop(L, M):
+    """Each enumerated morphism L -> M in turn: the first whose kernel is not
+    complemented is the witness."""
+    comp = set(complemented_elements(L))
+    for phi in enumerate_linmors(L, M):
+        if phi.kernel not in comp:
+            return Verdict("cross_rickart", False, witness={
+                "morphism": phi.as_name_map(), "kernel": L.names[phi.kernel]})
+    return Verdict("cross_rickart", True)
+
+
 class TestCrossRickart:
     def test_excip_intervals_fail(self, excip):
         sub_a = interval(excip, excip.bottom, excip.id_of("a")).as_lattice
@@ -199,6 +210,20 @@ class TestCrossRickart:
 
     def test_two_element_domain(self, c2, excip):
         assert check_cross_rickart(c2, excip).holds
+
+    def test_matches_the_per_morphism_loop(self):
+        """The kernel-array read against a loop over the enumerated
+        morphisms, on the lower intervals of the duality roots, in pairs
+        within one lattice, including failing pairs."""
+        failing = 0
+        for L in ROOTS[:80]:
+            subs = [interval(L, L.bottom, x).as_lattice for x in range(L.n)]
+            for A in subs[-4:]:
+                for B in subs[:4]:
+                    want = cross_rickart_by_loop(A, B)
+                    assert check_cross_rickart(A, B) == want, (A.name, B.name)
+                    failing += not want.holds
+        assert failing
 
 
 class TestRickpix:
