@@ -14,7 +14,6 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -48,12 +47,9 @@ from .morphisms import (
     LinearMorphism,
     _linmor_tables,
     compose,
-    enumerate_linmors,
-    extend_from_interval,
-    extension_table,
     fully_invariant_elements,
-    iso_composites,
     projection,
+    table_verdicts,
     validate_linear,
 )
 from .properties import (
@@ -161,6 +157,14 @@ class LatticeContext:
     @property
     def monoid(self) -> EndoMonoid:
         return self._get("monoid", lambda: full_monoid(self.L))
+
+    @property
+    def end_verdicts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of End(L), `monoid.tables`, certified in one batch: a
+        mask of the rows `validate_linear` rejects, and the kernel and image
+        top each row certifies with."""
+        return self._get("end_verdicts", lambda: table_verdicts(
+            self.L, self.L, self.monoid.tables))
 
     @property
     def comp(self) -> tuple[int, ...]:
@@ -382,24 +386,69 @@ def chk_acc_rickart_eq_baer(ctx):
     return _ok()
 
 
-def chk_kerpi(ctx):
+def _composite_tables(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """[o, i]: the table of outer[o] after inner[i], for every pair, as one
+    gather. The values of `inner` index the columns of `outer`."""
+    return outer[:, inner]
+
+
+def _certified_kernels(ctx: LatticeContext, tables: np.ndarray) -> np.ndarray:
+    """The kernel each row of `tables`, a map table of ctx.L, certifies
+    with, or -1 where it is rejected. On a modular lattice a composite of
+    linear maps is linear, so the composites the checks build are rows of
+    End(L), found by binary search in its sorted tables: they read the
+    context's batch verdicts. A row that is not found is certified on its
+    own by `validate_linear`, so no verdict rests on End(L) being complete."""
     L = ctx.L
-    kernels = {}  # each distinct composite table to its certified kernel
-    for x in ctx.comp:
-        for xp in complements_of(L, x):
-            pix = projection(L, x, xp)
-            for y in ctx.comp:
-                for yp in complements_of(L, y):
-                    piy = projection(L, y, yp)
-                    table = tuple(piy.map[v] for v in pix.map)
-                    got = kernels.get(table)
-                    if got is None:
-                        got = kernels[table] = compose(piy, pix).kernel
-                    want = L.join_of(L.meet_of(x, yp), xp)
-                    if got != want:
-                        return _fail(x=L.names[x], x_prime=L.names[xp],
-                                     y=L.names[y], y_prime=L.names[yp],
-                                     got=L.names[got], want=L.names[want])
+    rejected, kernels, _ = ctx.end_verdicts
+    members = ctx.monoid.tables
+    # big-endian values compare like their bytes, so the rows' byte strings
+    # sort as the tables do
+    order = members.dtype.newbyteorder(">")
+    key = np.dtype((np.void, order.itemsize * L.n))
+    keys = np.ascontiguousarray(members, dtype=order).view(key).ravel()
+    wanted = np.ascontiguousarray(tables, dtype=order).view(key).ravel()
+    rows = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+    found = keys[rows] == wanted
+    got = np.where(rejected[rows], -1, kernels[rows])
+    for i in np.flatnonzero(~found).tolist():
+        try:
+            got[i] = validate_linear(L, L, tables[i].tolist()).kernel
+        except LinearValidationError:
+            got[i] = -1
+    return got
+
+
+def _raise_rejection(L: Lattice, table) -> None:
+    """Raise the error `validate_linear` gives for a table the batch
+    rejected; if it certifies there, the two certifiers disagree."""
+    validate_linear(L, L, table)
+    raise ConsistencyError("a table rejected in the batch certifies by validate_linear")
+
+
+def chk_kerpi(ctx):
+    """ker(pi_y pi_x) = (x ^ y') v x' for every pair of projections, each
+    along every complement. The composites are one gather over the
+    projection tables, and their kernels are read from the batch verdicts;
+    the witness is the first failure in order of x, x', y, y'."""
+    L = ctx.L
+    _, join, meet = L.tables_np
+    pairs = [(x, xp) for x in ctx.comp for xp in complements_of(L, x)]
+    pis = np.array([projection(L, x, xp).map for x, xp in pairs], dtype=np.intp)
+    # tables[i, j]: pi_j after pi_i
+    tables = _composite_tables(pis, pis).swapaxes(0, 1).reshape(-1, L.n)
+    got = _certified_kernels(ctx, tables).reshape(len(pairs), len(pairs))
+    xs, xps = np.array(pairs, dtype=np.intp).T
+    want = join[meet[xs[:, None], xps[None, :]], xps[:, None]]
+    bad = got != want
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(pairs))
+        if got[i, j] < 0:
+            _raise_rejection(L, tables[i * len(pairs) + j].tolist())
+        (x, xp), (y, yp) = pairs[i], pairs[j]
+        return _fail(x=L.names[x], x_prime=L.names[xp], y=L.names[y],
+                     y_prime=L.names[yp], got=L.names[got[i, j]],
+                     want=L.names[want[i, j]])
     return _ok()
 
 
@@ -491,20 +540,32 @@ def chk_splits(ctx):
 
 
 def chk_isolin(ctx):
-    L = ctx.L
-    for a in range(L.n):
-        vu = interval(L, a, L.top)
-        for x in range(L.n):
-            vx = interval(L, L.bottom, x)
-            for table in iso_composites(vu, vx, (L.join_of(y, a) for y in range(L.n))):
-                try:
-                    phi = validate_linear(L, L, table)
-                except LinearValidationError as exc:
-                    return _fail(a=L.names[a], x=L.names[x], error=str(exc))
-                if phi.kernel != a:
-                    return _fail(a=L.names[a], x=L.names[x],
-                                 kernel=L.names[phi.kernel])
-    return _ok()
+    """Each interval isomorphism theta: [a, top] -> [bottom, x] gives a
+    linear map y -> theta(y v a) with kernel a.
+
+    These composites are exactly the members of End(L) that
+    `_linmor_tables` enumerates with kernel a and image top x, so the batch
+    verdicts on the member tables are compared with `member_kernels`. The
+    witness is the first failure by a, then x, then theta's forward table,
+    whose order is that of the composites' values on [a, top].
+    """
+    L, m = ctx.L, ctx.monoid
+    rejected, kernels, _ = ctx.end_verdicts
+    failing = np.flatnonzero(rejected | (kernels != m.member_kernels))
+    if not len(failing):
+        return _ok()
+    a_s, x_s = m.member_kernels[failing], m.member_image_tops[failing]
+    first = np.lexsort((x_s, a_s))[0]
+    a, x = int(a_s[first]), int(x_s[first])
+    rows = failing[(a_s == a) & (x_s == x)]
+    above = np.flatnonzero(L.tables_np[0][a])
+    row = rows[np.lexsort(m.tables[rows][:, above].T[::-1])[0]]
+    if rejected[row]:
+        try:
+            _raise_rejection(L, m.tables[row].tolist())
+        except LinearValidationError as exc:
+            return _fail(a=L.names[a], x=L.names[x], error=str(exc))
+    return _fail(a=L.names[a], x=L.names[x], kernel=L.names[kernels[row]])
 
 
 def chk_boolean_meetmaps(ctx):
@@ -632,37 +693,41 @@ def chk_exmorf(ctx):
     """Each phi: [bottom, x] -> [bottom, y] extends along each complement x'.
 
     Such a phi onto [bottom, y] is a map of Hom([bottom, x], L) with image top
-    y, so that Hom-set is enumerated once per x, with the whole lattice as
-    its codomain view, and taken in order of image top: y ascends, and the
-    maps with one y keep their table order. Each distinct extension table is
-    certified once; every later phi and x' reaching it still has its kernel
-    compared with ker v x' and its restriction checked.
+    y, so that Hom-set is read once per x and taken in order of image top: y
+    ascends, and the maps with one y keep their table order. The extensions
+    a -> phi((a v x') ^ x) are one gather over the Hom-set tables; their
+    kernels, read from the batch verdicts, are compared with ker v x', and
+    their restrictions to [bottom, x] with phi.
     """
     L = ctx.L
-    vl = interval(L, L.bottom, L.top)
-    kernels = {}  # each distinct extension table to its certified kernel
+    _, join, meet = L.tables_np
     for x in ctx.comp:
         vx = interval(L, L.bottom, x)
-        xps = complements_of(L, x)
-        for phi in sorted(enumerate_linmors(vx.as_lattice, vl.as_lattice),
-                          key=attrgetter("image_top")):
-            y = vl.members[phi.image_top]
-            for xp in xps:
+        below = np.array(vx.members, dtype=np.intp)
+        homs, hom_kernels, tops = _linmor_tables(vx.as_lattice, L)
+        by_top = np.argsort(tops, kind="stable")
+        homs, hom_kernels, tops = homs[by_top], hom_kernels[by_top], tops[by_top]
+        xps = np.array(complements_of(L, x), dtype=np.intp)
+        # onto[c, a]: (a v x'_c) ^ x, as an element of [bottom, x]
+        onto = np.searchsorted(below, meet[join[:, xps], x].T)
+        tables = _composite_tables(homs, onto)
+        got = _certified_kernels(ctx, tables.reshape(-1, L.n)).reshape(len(homs), len(xps))
+        want = join[below[hom_kernels][:, None], xps]
+        restricts = (tables[:, :, below] == homs[:, None, :]).all(axis=2)
+        bad = (got != want) | ~restricts
+        if bad.any():
+            h, c = divmod(int(np.argmax(bad)), len(xps))
+            y, xp = L.names[tops[h]], L.names[xps[c]]
+            if got[h, c] < 0:
                 try:
-                    table = extension_table(phi, vx, vl, xp)
-                    got = kernels.get(table)
-                    if got is None:
-                        kernels[table] = extend_from_interval(phi, vx, vl, xp).kernel
-                    elif got != L.join_of(vx.members[phi.kernel], xp):
-                        # certifying again raises the kernel error
-                        extend_from_interval(phi, vx, vl, xp)
+                    _raise_rejection(L, tables[h, c].tolist())
                 except LatticeLabError as exc:
-                    return _fail(x=L.names[x], y=L.names[y],
-                                 x_prime=L.names[xp], error=str(exc))
-                restr = all(table[vx.members[t]] == vl.members[phi.map[t]]
-                            for t in range(vx.as_lattice.n))
-                if not restr:
-                    return _fail(x=L.names[x], y=L.names[y], clause="restriction")
+                    return _fail(x=L.names[x], y=y, x_prime=xp, error=str(exc))
+            if got[h, c] != want[h, c]:
+                return _fail(x=L.names[x], y=y, x_prime=xp, error=(
+                    f"extension has kernel {L.names[got[h, c]]!r}, "
+                    f"not ker v x' = {L.names[want[h, c]]!r}"))
+            return _fail(x=L.names[x], y=y, clause="restriction")
     return _ok()
 
 

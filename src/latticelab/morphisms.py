@@ -141,10 +141,12 @@ def validate_linear(domain: Lattice, codomain: Lattice,
 _BLOCK_ROWS = 4096
 
 
-def certify_tables(domain: Lattice, codomain: Lattice,
-                   tables) -> tuple[np.ndarray, np.ndarray]:
-    """Certify every row of an (N, domain.n) array as a linear morphism, in
-    one batch; return the kernels and the image tops.
+def table_verdicts(domain: Lattice, codomain: Lattice,
+                   tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certify every row of an (N, domain.n) array in one batch, without
+    raising for a row: return whether `validate_linear` rejects each row,
+    and the kernel and image top of each row it accepts (the values of a
+    rejected row mean nothing).
 
     The clauses are those of `validate_linear`, over whole blocks of rows.
     The kernels are joins of the zero preimages, reduced through the join
@@ -159,10 +161,6 @@ def certify_tables(domain: Lattice, codomain: Lattice,
     row with an empty zero preimage keeps k = bottom and fails here, since
     nothing reaches bottom.) Cover counts are read per row from
     per-element tables, and the rows sharing a kernel are checked together.
-
-    The first rejected row goes through `validate_linear`, so it raises the
-    scalar error class and text; if that row certifies there, the two
-    certifiers disagree: ConsistencyError.
     """
     given = np.asarray(tables)
     if given.ndim != 2:
@@ -179,6 +177,7 @@ def certify_tables(domain: Lattice, codomain: Lattice,
     covers_above = leq[:, lo].sum(axis=1)  # the number of covers in [k, top]
     covers_below = cod_leq[cod_hi].sum(axis=0)  # ... and in [bottom, a]
 
+    rejected = np.empty(len(given), dtype=bool)
     kernels = np.empty(len(given), dtype=np.intp)
     image_tops = np.empty(len(given), dtype=np.intp)
     for start in range(0, len(given), _BLOCK_ROWS):
@@ -200,13 +199,27 @@ def certify_tables(domain: Lattice, codomain: Lattice,
             repeats = np.diff(np.sort(sub[:, up], axis=1), axis=1) == 0
             lands = is_cover[sub[:, lo[up[lo]]] * codomain.n + sub[:, hi[up[lo]]]]
             bad[rows] |= repeats.any(axis=1) | ~lands.all(axis=1)
-        if bad.any():
-            row = start + int(np.argmax(bad))
-            validate_linear(domain, codomain, given[row].tolist())
-            raise ConsistencyError(f"row {row} certifies by validate_linear but "
-                                   f"not in the batch")
+        rejected[start:start + len(T)] = bad
         kernels[start:start + len(T)] = k
         image_tops[start:start + len(T)] = a
+    return rejected, kernels, image_tops
+
+
+def certify_tables(domain: Lattice, codomain: Lattice,
+                   tables) -> tuple[np.ndarray, np.ndarray]:
+    """Certify every row of an (N, domain.n) array as a linear morphism, in
+    one batch (see `table_verdicts`); return the kernels and the image tops.
+
+    The first rejected row goes through `validate_linear`, so it raises the
+    scalar error class and text; if that row certifies there, the two
+    certifiers disagree: ConsistencyError.
+    """
+    rejected, kernels, image_tops = table_verdicts(domain, codomain, tables)
+    if rejected.any():
+        row = int(np.argmax(rejected))
+        validate_linear(domain, codomain, np.asarray(tables)[row].tolist())
+        raise ConsistencyError(f"row {row} certifies by validate_linear but "
+                               f"not in the batch")
     return kernels, image_tops
 
 
@@ -426,26 +439,6 @@ def enumerate_linmors(L: Lattice, M: Lattice | None = None) -> list[LinearMorphi
 # -- extension from an interval ------------------------------------------------
 
 
-def extension_table(phi: LinearMorphism, dom_view: IntervalView,
-                    cod_view: IntervalView, x_prime: int) -> tuple[int, ...]:
-    """The table a -> phi((a v x') ^ x) of `extend_from_interval`, with its
-    checks on the arguments but not yet certified."""
-    L = dom_view.parent
-    if cod_view.parent is not L:
-        raise ValueError("both intervals must sit in the same lattice")
-    if dom_view.lo != L.bottom or cod_view.lo != L.bottom:
-        raise ValueError("extension applies to lower intervals")
-    if phi.domain is not dom_view.as_lattice or phi.codomain is not cod_view.as_lattice:
-        raise ValueError("morphism does not match the supplied intervals")
-    x = dom_view.hi
-    if x_prime not in complements_of(L, x):
-        raise NotAComplementError(
-            f"{L.names[x_prime]!r} is not a complement of {L.names[x]!r}")
-    return tuple(
-        cod_view.members[phi.map[dom_view.from_parent[L.meet_of(L.join_of(a, x_prime), x)]]]
-        for a in range(L.n))
-
-
 def extend_from_interval(phi: LinearMorphism, dom_view: IntervalView,
                          cod_view: IntervalView, x_prime: int) -> LinearMorphism:
     """Extend phi: [bottom, x] -> [bottom, y] to the whole lattice.
@@ -458,7 +451,20 @@ def extend_from_interval(phi: LinearMorphism, dom_view: IntervalView,
     the top without mapping to bottom.)
     """
     L = dom_view.parent
-    ext = validate_linear(L, L, extension_table(phi, dom_view, cod_view, x_prime))
+    if cod_view.parent is not L:
+        raise ValueError("both intervals must sit in the same lattice")
+    if dom_view.lo != L.bottom or cod_view.lo != L.bottom:
+        raise ValueError("extension applies to lower intervals")
+    if phi.domain is not dom_view.as_lattice or phi.codomain is not cod_view.as_lattice:
+        raise ValueError("morphism does not match the supplied intervals")
+    x = dom_view.hi
+    if x_prime not in complements_of(L, x):
+        raise NotAComplementError(
+            f"{L.names[x_prime]!r} is not a complement of {L.names[x]!r}")
+    table = tuple(
+        cod_view.members[phi.map[dom_view.from_parent[L.meet_of(L.join_of(a, x_prime), x)]]]
+        for a in range(L.n))
+    ext = validate_linear(L, L, table)
     expected = L.join_of(dom_view.members[phi.kernel], x_prime)
     if ext.kernel != expected:
         raise ConsistencyError(

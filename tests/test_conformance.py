@@ -6,6 +6,7 @@ import random
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from latticelab import conformance
@@ -15,6 +16,7 @@ from latticelab.conformance import (
     REGISTRY,
     LatticeContext,
     chk_exmorf,
+    chk_isolin,
     chk_kerpi,
     chk_linmor_joins,
     chk_projection_linear,
@@ -23,10 +25,12 @@ from latticelab.conformance import (
     random_modular_lattice,
     run_conformance,
 )
-from latticelab.errors import LatticeLabError, NotIntervalIsoError
-from latticelab.lattice import complements_of, interval, is_modular, lattice_to_json
-from latticelab.monoid import EndoMonoid, full_monoid
-from latticelab.morphisms import LinearMorphism, compose, enumerate_linmors
+from latticelab.errors import LatticeLabError, LinearValidationError, NotIntervalIsoError
+from latticelab.lattice import (complements_of, direct_product, interval, is_modular,
+                               lattice_to_json)
+from latticelab.monoid import EndoMonoid, full_monoid, generated_monoid
+from latticelab.morphisms import (LinearMorphism, compose, enumerate_linmors,
+                                  iso_composites, table_verdicts, validate_linear)
 
 from test_duality import ROOTS
 
@@ -132,17 +136,29 @@ class TestRunner:
                     check_generation(L, ctx.monoid, x, "cogenerated").holds
 
 
+def inject_verdict(monkeypatch, bad=None, reject=False):
+    """Fault the context's batch verdicts on End(L): mark the rows whose
+    tables are in `bad` rejected, or give them (every row, when `bad` is
+    None) a wrong kernel, the top for bottom and bottom for any other."""
+    def faulty(domain, codomain, tables):
+        rejected, kernels, image_tops = (v.copy() for v in table_verdicts(
+            domain, codomain, tables))
+        hit = np.array([bad is None or tuple(row) in bad
+                        for row in np.asarray(tables).tolist()], dtype=bool)
+        if reject:
+            rejected |= hit
+        else:
+            kernels[hit] = np.where(kernels[hit] == domain.bottom, domain.top,
+                                    domain.bottom)
+        return rejected, kernels, image_tops
+
+    monkeypatch.setattr(conformance, "table_verdicts", faulty)
+
+
 def test_exmorf_reports_a_wrong_extension_kernel_as_an_error(monkeypatch):
-    """An extension certified with a kernel other than ker v x' is rejected
-    by extend_from_interval, and exmorf reports that error."""
-    certify = morphisms.validate_linear
-
-    def wrong_kernel(domain, codomain, table):
-        phi = certify(domain, codomain, table)
-        other = domain.top if phi.kernel == domain.bottom else domain.bottom
-        return dataclasses.replace(phi, kernel=other)
-
-    monkeypatch.setattr(morphisms, "validate_linear", wrong_kernel)
+    """An extension certified with a kernel other than ker v x' is reported
+    with the error text of extend_from_interval."""
+    inject_verdict(monkeypatch)
     status, detail = chk_exmorf(LatticeContext(fx.build_fixture("b2")))
     assert status == "fail"
     assert detail == {"x": "0", "y": "0", "x_prime": "1",
@@ -181,9 +197,10 @@ def test_a_self_dual_context_is_freed_by_reference_counting():
         gc.enable()
 
 
-# -- the four morphism checks against their plain loops -----------------------
-# The loops below certify every extension and every composite anew, test
-# each join in Python, and enumerate the Hom-sets of each interval; the
+# -- the five morphism checks against their plain loops -----------------------
+# The loops below certify every extension and every composite anew, with
+# validate_linear, test each join in Python, and enumerate the Hom-sets of
+# each interval and the isomorphisms of each pair of intervals; the
 # registry's checks must report the same first failure, or pass, wherever
 # these do.
 
@@ -227,6 +244,23 @@ def kerpi_by_compose(ctx):
     return "pass", None
 
 
+def isolin_by_composites(ctx):
+    L = ctx.L
+    for a in range(L.n):
+        vu = interval(L, a, L.top)
+        for x in range(L.n):
+            vx = interval(L, L.bottom, x)
+            for table in iso_composites(vu, vx, (L.join_of(y, a) for y in range(L.n))):
+                try:
+                    phi = morphisms.validate_linear(L, L, table)
+                except LinearValidationError as exc:
+                    return "fail", {"a": L.names[a], "x": L.names[x], "error": str(exc)}
+                if phi.kernel != a:
+                    return "fail", {"a": L.names[a], "x": L.names[x],
+                                    "kernel": L.names[phi.kernel]}
+    return "pass", None
+
+
 def linmor_joins_by_pairs(ctx):
     L = ctx.L
     for phi in ctx.monoid.members:
@@ -261,6 +295,7 @@ def splits_by_hom_sets(ctx):
 
 
 ORACLES = ((chk_exmorf, exmorf_every_y), (chk_kerpi, kerpi_by_compose),
+           (chk_isolin, isolin_by_composites),
            (chk_linmor_joins, linmor_joins_by_pairs), (chk_splits, splits_by_hom_sets))
 
 # small lattices with complements to spare, for the injected faults
@@ -283,13 +318,29 @@ def test_checks_match_their_loops_on_the_duality_corpus():
             assert check(ctx) == oracle(ctx) == ("pass", None), (L.name, check)
 
 
+def inject_scalar(monkeypatch, bad, reject=False):
+    """The same fault in validate_linear, which the loops call: reject each
+    table in `bad`, naming it, or certify it with the wrong kernel of
+    `inject_verdict`."""
+    def faulty(domain, codomain, table):
+        if reject and tuple(table) in bad:
+            raise NotIntervalIsoError(f"rejected on purpose: {tuple(table)}")
+        phi = validate_linear(domain, codomain, table)
+        if phi.map not in bad:
+            return phi
+        other = domain.top if phi.kernel == domain.bottom else domain.bottom
+        return dataclasses.replace(phi, kernel=other)
+
+    monkeypatch.setattr(morphisms, "validate_linear", faulty)
+    monkeypatch.setattr(conformance, "validate_linear", faulty)
+
+
 @pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
 def test_exmorf_reports_a_rejected_extension_like_its_loop(monkeypatch, L):
-    certify = morphisms.validate_linear
     seen = []
 
     def record(domain, codomain, table):
-        phi = certify(domain, codomain, table)
+        phi = validate_linear(domain, codomain, table)
         if domain is L:
             seen.append(phi.map)
         return phi
@@ -299,34 +350,77 @@ def test_exmorf_reports_a_rejected_extension_like_its_loop(monkeypatch, L):
     tables = _picks(dict.fromkeys(seen))
     assert tables
     for bad in tables:
-        def reject(domain, codomain, table, bad=bad):
-            if tuple(table) == bad:
-                raise NotIntervalIsoError("rejected on purpose")
-            return certify(domain, codomain, table)
-
-        monkeypatch.setattr(morphisms, "validate_linear", reject)
+        inject_verdict(monkeypatch, {bad}, reject=True)
+        inject_scalar(monkeypatch, {bad}, reject=True)
         ctx = LatticeContext(L)
         got = chk_exmorf(ctx)
-        assert got[0] == "fail" and got[1]["error"] == "rejected on purpose"
+        assert got[0] == "fail" and got[1]["error"] == f"rejected on purpose: {bad}"
         assert got == exmorf_every_y(ctx), bad
+    # several at once, all those whose image top has rank r or more for
+    # each r: the first in the loop's order, by x, then y, is named
+    distinct = list(dict.fromkeys(seen))
+    for r in range(1, max(L.rank) + 1):
+        bad = {t for t in distinct if L.rank[t[L.top]] >= r}
+        inject_verdict(monkeypatch, bad, reject=True)
+        inject_scalar(monkeypatch, bad, reject=True)
+        ctx = LatticeContext(L)
+        assert chk_exmorf(ctx) == exmorf_every_y(ctx), r
+
+
+@pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
+def test_tables_outside_the_monoid_are_certified_on_their_own(monkeypatch, L):
+    """With the context's monoid cut down to the closure of the
+    projections, extensions outside it go through validate_linear: exmorf
+    still passes, and reports a rejected one like its loop."""
+    seen = []
+
+    def record(domain, codomain, table):
+        phi = validate_linear(domain, codomain, table)
+        if domain is L:
+            seen.append(phi.map)
+        return phi
+
+    monkeypatch.setattr(morphisms, "validate_linear", record)
+    exmorf_every_y(LatticeContext(L))
+    small = generated_monoid(L, with_projections=True)
+    outside = [t for t in dict.fromkeys(seen) if not small.contains_map(t)]
+    assert outside
+    for bad in [None] + _picks(outside):
+        faults = set() if bad is None else {bad}
+        inject_scalar(monkeypatch, faults, reject=True)
+        ctx = LatticeContext(L)
+        ctx._cache["monoid"] = small
+        got = chk_exmorf(ctx)
+        assert got == exmorf_every_y(ctx), bad
+        assert (got == ("pass", None)) == (bad is None)
+        assert chk_kerpi(ctx) == ("pass", None)
 
 
 @pytest.mark.parametrize("name", ["b2", "b3", "m3"])
 def test_exmorf_reports_a_wrong_restriction_like_its_loop(monkeypatch, name):
     """An automorphism whose extension table comes out as the identity
-    certifies, with the right kernel, and fails the restriction clause."""
+    certifies, with the right kernel, and fails the restriction clause.
+    The fault is injected where each route builds its tables: the gather of
+    exmorf and extend_from_interval of the loop."""
     L = fx.build_fixture(name)
-    real = morphisms.extension_table
+    gather = conformance._composite_tables
+    extend = morphisms.extend_from_interval
+    identity = validate_linear(L, L, range(L.n))
     autos = [phi.map for phi in full_monoid(L) if phi.kernel == L.bottom
-             and phi.image_top == L.top and phi.map != tuple(range(L.n))]
+             and phi.image_top == L.top and phi != identity]
     assert autos
     for bad in _picks(autos):
-        def wrong(phi, dom_view, cod_view, x_prime, bad=bad):
-            table = real(phi, dom_view, cod_view, x_prime)
-            return tuple(range(L.n)) if table == bad else table
+        def wrong_tables(outer, inner, bad=bad):
+            tables = gather(outer, inner).copy()
+            tables[(tables == bad).all(axis=-1)] = identity.map
+            return tables
 
-        monkeypatch.setattr(morphisms, "extension_table", wrong)
-        monkeypatch.setattr(conformance, "extension_table", wrong)
+        def wrong_extension(*args, bad=bad):
+            ext = extend(*args)
+            return identity if ext.map == bad else ext
+
+        monkeypatch.setattr(conformance, "_composite_tables", wrong_tables)
+        monkeypatch.setattr(morphisms, "extend_from_interval", wrong_extension)
         ctx = LatticeContext(L)
         got = chk_exmorf(ctx)
         assert got == ("fail", {"x": L.names[L.top], "y": L.names[L.top],
@@ -356,12 +450,44 @@ def test_kerpi_reports_a_wrong_composite_kernel_like_its_loop(monkeypatch, L):
             other = L.top if out.kernel == L.bottom else L.bottom
             return dataclasses.replace(out, kernel=other)
 
-        monkeypatch.setattr(conformance, "compose", wrong)
+        inject_verdict(monkeypatch, {bad})
         monkeypatch.setattr(module, "compose", wrong)
         ctx = LatticeContext(L)
         got = chk_kerpi(ctx)
         assert got[0] == "fail"
         assert got == kerpi_by_compose(ctx), bad
+
+
+# in a product the ids of [a, top] come in another order than those of the
+# whole lattice, so the composites of one (a, x) in the order of their
+# interval isomorphisms are not in table order
+C3XC3 = direct_product([fx.build_fixture("c3")] * 2).lattice
+
+
+@pytest.mark.parametrize("L", FAULT_LATTICES + [C3XC3], ids=lambda L: L.name)
+def test_isolin_reports_a_faulty_composite_like_its_loop(monkeypatch, L):
+    """One composite rejected, or certified with a wrong kernel, in both
+    the batch verdicts and validate_linear: isolin fails like its loop. With
+    every composite of one (a, x) rejected, its first composite in the
+    order of the interval isomorphisms is named; with every kernel wrong,
+    the first (a, x)."""
+    m = full_monoid(L)
+    tables = list(map(tuple, m.tables.tolist()))
+    groups = {}
+    for t, a, x in zip(tables, m.member_kernels.tolist(), m.member_image_tops.tolist()):
+        groups.setdefault((a, x), set()).add(t)
+    faults = [(None, False)] + [(group, True) for group in groups.values()
+                                if len(group) > 1]
+    for i in _picks(range(len(m))):
+        faults += [({tables[i]}, True), ({tables[i]}, False)]
+    for bad, reject in faults:
+        inject_verdict(monkeypatch, bad, reject)
+        inject_scalar(monkeypatch, set(tables) if bad is None else bad, reject)
+        ctx = LatticeContext(L)
+        got = chk_isolin(ctx)
+        assert got[0] == "fail"
+        assert ("error" in got[1]) == reject
+        assert got == isolin_by_composites(ctx), (bad, reject)
 
 
 @pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
@@ -402,24 +528,30 @@ def test_splits_reports_a_wrong_complemented_set_like_its_loop(L):
         assert got == splits_by_hom_sets(ctx), sorted(wrong)
 
 
-@pytest.mark.parametrize("L,extensions,composites", [
-    (fx.mk(6), 757, 38), (fx.build_fixture("b3"), 34, 8)], ids=["m6", "b3"])
-def test_each_distinct_table_is_certified_once(monkeypatch, L, extensions,
-                                               composites):
-    """exmorf extends, and kerpi composes, once per distinct table."""
-    made = {"extend": [], "compose": []}
+@pytest.mark.parametrize("L,rows", [(fx.mk(6), 757), (fx.build_fixture("b3"), 34)],
+                         ids=["m6", "b3"])
+def test_end_is_certified_once_per_context(monkeypatch, L, rows):
+    """A context certifies the rows of End(L) in one batch, and on a passing
+    lattice exmorf, kerpi and isolin read it with no validate_linear call
+    (the projections are certified before, once per lattice)."""
+    batches, calls = [], []
 
-    def counted(kind, fn):
-        def call(*args):
-            out = fn(*args)
-            made[kind].append(out.map)
-            return out
-        return call
+    def batch(domain, codomain, tables):
+        batches.append(len(tables))
+        return table_verdicts(domain, codomain, tables)
 
-    monkeypatch.setattr(conformance, "extend_from_interval",
-                        counted("extend", conformance.extend_from_interval))
-    monkeypatch.setattr(conformance, "compose", counted("compose", compose))
+    def scalar(*args):
+        calls.append(args)
+        return validate_linear(*args)
+
     ctx = LatticeContext(L)
-    assert chk_exmorf(ctx) == chk_kerpi(ctx) == ("pass", None)
-    assert len(made["extend"]) == len(set(made["extend"])) == extensions
-    assert len(made["compose"]) == len(set(made["compose"])) == composites
+    for x in ctx.comp:
+        for xp in complements_of(L, x):
+            morphisms.projection(L, x, xp)
+    monkeypatch.setattr(conformance, "table_verdicts", batch)
+    monkeypatch.setattr(conformance, "validate_linear", scalar)
+    monkeypatch.setattr(morphisms, "validate_linear", scalar)
+    for check in (chk_exmorf, chk_kerpi, chk_isolin):
+        assert check(ctx) == ("pass", None), check
+    assert batches == [rows]
+    assert calls == []

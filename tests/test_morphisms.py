@@ -42,6 +42,7 @@ from latticelab.morphisms import (
     morphism_from_json,
     morphism_to_json,
     projection,
+    table_verdicts,
     validate_linear,
     zero_morphism,
 )
@@ -538,12 +539,15 @@ def raised(fn, *args):
 
 
 def assert_batch_agrees(domain, codomain, tables):
-    """certify_tables against validate_linear: the linear tables certify as
-    one batch with the same kernels and image tops, and each rejected table,
-    as a one-row batch, raises the same class and message."""
+    """certify_tables and table_verdicts against validate_linear: the linear
+    tables certify as one batch with the same kernels and image tops, each
+    rejected table, as a one-row batch, raises the same class and message,
+    and table_verdicts on the whole mixed batch rejects exactly those."""
     linear = []
+    rejects = []
     for table in tables:
         want = raised(validate_linear, domain, codomain, table)
+        rejects.append(want is not None)
         if want is None:
             linear.append(validate_linear(domain, codomain, table))
         else:
@@ -552,6 +556,11 @@ def assert_batch_agrees(domain, codomain, tables):
         domain, codomain, np.array([phi.map for phi in linear]).reshape(-1, domain.n))
     assert kernels.tolist() == [phi.kernel for phi in linear]
     assert image_tops.tolist() == [phi.image_top for phi in linear]
+    rejected, kernels, image_tops = table_verdicts(
+        domain, codomain, np.array(tables).reshape(-1, domain.n))
+    assert rejected.tolist() == rejects
+    assert kernels[~rejected].tolist() == [phi.kernel for phi in linear]
+    assert image_tops[~rejected].tolist() == [phi.image_top for phi in linear]
     return len(linear)
 
 
@@ -663,6 +672,8 @@ class TestCoverCertificate:
             want = raised(validate_linear, b2, b2, bad_rows[0])
             assert want is not None
             assert raised(certify_tables, b2, b2, batch) == want
+            assert table_verdicts(b2, b2, batch)[0].tolist() == \
+                [False, False, True, False, True]
         # a first bad row beyond the first block of rows
         batch = [ident] * 5000 + [not_iso, no_kernel]
         assert raised(certify_tables, b2, b2, batch) == \
