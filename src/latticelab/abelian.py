@@ -34,7 +34,7 @@ from .errors import ConsistencyError, DomainMismatchError, SizeLimitExceededErro
 from .lattice import (Lattice, _assemble, _bits, close_under, complemented_elements,
                       is_modular)
 from .monoid import EndoMonoid
-from .morphisms import LinearMorphism, certify_tables, validate_linear
+from .morphisms import LinearMorphism, certify_tables, row_keys, validate_linear
 from .properties import check_rickart_family
 from .verdict import Verdict
 
@@ -356,10 +356,7 @@ def induced_map(f: GroupHom) -> LinearMorphism:
 def _endo_sweep(g: AbelianGroup) -> np.ndarray:
     """The distinct induced rows of End(M), one sorted row each."""
     rows = _induced_rows(g, _hom_tables(g, _gen_images(g)))  # checks the cap first
-    # as big-endian bytes, rows compare in lexicographic order
-    keys = np.ascontiguousarray(rows, dtype=">u2").view(
-        np.dtype((np.void, 2 * rows.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
+    _, first = np.unique(row_keys(rows), return_index=True)
     return rows[first]
 
 

@@ -396,22 +396,14 @@ def _certified_kernels(ctx: LatticeContext, tables: np.ndarray) -> np.ndarray:
     """The kernel each row of `tables`, a map table of ctx.L, certifies
     with, or -1 where it is rejected. On a modular lattice a composite of
     linear maps is linear, so the composites the checks build are rows of
-    End(L), found by binary search in its sorted tables: they read the
-    context's batch verdicts. A row that is not found is certified on its
-    own by `validate_linear`, so no verdict rests on End(L) being complete."""
+    End(L), found by `EndoMonoid.find`: they read the context's batch
+    verdicts. A row that is not found is certified on its own by
+    `validate_linear`, so no verdict rests on End(L) being complete."""
     L = ctx.L
     rejected, kernels, _ = ctx.end_verdicts
-    members = ctx.monoid.tables
-    # big-endian values compare like their bytes, so the rows' byte strings
-    # sort as the tables do
-    order = members.dtype.newbyteorder(">")
-    key = np.dtype((np.void, order.itemsize * L.n))
-    keys = np.ascontiguousarray(members, dtype=order).view(key).ravel()
-    wanted = np.ascontiguousarray(tables, dtype=order).view(key).ravel()
-    rows = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
-    found = keys[rows] == wanted
+    rows = ctx.monoid.find(tables)
     got = np.where(rejected[rows], -1, kernels[rows])
-    for i in np.flatnonzero(~found).tolist():
+    for i in np.flatnonzero(rows < 0).tolist():
         try:
             got[i] = validate_linear(L, L, tables[i].tolist()).kernel
         except LinearValidationError:
@@ -1174,15 +1166,17 @@ def run_conformance(corpus, checks=None, *,
     Pair checks run on each lattice against itself when small enough, plus
     up to MAX_PAIRS consecutive corpus pairs whose product size fits
     PAIR_PRODUCT_CAP. Global checks run once. A check named more than once
-    runs once, in first-seen order.
+    runs once, in first-seen order. The pairs are chosen first, so the
+    context of a lattice in no pair is released once its lattice checks
+    have run.
     """
     names = select_names(checks, REGISTRY, "checks") if checks else list(REGISTRY)
 
-    usable: list[LatticeContext] = []
+    usable: list[Lattice] = []
     skipped_lattices = []
     for L in corpus:
         if is_modular(L).holds:
-            usable.append(LatticeContext(L))
+            usable.append(L)
         else:
             skipped_lattices.append(L.name)
 
@@ -1203,27 +1197,26 @@ def run_conformance(corpus, checks=None, *,
     pair_checks = [nm for nm in names if REGISTRY[nm].kind == "pair"]
     global_checks = [nm for nm in names if REGISTRY[nm].kind == "global"]
 
-    for ctx in usable:
-        for nm in lattice_checks:
-            status, detail = REGISTRY[nm].fn(ctx)
-            record(nm, status, detail, [ctx.L])
+    n = [L.n for L in usable]
+    pairs = [(i, i) for i in range(len(n)) if n[i] * n[i] <= PAIR_PRODUCT_CAP]
+    pairs += [(i, i + 1) for i in range(len(n) - 1)
+              if n[i] * n[i + 1] <= PAIR_PRODUCT_CAP][:MAX_PAIRS]
+    # the positions in usable whose contexts the pair checks read
+    paired = {i for pair in pairs for i in pair} if pair_checks else set()
 
-    if pair_checks:
-        pairs: list[tuple[LatticeContext, LatticeContext]] = []
-        for ctx in usable:
-            if ctx.L.n * ctx.L.n <= PAIR_PRODUCT_CAP:
-                pairs.append((ctx, ctx))
-        budget = MAX_PAIRS
-        for a, b in zip(usable, usable[1:]):
-            if budget <= 0:
-                break
-            if a.L.n * b.L.n <= PAIR_PRODUCT_CAP:
-                pairs.append((a, b))
-                budget -= 1
-        for nm in pair_checks:
-            for a, b in pairs:
-                status, detail = REGISTRY[nm].fn(a, b)
-                record(nm, status, detail, [a.L, b.L])
+    contexts: dict[int, LatticeContext] = {}
+    for i, L in enumerate(usable):
+        contexts[i] = LatticeContext(L)
+        for nm in lattice_checks:
+            status, detail = REGISTRY[nm].fn(contexts[i])
+            record(nm, status, detail, [L])
+        if i not in paired:
+            del contexts[i]
+
+    for nm in pair_checks:
+        for i, j in pairs:
+            status, detail = REGISTRY[nm].fn(contexts[i], contexts[j])
+            record(nm, status, detail, [usable[i], usable[j]])
 
     for nm in global_checks:
         status, detail = REGISTRY[nm].fn()

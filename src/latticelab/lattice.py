@@ -278,7 +278,7 @@ def _covers_from_masks(n, up, down):
     return out
 
 
-def _ranks(n, covers, bottom):
+def _ranks(n, covers):
     rank = [0] * n
     above = [[] for _ in range(n)]
     indeg = [0] * n
@@ -307,7 +307,7 @@ def _assemble(name, names, up, down, join, meet, *, canonicalize):
     bottom = next(a for a in range(n) if up[a] == full)
     top = next(a for a in range(n) if down[a] == full)
     covers = _covers_from_masks(n, up, down)
-    rank = _ranks(n, covers, bottom)
+    rank = _ranks(n, covers)
     order = list(range(n))
 
     if canonicalize:

@@ -27,6 +27,7 @@ from .morphisms import (
     identity_morphism,
     morphism_from_json,
     projection,
+    row_keys,
     zero_morphism,
 )
 from .verdict import Verdict
@@ -54,9 +55,8 @@ class EndoMonoid:
     """
 
     __slots__ = ("lattice", "tables", "member_kernels", "member_image_tops",
-                 "zero_idx", "id_idx", "_members", "_index", "_comp", "_idem",
-                 "_has_all_projections", "_cosets", "_pairs", "_first",
-                 "_kernels", "_image_tops", "_zero_products")
+                 "zero_idx", "id_idx", "_members", "_comp", "_idem", "_cosets",
+                 "_pairs", "_first", "_kernels", "_image_tops", "_zero_products")
 
     def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
         unique = {m.map: m for m in members}  # a repeated table is one member
@@ -94,10 +94,8 @@ class EndoMonoid:
             arr.setflags(write=False)
         self.zero_idx, self.id_idx = hits.argmax(axis=0).tolist()
         self._members = None
-        self._index = None
         self._comp = None
         self._idem = None
-        self._has_all_projections = None
         self._cosets = None
         self._pairs = None
         self._first = None
@@ -128,16 +126,19 @@ class EndoMonoid:
                                      self.member_image_tops.tolist()))
         return self._members
 
-    def _map_index(self) -> dict[tuple[int, ...], int]:
-        if self._index is None:
-            self._index = {tuple(row): i for i, row in enumerate(self.tables.tolist())}
-        return self._index
-
-    def contains_map(self, table: tuple[int, ...]) -> bool:
-        return table in self._map_index()
-
-    def index_of(self, phi: LinearMorphism) -> int:
-        return self._map_index()[phi.map]
+    def find(self, tables) -> np.ndarray:
+        """The member index of each row of an (N, n) array of map tables, or
+        -1 where the row is no member, by binary search in the sorted member
+        tables. A row with a value outside [0, n) is no member."""
+        tables = np.asarray(tables)
+        n = self.lattice.n
+        if tables.ndim != 2 or tables.shape[1] != n:
+            raise ValueError("map tables must form an (N, n) array, n the lattice size")
+        valid = ((tables >= 0) & (tables < n)).all(axis=1)
+        members = row_keys(self.tables)
+        keys = row_keys(tables.astype(self.tables.dtype, copy=False))  # wraps invalid values
+        at = np.searchsorted(members, keys).clip(max=len(members) - 1)
+        return np.where(valid & (members[at] == keys), at, -1)
 
     @property
     def comp(self) -> np.ndarray:
@@ -170,11 +171,8 @@ class EndoMonoid:
     @property
     def has_all_projections(self) -> bool:
         """Whether every projection, for every complement choice, is a member."""
-        if self._has_all_projections is None:
-            index = self._map_index()
-            self._has_all_projections = all(
-                pi.map in index for pi in _all_projections(self.lattice))
-        return self._has_all_projections
+        pis = [pi.map for pi in _all_projections(self.lattice)]
+        return bool((self.find(pis) >= 0).all())
 
     @property
     def pairs(self) -> dict[int, tuple[int, ...]]:
@@ -324,8 +322,7 @@ def generated_monoid(L: Lattice, generators=(),
         *(_all_projections(L) if with_projections else ())]}
     n = L.n
     S = np.array(list(seeds), dtype=np.min_scalar_type(n - 1)).reshape(-1, n)
-    row_key = np.dtype((np.void, S.itemsize * n))
-    seen = {row.tobytes() for row in S}
+    seen = {key.tobytes() for key in row_keys(S)}
     found = []
     frontier = S
     # bytes live per composite at the peak of a block: its row, the sorted
@@ -336,7 +333,7 @@ def generated_monoid(L: Lattice, generators=(),
         for start in range(0, len(frontier), rows):
             # C[f, s] = frontier[start + f] after S[s]
             C = frontier[start:start + rows][:, S].reshape(-1, n)
-            keys = C.view(row_key).ravel()
+            keys = row_keys(C)
             _, first = np.unique(keys, return_index=True)
             unseen = []
             for i in first.tolist():

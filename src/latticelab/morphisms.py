@@ -223,6 +223,16 @@ def certify_tables(domain: Lattice, codomain: Lattice,
     return kernels, image_tops
 
 
+def row_keys(tables) -> np.ndarray:
+    """One void key per row of an (N, n) array of non-negative table values.
+    The values are written big-endian, in unsigned integers of the array's
+    item size, so the key bytes compare in the rows' lexicographic order."""
+    tables = np.asarray(tables)
+    order = np.dtype(f">u{tables.dtype.itemsize}")
+    return np.ascontiguousarray(tables, dtype=order).view(
+        np.dtype((np.void, order.itemsize * tables.shape[1]))).ravel()
+
+
 def identity_morphism(L: Lattice) -> LinearMorphism:
     return LinearMorphism(domain=L, codomain=L, map=tuple(range(L.n)),
                           kernel=L.bottom, image_top=L.top)

@@ -131,9 +131,10 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
             x = next((x for x in tops if x in comp_set), None)
             if a in comp_set or x is None:
                 continue
-            table = next(t for t in iso_composites(
+            tables = list(iso_composites(
                 interval(L, a, L.top), interval(L, L.bottom, x),
-                (L.join_of(y, a) for y in range(L.n))) if m.contains_map(t))
+                (L.join_of(y, a) for y in range(L.n))))
+            table = next(t for t, i in zip(tables, m.find(tables)) if i >= 0)
             return Verdict(kind, False, witness={
                 "a": L.names[a], "x": L.names[x],
                 "composite": {L.names[i]: L.names[v]
@@ -149,10 +150,10 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
                 a = next((a for a in m.pairs.get(xp, ()) if a not in comp_set), None)
                 if a is None:
                     continue
-                table = next(t for t in iso_composites(
+                tables = list(iso_composites(
                     interval(L, L.bottom, x), interval(L, L.bottom, a),
-                    (L.meet_of(L.join_of(z, xp), x) for z in range(L.n)))
-                    if m.contains_map(t))
+                    (L.meet_of(L.join_of(z, xp), x) for z in range(L.n))))
+                table = next(t for t, i in zip(tables, m.find(tables)) if i >= 0)
                 return Verdict(kind, False, witness={
                     "a": L.names[a], "x": L.names[x], "x_prime": L.names[xp],
                     "composite": {L.names[i]: L.names[v]

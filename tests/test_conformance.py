@@ -197,6 +197,39 @@ def test_a_self_dual_context_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_contexts_in_no_pair_are_released_before_the_pair_checks(monkeypatch):
+    """The pairs are chosen before the lattice checks run, and a lattice in
+    no pair drops its context once its checks are done. The 16-element
+    chain is in a pair: 16 * 1 fits the cap next to the 1-element chain."""
+    corpus = [fx.build_fixture("m3"), fx.chain(6), fx.chain(16), fx.chain(1),
+              fx.build_fixture("n5"), fx.chain(5), fx.chain(2)]
+    made = []
+
+    def tracked(L):
+        ctx = LatticeContext(L)
+        made.append(weakref.ref(ctx))
+        return ctx
+
+    live = []
+
+    def pair_check(a, b):
+        live.append(sorted(ref().L.name for ref in made if ref() is not None))
+        return "pass", None
+
+    monkeypatch.setattr(conformance, "LatticeContext", tracked)
+    monkeypatch.setitem(REGISTRY, "prod_rickart_pairs", dataclasses.replace(
+        REGISTRY["prod_rickart_pairs"], fn=pair_check))
+    gc.disable()
+    try:
+        report = run_conformance(corpus, checks=["rickpix", "prod_rickart_pairs"])
+    finally:
+        gc.enable()
+    assert report.counts["rickpix"]["pass"] == report.lattice_count == 6
+    assert len(made) == 6
+    # c1 and c2 against themselves, then (c16, c1), (c1, c5) and (c5, c2)
+    assert live == [["c1", "c16", "c2", "c5"]] * 5
+
+
 # -- the five morphism checks against their plain loops -----------------------
 # The loops below certify every extension and every composite anew, with
 # validate_linear, test each join in Python, and enumerate the Hom-sets of
@@ -383,7 +416,8 @@ def test_tables_outside_the_monoid_are_certified_on_their_own(monkeypatch, L):
     monkeypatch.setattr(morphisms, "validate_linear", record)
     exmorf_every_y(LatticeContext(L))
     small = generated_monoid(L, with_projections=True)
-    outside = [t for t in dict.fromkeys(seen) if not small.contains_map(t)]
+    distinct = list(dict.fromkeys(seen))
+    outside = [t for t, i in zip(distinct, small.find(distinct)) if i < 0]
     assert outside
     for bad in [None] + _picks(outside):
         faults = set() if bad is None else {bad}

@@ -1,7 +1,9 @@
 """Submonoids with zero: construction, annihilators, monoid predicates."""
 
+import ast
 import itertools
 import json
+import pathlib
 import random
 import tracemalloc
 
@@ -10,11 +12,13 @@ import pytest
 
 from latticelab import fixtures as fx
 from latticelab import monoid as monoid_module
-from latticelab.abelian import AbelianGroup, induced_monoid
+from latticelab import morphisms as morphisms_module
+from latticelab.abelian import AbelianGroup, induced_monoid, subgroup_lattice
 from latticelab.conformance import (LatticeContext, chk_baercar, chk_kercompkergenann,
                                     random_corpus)
 from latticelab.errors import NotClosedError, NotModularError, SizeLimitExceededError
-from latticelab.lattice import close_under, is_modular
+from latticelab.lattice import (close_under, complemented_elements, complements_of,
+                                is_modular)
 from latticelab.monoid import (
     MAX_GENERATED_MEMBERS,
     EndoMonoid,
@@ -46,8 +50,7 @@ class TestBuild:
         m = generated_monoid(b2, with_projections=True)
         assert len(m) == 4
         a, b = b2.id_of("a"), b2.id_of("b")
-        assert m.contains_map(projection(b2, a, b).map)
-        assert m.contains_map(projection(b2, b, a).map)
+        assert (m.find([projection(b2, a, b).map, projection(b2, b, a).map]) >= 0).all()
         assert m.has_all_projections
 
     def test_explicit_must_contain_zero(self, c3):
@@ -188,7 +191,7 @@ class TestArrayBacked:
             assert phi.map == tuple(m.tables[i].tolist())
             assert (phi.kernel, phi.image_top) == (m.member_kernels[i],
                                                    m.member_image_tops[i])
-            assert m.index_of(phi) == i and m.contains_map(phi.map)
+            assert m.find([phi.map]).tolist() == [i]
 
     def test_repeated_row_is_refused(self):
         for m in pair_index_monoids():
@@ -208,6 +211,99 @@ class TestArrayBacked:
                                        m.member_image_tops[keep])
             with pytest.raises(NotClosedError, match=self.NOT_CLOSED):
                 EndoMonoid(m.lattice, [phi for phi, k in zip(m.members, keep) if k])
+
+
+def find_by_dict(m, rows):
+    """The member index of each row, or -1, through a dict with one tuple
+    per member."""
+    index = {tuple(row): i for i, row in enumerate(m.tables.tolist())}
+    return [index.get(tuple(row), -1) for row in rows]
+
+
+def find_queries(m, rng):
+    """Rows to look up in m: every member, shuffled; each member with its
+    last value changed, a miss sharing the longest prefix with a member or
+    a hit; and each member with one value set to n, 256, 300 or -1, at a
+    position holding what that value wraps to in the tables' dtype, so a
+    lookup that casts without a range check would hit."""
+    tables = m.tables.astype(np.int64)
+    n = tables.shape[1]
+    wrap = 1 << (8 * m.tables.itemsize)
+    rows = [tables[rng.permutation(len(tables))]]
+    for shift in range(1, n):
+        changed = tables.copy()
+        changed[:, -1] = (changed[:, -1] + shift) % n
+        rows.append(changed)
+    for bad in (n, 256, 300, -1):
+        changed = tables.copy()
+        at = np.where((tables == bad % wrap).any(axis=1),
+                      (tables == bad % wrap).argmax(axis=1), n - 1)
+        changed[np.arange(len(tables)), at] = bad
+        rows.append(changed)
+    return np.concatenate(rows)
+
+
+class TestFind:
+    """`EndoMonoid.find` against a dict of member tuples."""
+
+    def check(self, m, rng):
+        rows = find_queries(m, rng)
+        got = m.find(rows)
+        assert got.tolist() == find_by_dict(m, rows.tolist()), m.lattice.name
+        assert (got >= 0).sum() >= len(m)
+        return rows, got
+
+    def test_pinned_corpora(self):
+        rng = np.random.default_rng(5)
+        count = 0
+        for m in itertools.chain(pair_index_monoids(),
+                                 (m for _, m in corpus_monoids())):
+            self.check(m, rng)
+            count += 1
+        assert count > 3 * len(LATTICES)
+
+    def test_uint16_tables(self):
+        lat = subgroup_lattice(AbelianGroup.from_spec("2,2,2,2,2"))
+        comp = complemented_elements(lat)
+        gens = [projection(lat, a, complements_of(lat, a)[-1]) for a in comp[250:256]]
+        m = generated_monoid(lat, gens)
+        assert (lat.n, len(m), m.tables.dtype) == (374, 23, np.uint16)
+        assert {256, 300} <= set(m.tables.ravel().tolist())
+        rows, got = self.check(m, np.random.default_rng(6))
+        # 256 and 300 are values of this lattice: rows holding them can be hits
+        assert (got[np.isin(rows, (256, 300)).any(axis=1)] >= 0).any()
+
+    def test_out_of_range_values_are_absent(self, m3):
+        m = full_monoid(m3)
+        for bad in (m3.n, 256, 300, 256 + 3, -1, -256):
+            rows = m.tables.astype(np.int64)
+            rows[:, 0] = bad
+            assert (m.find(rows) == -1).all(), bad
+
+    def test_empty_input(self, m3):
+        m = full_monoid(m3)
+        got = m.find(np.empty((0, m3.n), dtype=np.intp))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 6), (5,), (1, 1, 5)])
+    def test_wrong_width_raises(self, m3, shape):
+        with pytest.raises(ValueError, match=r"^map tables must form an \(N, n\) array"):
+            full_monoid(m3).find(np.zeros(shape, dtype=np.intp))
+
+
+def test_row_format_lives_in_row_keys():
+    """The void row keys and their byte order are written in one place,
+    `morphisms.row_keys`, so every lookup sorts rows the same way."""
+    src = pathlib.Path(morphisms_module.__file__).parent
+    row_keys = next(node for node in ast.parse((src / "morphisms.py").read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "row_keys")
+    hits = [(path.name, number)
+            for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "np.void" in line or "newbyteorder" in line]
+    assert hits
+    assert all(name == "morphisms.py" and row_keys.lineno <= number <= row_keys.end_lineno
+               for name, number in hits), hits
 
 
 class TestIdempotents:
@@ -406,12 +502,13 @@ class TestGeneratedClosure:
                     assert set(right_closure(seeds)) == want, (L.name, count)
                     got = generated(gens, with_projections)
                     assert {phi.map for phi in got} == want, (L.name, count)
-                    at = [full.index_of(phi) for phi in got]
+                    at = full.find(got.tables)
+                    assert (at >= 0).all()
                     assert np.array_equal(got.member_kernels, full.member_kernels[at])
                     assert np.array_equal(got.member_image_tops,
                                           full.member_image_tops[at])
-                    for phi in got:
-                        ref = full.members[full.index_of(phi)]
+                    for phi, i in zip(got, at.tolist()):
+                        ref = full.members[i]
                         assert (phi.kernel, phi.image_top) == (ref.kernel, ref.image_top)
         assert capped > 0
 

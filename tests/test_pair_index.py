@@ -34,6 +34,10 @@ def quotient_composites(L, a, b):
                           (L.join_of(y, a) for y in range(L.n)))
 
 
+def member(m, table):
+    return m.find([table])[0] >= 0
+
+
 def md2_scan(L, m):
     comp = complemented_elements(L)
     for a in range(L.n):
@@ -41,7 +45,7 @@ def md2_scan(L, m):
             continue
         for x in comp:
             for table in quotient_composites(L, a, x):
-                if m.contains_map(table):
+                if member(m, table):
                     return Verdict("md2", False, witness={
                         "a": L.names[a], "x": L.names[x],
                         "composite": {L.names[i]: L.names[v]
@@ -61,7 +65,7 @@ def mc2_scan(L, m):
                 for table in iso_composites(
                         interval(L, L.bottom, x), interval(L, L.bottom, a),
                         (L.meet_of(L.join_of(z, xp), x) for z in range(L.n))):
-                    if m.contains_map(table):
+                    if member(m, table):
                         return Verdict("mc2", False, witness={
                             "a": L.names[a], "x": L.names[x],
                             "x_prime": L.names[xp],
@@ -72,7 +76,7 @@ def mc2_scan(L, m):
 
 def choices_scan(L, m):
     return {a: tuple(b for b in range(L.n) if any(
-        m.contains_map(t) for t in quotient_composites(L, a, b)))
+        member(m, t) for t in quotient_composites(L, a, b)))
         for a in range(L.n)}
 
 
@@ -86,8 +90,8 @@ def image_clause_scan(L, m):
             vi = interval(L, L.bottom, phi.image_top)
             isos[phi.image_top] = [(vi, vx, iso) for vx in targets
                                    for iso in enumerate_interval_isos(vi, vx)]
-        if not any(m.contains_map(tuple(vx.members[iso.forward[vi.from_parent[v]]]
-                                        for v in phi.map))
+        if not any(member(m, tuple(vx.members[iso.forward[vi.from_parent[v]]]
+                                   for v in phi.map))
                    for vi, vx, iso in isos[phi.image_top]):
             return False
     return True
