@@ -8,6 +8,7 @@ subcommand to machine-readable output; both forms are deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring
@@ -251,7 +252,10 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    `run` in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="latticelab",
         description="finite lattice analysis: morphisms, monoids, and "

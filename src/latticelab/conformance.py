@@ -259,7 +259,11 @@ class LatticeContext:
         return self._get("op", build) or self
 
     def interval_family_prop(self, hi: int, kind: str) -> bool:
-        """The Rickart-type property `kind` of [bottom, hi] with its full monoid."""
+        """The Rickart-type property `kind` of [bottom, hi] with its full
+        monoid. [bottom, top] is L itself, so the top reads `family_prop`."""
+        if hi == self.L.top:
+            return self.family_prop(kind)
+
         def build():
             sub = interval(self.L, self.L.bottom, hi).as_lattice
             return check_rickart_family(sub, full_monoid(sub), kind).holds

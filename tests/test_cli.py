@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticelab import cli
 from latticelab import fixtures as fx
 from latticelab import monoid as monoid_module
 from latticelab.abelian import AbelianGroup, _subgroup_lattice, induced_monoid
@@ -756,3 +758,62 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+class TestSharedParser:
+    """`run` parses with one parser per process; no call leaves a trace in
+    it that a later call could see."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # one help width in both processes
+        m3 = str(FIXTURES / "m3.json")
+        spec = tmp_path / "monoid.json"
+        spec.write_text(json.dumps({"kind": "generated", "with_projections": True}))
+        sequence = [
+            ["--json", "analyze", m3],
+            ["analyze", m3],
+            ["analyze", m3, "--props", "c1", "--monoid", str(spec)],
+            ["analyze", m3],
+            ["module", "--group", "2", "--props", "zzz"],
+            ["analyze", m3, "--bogus"],
+            ["--help"],
+            ["theorems", "--checks", "riccipssp"],
+        ]
+        got = []
+        for argv in sequence:
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        fresh = []
+        for argv in sequence:
+            proc = run_module(argv)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [g[0] for g in got] == [0, 0, 0, 0, 2, 2, 0, 0]
+        assert got[5][2].startswith("usage: latticelab ")
+        assert got[5][2].endswith("error: unrecognized arguments: --bogus\n")
+        assert got == fresh
+
+    def test_two_calls_build_one_parser_and_rebind_nothing(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            before = dict(vars(cli))
+            c3 = str(FIXTURES / "c3.json")
+            assert run(["validate", c3]) == 0
+            first = len(built)
+            assert run(["--json", "validate", c3]) == 0
+            after = dict(vars(cli))
+        finally:
+            cli.build_parser.cache_clear()
+        capsys.readouterr()
+        assert first > 0 and len(built) == first
+        assert after.keys() == before.keys()
+        assert [k for k in before if after[k] is not before[k]] == []

@@ -31,6 +31,7 @@ from latticelab.lattice import (complements_of, direct_product, interval, is_mod
 from latticelab.monoid import EndoMonoid, full_monoid, generated_monoid
 from latticelab.morphisms import (LinearMorphism, compose, enumerate_linmors,
                                   iso_composites, table_verdicts, validate_linear)
+from latticelab.properties import check_rickart_family
 
 from test_duality import ROOTS
 
@@ -228,6 +229,49 @@ def test_contexts_in_no_pair_are_released_before_the_pair_checks(monkeypatch):
     assert len(made) == 6
     # c1 and c2 against themselves, then (c16, c1), (c1, c5) and (c5, c2)
     assert live == [["c1", "c16", "c2", "c5"]] * 5
+
+
+def test_the_top_interval_reads_the_lattice_verdict(monkeypatch):
+    """[bottom, top] is L itself, so interval_family_prop at the top reads
+    the context's own verdict: each context builds one full monoid of its
+    lattice's size, and the report is the one a fresh monoid for every
+    interval gives."""
+    corpus = [fx.build_fixture(nm) for nm in fx.FIXTURE_NAMES] + random_corpus(200, 8, 42)
+
+    def every_interval_anew(self, hi, kind):
+        sub = interval(self.L, self.L.bottom, hi).as_lattice
+        return check_rickart_family(sub, full_monoid(sub), kind).holds
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LatticeContext, "interval_family_prop", every_interval_anew)
+        expected = run_conformance(corpus, seed=42).to_json()
+
+    contexts, active, builds, top_reads = [], [], {}, []
+
+    class Tracked(LatticeContext):
+        def __init__(self, L):
+            super().__init__(L)
+            contexts.append(self)  # also keeps each id unique
+
+        def interval_family_prop(self, hi, kind):
+            top_reads.append(hi == self.L.top)
+            active.append(self)
+            try:
+                return super().interval_family_prop(hi, kind)
+            finally:
+                active.pop()
+
+    def counted(L):
+        owner = next((c for c in contexts if c.L is L), active[-1] if active else None)
+        builds.setdefault(id(owner), []).append(L.n)
+        return full_monoid(L)
+
+    monkeypatch.setattr(conformance, "LatticeContext", Tracked)
+    monkeypatch.setattr(conformance, "full_monoid", counted)
+    assert run_conformance(corpus, seed=42).to_json() == expected
+    assert any(top_reads)
+    for ctx in contexts:
+        assert builds.get(id(ctx), []).count(ctx.L.n) <= 1, ctx.L.name
 
 
 # -- the five morphism checks against their plain loops -----------------------
