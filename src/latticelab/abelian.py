@@ -24,7 +24,7 @@ import itertools
 import reprlib
 from dataclasses import dataclass
 from functools import cache, partial
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -112,25 +112,20 @@ def _group_data(g: AbelianGroup) -> _GroupData:
     fs = g.invariant_factors
     n = g.order
     elements = tuple(itertools.product(*[range(d) for d in fs])) or ((),)
-    index = {e: i for i, e in enumerate(elements)}
-    add = np.empty((n, n), dtype=np.int16)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            add[i, j] = index[tuple((a + b) % d for a, b, d in zip(x, y, fs))]
-    sc_mul = np.empty((n + 1, n), dtype=np.int16)
-    for c in range(n + 1):
-        for i, x in enumerate(elements):
-            sc_mul[c, i] = index[tuple((c * a) % d for a, d in zip(x, fs))]
-    coords = np.array([[e[j] for e in elements] for j in range(len(fs))],
-                      dtype=np.int16).reshape(len(fs), n)
-    orders = tuple(
-        lcm(*(d // gcd(d, a) for a, d in zip(x, fs))) if fs else 1
-        for x in elements)
-    gen_ids = tuple(index[tuple(1 if i == j else 0 for i in range(len(fs)))]
-                    for j in range(len(fs)))
+    coords = np.indices(fs, dtype=np.int16).reshape(len(fs), n)
+    # an element's id is its coordinates against these row-major strides,
+    # so the standard generators have the strides as ids
+    strides = [prod(fs[j + 1:]) for j in range(len(fs))]
+    c = coords.astype(np.intp)[:, None, :]  # (coordinate, 1, element)
+    d = np.array(fs, dtype=np.intp).reshape(-1, 1, 1)
+    w = np.array(strides, dtype=np.intp).reshape(-1, 1, 1)
+    add = ((c.transpose(0, 2, 1) + c) % d * w).sum(axis=0).astype(np.int16)
+    multiples = np.arange(n + 1, dtype=np.intp)[None, :, None] * c
+    sc_mul = (multiples % d * w).sum(axis=0).astype(np.int16)
+    orders = tuple(np.lcm.reduce(d // np.gcd(d, c), axis=0).ravel().tolist()) if fs else (1,)
     for table in (add, sc_mul, coords):
         table.setflags(write=False)  # shared by every caller through the cache
-    return _GroupData(elements, add, sc_mul, coords, orders, gen_ids, {})
+    return _GroupData(elements, add, sc_mul, coords, orders, tuple(strides), {})
 
 
 def _cyclic(g: AbelianGroup, e: int) -> int:

@@ -260,13 +260,15 @@ class LatticeContext:
 
     def interval_family_prop(self, hi: int, kind: str) -> bool:
         """The Rickart-type property `kind` of [bottom, hi] with its full
-        monoid. [bottom, top] is L itself, so the top reads `family_prop`."""
+        monoid. [bottom, top] is L itself, so the top reads `family_prop`.
+        The monoid of [bottom, hi] is built once and shared by the kinds."""
         if hi == self.L.top:
             return self.family_prop(kind)
 
         def build():
             sub = interval(self.L, self.L.bottom, hi).as_lattice
-            return check_rickart_family(sub, full_monoid(sub), kind).holds
+            m = self._get(("interval_monoid", hi), lambda: full_monoid(sub))
+            return check_rickart_family(sub, m, kind).holds
         return self._get(("interval_family", hi, kind), build)
 
 

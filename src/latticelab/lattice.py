@@ -145,11 +145,7 @@ class Lattice:
         so index-level computations transfer between them.
         """
         if self._key is None:
-            payload = bytearray()
-            payload += self.n.to_bytes(4, "big")
-            for m in self._up:
-                payload += m.to_bytes((self.n + 7) // 8, "big")
-            self._key = bytes(payload)
+            self._key = _structure_key(self._up)
         return self._key
 
     @property
@@ -177,6 +173,13 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, n={self.n})"
+
+
+def _structure_key(up: Sequence[int]) -> bytes:
+    """The element count, then each up-set mask, in big-endian bytes."""
+    n = len(up)
+    width = (n + 7) // 8
+    return n.to_bytes(4, "big") + b"".join(m.to_bytes(width, "big") for m in up)
 
 
 def close_under(seeds: dict, op, limit: int | None = None) -> dict:
@@ -585,49 +588,104 @@ def socle_radical(L: Lattice) -> tuple[int, int]:
 # -- intervals ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class IntervalView:
-    """The interval [lo, hi] of a parent lattice, re-indexed as a lattice.
+    """The interval [lo, hi] of a parent lattice, at the index level.
 
     `members[i]` is the parent id of sub-element i; `from_parent` inverts it.
-    Member order follows the parent's canonical order.
+    Member order follows the parent's order. An interval is convex, so its
+    order and its covers are the parent's, restricted to the members: `n`,
+    `rank`, `down_mask` and `structure_key` are read off the parent's up,
+    down and upper-cover masks, compressed to member indices. `as_lattice`,
+    the interval re-indexed as a lattice, is built from those masks and the
+    parent's join and meet rows on first use, and agrees with them.
     """
 
-    parent: Lattice
-    lo: int
-    hi: int
-    members: tuple[int, ...]
-    as_lattice: Lattice
-    from_parent: dict[int, int]
+    __slots__ = ("parent", "lo", "hi", "members", "from_parent",
+                 "_masks", "_rank", "_key", "_lattice")
+
+    def __init__(self, parent: Lattice, lo: int, hi: int,
+                 members: tuple[int, ...], from_parent: dict[int, int]):
+        self.parent = parent
+        self.lo = lo
+        self.hi = hi
+        self.members = members
+        self.from_parent = from_parent
+        self._masks = None
+        self._rank: tuple[int, ...] | None = None
+        self._key: bytes | None = None
+        self._lattice: Lattice | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.members)
+
+    @property
+    def _order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(up, down, upper covers) masks over member indices, built lazily."""
+        if self._masks is None:
+            L, pos = self.parent, self.from_parent
+            inside = L._up[self.lo] & L._down[self.hi]
+
+            def compress(m: int) -> int:
+                out = 0
+                for b in _bits(m & inside):
+                    out |= 1 << pos[b]
+                return out
+
+            self._masks = tuple(tuple(compress(masks[p]) for p in self.members)
+                                for masks in (L._up, L._down, L._upper_covers))
+        return self._masks
+
+    def down_mask(self, i: int) -> int:
+        return self._order[1][i]
+
+    def _covers(self) -> list[tuple[int, int]]:
+        return [(a, b) for a, m in enumerate(self._order[2]) for b in _bits(m)]
+
+    @property
+    def rank(self) -> tuple[int, ...]:
+        if self._rank is None:
+            self._rank = tuple(_ranks(self.n, self._covers()))
+        return self._rank
+
+    @property
+    def structure_key(self) -> bytes:
+        if self._key is None:
+            self._key = _structure_key(self._order[0])
+        return self._key
+
+    @property
+    def as_lattice(self) -> Lattice:
+        if self._lattice is None:
+            L, pos, members = self.parent, self.from_parent, self.members
+            up, down, _ = self._order
+            join = [[pos[row[q]] for q in members] for row in (L._join[p] for p in members)]
+            meet = [[pos[row[q]] for q in members] for row in (L._meet[p] for p in members)]
+            sub = Lattice(name=f"{L.name}[{L.names[self.lo]},{L.names[self.hi]}]",
+                          names=[L.names[p] for p in members], up=up, down=down,
+                          join=join, meet=meet, bottom=pos[self.lo], top=pos[self.hi],
+                          rank=self.rank, covers=self._covers())
+            sub._key = self.structure_key
+            # an interval of a modular lattice is modular; a failing Verdict is falsy
+            sub._modular = L._modular or None
+            self._lattice = sub
+        return self._lattice
+
+    def __repr__(self) -> str:
+        L = self.parent
+        return f"IntervalView({L.name!r}, [{L.names[self.lo]!r}, {L.names[self.hi]!r}])"
 
 
 def interval(L: Lattice, lo: int, hi: int) -> IntervalView:
-    """Members and a re-indexed lattice for [lo, hi]; cached per lattice."""
+    """The index-level view of [lo, hi]; cached per lattice."""
     cached = L._interval_cache.get((lo, hi))
     if cached is not None:
         return cached
     if not L.leq(lo, hi):
         raise NotComparableError(
             f"{L.names[lo]!r} is not below {L.names[hi]!r} in {L.name}")
-    members = tuple(sorted(_bits(L.up_mask(lo) & L.down_mask(hi))))
-    pos = {p: i for i, p in enumerate(members)}
-    m = len(members)
-    up = [0] * m
-    down = [0] * m
-    for i, p in enumerate(members):
-        for j, q in enumerate(members):
-            if L.leq(p, q):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    join = [[pos[L.join_of(p, q)] for q in members] for p in members]
-    meet = [[pos[L.meet_of(p, q)] for q in members] for p in members]
-    sub, _ = _assemble(f"{L.name}[{L.names[lo]},{L.names[hi]}]",
-                       [L.names[p] for p in members], up, down, join, meet,
-                       canonicalize=False)
-    # an interval of a modular lattice is modular; a failing Verdict is falsy
-    sub._modular = L._modular or None
-    view = IntervalView(parent=L, lo=lo, hi=hi, members=members,
-                        as_lattice=sub, from_parent=pos)
+    members = tuple(_bits(L.up_mask(lo) & L.down_mask(hi)))
+    view = IntervalView(L, lo, hi, members, {p: i for i, p in enumerate(members)})
     L._interval_cache[(lo, hi)] = view
     return view
 

@@ -16,7 +16,6 @@ of [k, top].
 
 from __future__ import annotations
 
-import itertools
 import json
 import reprlib
 from dataclasses import dataclass
@@ -311,13 +310,15 @@ class IntervalIso:
 _ISO_CACHE: dict[tuple[bytes, bytes], tuple[tuple[int, ...], ...]] = {}
 
 
-def _iso_tables(A: Lattice, B: Lattice) -> tuple[tuple[int, ...], ...]:
+def _iso_tables(A, B) -> tuple[tuple[int, ...], ...]:
     """Every order isomorphism A -> B as a forward table, sorted.
 
-    Isomorphisms keep rank. The positions p of A are filled in rank order,
-    each with an unused element v of B of its rank, which fits when its
-    down-set among the used elements is the image of p's strict down-set;
-    no used element has a larger rank, so none lies above v.
+    A and B are lattices or interval views: only their `n`, `rank`,
+    `down_mask` and `structure_key` are read. Isomorphisms keep rank. The
+    positions p of A are filled in rank order, each with an unused element
+    v of B of its rank, which fits when its down-set among the used
+    elements is the image of p's strict down-set; no used element has a
+    larger rank, so none lies above v.
     """
     key = (A.structure_key, B.structure_key)
     hit = _ISO_CACHE.get(key)
@@ -358,7 +359,7 @@ def enumerate_interval_isos(A: IntervalView, B: IntervalView) -> list[IntervalIs
     down-sets of those already assigned; an empty list means the posets differ.
     """
     isos = []
-    for fwd in _iso_tables(A.as_lattice, B.as_lattice):
+    for fwd in _iso_tables(A, B):
         back = [0] * len(fwd)
         for i, v in enumerate(fwd):
             back[v] = i
@@ -373,7 +374,7 @@ def iso_composites(src: IntervalView, dst: IntervalView, pre):
     `pre` lists, for each x, a parent element inside src; the composites
     come in `enumerate_interval_isos` order and are read off in parent ids.
     """
-    tables = _iso_tables(src.as_lattice, dst.as_lattice)
+    tables = _iso_tables(src, dst)
     if not tables:
         return
     row = [src.from_parent[p] for p in pre]
@@ -390,9 +391,11 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.n
     """Every linear morphism L -> M as three read-only arrays: the map tables,
     one row each in lexicographic order, their kernels and their image tops.
 
-    Each (kernel, image top) pair with intervals of one size contributes the
-    composites of its interval isomorphisms, collected as one flat list of
-    values, so no table is held as a tuple.
+    Each (kernel k, image top a) pair whose intervals [k, top] and
+    [bottom, a] have one size contributes the composites x -> theta(x v k)
+    of its interval isomorphisms theta, gathered as one block from the
+    isomorphism tables and the members of [bottom, a], in the final table
+    dtype.
     """
     cap = config.DEFAULT_ENUM_CAP
     if max(L.n, M.n) > cap:
@@ -402,29 +405,41 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.n
     hit = _LINMOR_CACHE.get(key)
     if hit is not None:
         return hit
-    flat: list[int] = []  # the tables, one after another
+    dtype = np.min_scalar_type(M.n - 1)
+    iso_arrays: dict[tuple[bytes, bytes], np.ndarray] = {}
+    blocks: list[np.ndarray] = []
     kernels: list[int] = []
     image_tops: list[int] = []
     for k in range(L.n):
         up_view = interval(L, k, L.top)
-        join_k = [L.join_of(x, k) for x in range(L.n)]
+        row_k = None
         for a in range(M.n):
             dn_view = interval(M, M.bottom, a)
-            if len(dn_view.members) == len(up_view.members):
-                start = len(flat)
-                flat.extend(itertools.chain.from_iterable(
-                    iso_composites(up_view, dn_view, join_k)))
-                count = (len(flat) - start) // L.n
-                kernels += [k] * count
-                image_tops += [a] * count
-    tables = np.array(flat, dtype=np.min_scalar_type(M.n - 1)).reshape(-1, L.n)
+            if dn_view.n != up_view.n:
+                continue
+            pair = (up_view.structure_key, dn_view.structure_key)
+            isos = iso_arrays.get(pair)
+            if isos is None:
+                isos = iso_arrays[pair] = np.array(
+                    _iso_tables(up_view, dn_view),
+                    dtype=np.min_scalar_type(up_view.n - 1)).reshape(-1, up_view.n)
+            if not len(isos):
+                continue
+            if row_k is None:
+                row_k = np.array([up_view.from_parent[L.join_of(x, k)]
+                                  for x in range(L.n)], dtype=np.intp)
+            blocks.append(np.array(dn_view.members, dtype=dtype)[isos[:, row_k]])
+            kernels.append(k)
+            image_tops.append(a)
+    counts = [len(b) for b in blocks]
+    tables = np.concatenate(blocks)
     order = np.lexsort(tables.T[::-1])
     tables = tables[order]
     if (tables[1:] == tables[:-1]).all(axis=1).any():
         raise ConsistencyError(
             f"two factorizations give the same map from {L.name} to {M.name}")
-    kernels = np.array(kernels, dtype=np.intp)[order]
-    image_tops = np.array(image_tops, dtype=np.intp)[order]
+    kernels = np.repeat(np.array(kernels, dtype=np.intp), counts)[order]
+    image_tops = np.repeat(np.array(image_tops, dtype=np.intp), counts)[order]
     result = (tables, kernels, image_tops)
     for arr in result:
         arr.setflags(write=False)

@@ -8,7 +8,9 @@ kernels and images read off the endomorphism tables are every subgroup, for
 every group whose endomorphisms can be enumerated up to order 32.
 """
 
-from math import prod
+import itertools
+from math import gcd, lcm, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +50,30 @@ def invariant_factor_chains(max_order, chain=()):
     while prod(chain) * d <= max_order:
         yield from invariant_factor_chains(max_order, chain + (d,))
         d += step
+
+
+def group_data_by_loops(fs):
+    """The group tables by a loop over pairs of element tuples: the oracle
+    for _group_data's coordinate arithmetic."""
+    n = prod(fs)
+    elements = tuple(itertools.product(*[range(d) for d in fs])) or ((),)
+    index = {e: i for i, e in enumerate(elements)}
+    add = np.empty((n, n), dtype=np.int16)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            add[i, j] = index[tuple((a + b) % d for a, b, d in zip(x, y, fs))]
+    sc_mul = np.empty((n + 1, n), dtype=np.int16)
+    for c in range(n + 1):
+        for i, x in enumerate(elements):
+            sc_mul[c, i] = index[tuple((c * a) % d for a, d in zip(x, fs))]
+    coords = np.array([[e[j] for e in elements] for j in range(len(fs))],
+                      dtype=np.int16).reshape(len(fs), n)
+    orders = tuple(lcm(*(d // gcd(d, a) for a, d in zip(x, fs))) if fs else 1
+                   for x in elements)
+    gen_ids = tuple(index[tuple(1 if i == j else 0 for i in range(len(fs)))]
+                    for j in range(len(fs)))
+    return SimpleNamespace(elements=elements, add=add, sc_mul=sc_mul, coords=coords,
+                           orders=orders, gen_ids=gen_ids)
 
 
 def _primes_of(n):
@@ -187,6 +213,19 @@ class TestGroups:
         g = AbelianGroup.from_spec("2,4")
         assert len(g.elements) == 8
         assert g.elements[0] == (0, 0)
+
+    def test_group_tables_match_the_tuple_loops(self):
+        """The coordinate arithmetic of _group_data gives the tables of a
+        loop over element tuples, for every group of order at most 64."""
+        for chain in invariant_factor_chains(64):
+            got, want = _group_data(AbelianGroup(chain)), group_data_by_loops(chain)
+            assert got.elements == want.elements, chain
+            for field in ("add", "sc_mul", "coords"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, (chain, field)
+                assert np.array_equal(a, b), (chain, field)
+                assert not a.flags.writeable, (chain, field)
+            assert got.orders == want.orders and got.gen_ids == want.gen_ids, chain
 
     def test_type_matches_the_invariant_factors(self):
         chains = list(invariant_factor_chains(64))

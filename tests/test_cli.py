@@ -45,6 +45,40 @@ def run_module(argv, *flags):
                           capture_output=True, text=True, env=env)
 
 
+def product_json(name):
+    """Lattice JSON of a product such as "m3xc4" of chains "c<k>", the
+    diamond "m3" and the square "b2", as the benchmark writes it: elements
+    are factor names joined by dots, and each cover moves one coordinate
+    along a cover of its factor."""
+    def factor(spec):
+        if spec == "b2":
+            return ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+        if spec == "m3":
+            atoms = ["a0", "a1", "a2"]
+            return ["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+        names = [str(i) for i in range(int(spec[1:]))]
+        return names, list(zip(names, names[1:]))
+
+    factors = [factor(spec) for spec in name.split("x")]
+    coords = [()]
+    for fnames, _ in factors:
+        coords = [c + (i,) for c in coords for i in range(len(fnames))]
+    ups = []
+    for fnames, fcovers in factors:
+        up: dict[int, list[int]] = {}
+        for lo, hi in fcovers:
+            up.setdefault(fnames.index(lo), []).append(fnames.index(hi))
+        ups.append(up)
+
+    def label(c):
+        return ".".join(factors[k][0][i] for k, i in enumerate(c))
+
+    covers = [[label(c), label(c[:k] + (j,) + c[k + 1:])]
+              for c in coords for k in range(len(factors)) for j in ups[k].get(c[k], ())]
+    return json.dumps({"name": name, "elements": [label(c) for c in coords],
+                       "covers": covers}) + "\n"
+
+
 def test_repo_fixtures_match_packaged():
     for name in FIXTURE_NAMES:
         assert (FIXTURES / f"{name}.json").read_text() == fixture_json(name)
@@ -113,6 +147,30 @@ class TestAnalyze:
                 "--json", "analyze", str(FIXTURES / f"{name}.json"),
                 "--props", "all", "--monoid", "full"])
             assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+    # sha256 of `--json analyze P --props all --monoid full` for the 12 to 20
+    # element products P of the benchmark's cli workload (exit code 1 each)
+    PINNED_PRODUCTS = {
+        "c4xc5": "02fa47b1a7b4dd6b930bddba78b25a50f32533ae8c279b6c671b2ddb311a6c0b",
+        "c3xc4": "e16dfb88f7143b40b89c76b394b188f7a189fed342a4fa49cd4de12bb541e3b5",
+        "c2xc2xc3": "61768db8298ed038a0276fb7c03e130046bebd2f2232599ad69bc97b97a57bdb",
+        "m3xc4": "4c663aabe94fb7b773ddf2411a0dec834809b510dedb2775eaeb08886359030a",
+        "m3xb2": "e380bc4633c33974362ad53a1425391145b03669116a4f875c827023a981e8eb",
+        "b2xc4": "129e9403f025aa1d945f3943cbc39079cc09b05902bea8024700407ae7c0e6fc",
+    }
+
+    @pytest.mark.parametrize("mode", ["in_process", "optimized_subprocess"])
+    def test_product_outputs_are_pinned(self, mode, tmp_path, capsys):
+        for name, digest in self.PINNED_PRODUCTS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(product_json(name))
+            argv = ["--json", "analyze", str(path), "--props", "all", "--monoid", "full"]
+            if mode == "in_process":
+                code, out = run_capture(capsys, argv)
+            else:
+                proc = run_module(argv, "-O")
+                code, out = proc.returncode, proc.stdout
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, digest), name
 
     # (exit code, sha256 of the "results" list) for `--json analyze
     # fixtures/<f>.json --props all --monoid <generated, with projections>`

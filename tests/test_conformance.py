@@ -1,7 +1,9 @@
 """The conformance registry and random corpus generation."""
 
+import collections
 import dataclasses
 import gc
+import hashlib
 import random
 import sys
 import weakref
@@ -272,6 +274,47 @@ def test_the_top_interval_reads_the_lattice_verdict(monkeypatch):
     assert any(top_reads)
     for ctx in contexts:
         assert builds.get(id(ctx), []).count(ctx.L.n) <= 1, ctx.L.name
+
+
+# the checks that read interval_family_prop, and the sha256 of their report
+# on the modular fixtures and random_corpus(200, 8, 42) when every interval
+# verdict builds its own monoid
+INTERVAL_FAMILY_CHECKS = ["compintric", "complbaer", "compldbaer", "sumric", "decomp_fi"]
+INTERVAL_FAMILY_REPORT = "e2b181dc5a3a23307e410c964c70186539a60e55291a4b316165a995dc1672fc"
+
+
+def test_each_interval_monoid_is_built_once_per_context(monkeypatch):
+    """rickart and baer of one interval [bottom, hi] share its full monoid:
+    at most one build per (context, hi), and the report bytes are those of
+    a fresh monoid per verdict."""
+    corpus = [fx.build_fixture(nm) for nm in fx.MODULAR_FIXTURES] + random_corpus(200, 8, 42)
+    contexts, asking, verdicts, builds = [], [], set(), collections.Counter()
+
+    class Tracked(LatticeContext):
+        def __init__(self, L):
+            super().__init__(L)
+            contexts.append(self)  # also keeps each id unique
+
+        def interval_family_prop(self, hi, kind):
+            verdicts.add((id(self), hi, kind))
+            asking.append((id(self), hi))
+            try:
+                return super().interval_family_prop(hi, kind)
+            finally:
+                asking.pop()
+
+    def counted(L):
+        if asking:
+            builds[asking[-1]] += 1
+        return full_monoid(L)
+
+    monkeypatch.setattr(conformance, "LatticeContext", Tracked)
+    monkeypatch.setattr(conformance, "full_monoid", counted)
+    report = run_conformance(corpus, checks=INTERVAL_FAMILY_CHECKS).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == INTERVAL_FAMILY_REPORT
+    assert max(builds.values()) == 1
+    # some intervals are asked under both kinds, so the sharing saves builds
+    assert any((c, hi, "rickart") in verdicts for c, hi, k in verdicts if k == "baer")
 
 
 # -- the five morphism checks against their plain loops -----------------------

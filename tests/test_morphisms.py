@@ -25,8 +25,9 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import (_bits, build_lattice, complemented_elements,
-                                complements_of, direct_product, interval)
+from latticelab.lattice import (_assemble, _bits, build_lattice, complemented_elements,
+                                complements_of, direct_product, interval,
+                                lattice_from_json, lattice_to_json)
 from latticelab.morphisms import (
     LinearMorphism,
     certify_tables,
@@ -46,6 +47,8 @@ from latticelab.morphisms import (
     validate_linear,
     zero_morphism,
 )
+from latticelab.monoid import full_monoid
+from latticelab.properties import check_condition
 
 from test_duality import LATTICES, ROOTS
 from test_pair_index import monoids
@@ -406,19 +409,41 @@ def iso_tables_by_leq(A, B):
     return tuple(out)
 
 
+def iso_products():
+    """M3 x M3, B2 x C2 x C4, C2^5, C4 x C8 and M7, freshly built."""
+    return [direct_product([fx.build_fixture("m3")] * 2).lattice,
+            direct_product([fx.build_fixture("b2"), fx.chain(2), fx.chain(4)]).lattice,
+            direct_product([fx.chain(2)] * 5).lattice,
+            direct_product([fx.chain(4), fx.chain(8)]).lattice,
+            fx.mk(7)]
+
+
+def non_graded_lattices():
+    """ng, which is not graded: in [lo, top], y < z1, z2, while x1 and x2
+    sit above longer chains from the bottom, so they have rank one in the
+    interval but larger ids than z1 and z2. m has the same ranks as
+    [lo, top], but its r1 of rank two lies above two elements of rank one."""
+    L = build_lattice(
+        ["0", "lo", "y", "z1", "z2", "u1", "u2", "u3", "x1", "v1", "v2", "v3",
+         "x2", "1"],
+        [("0", "lo"), ("lo", "y"), ("y", "z1"), ("y", "z2"), ("z1", "1"),
+         ("z2", "1"), ("0", "u1"), ("u1", "u2"), ("u2", "u3"), ("u3", "x1"),
+         ("0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "x2"), ("lo", "x1"),
+         ("lo", "x2"), ("x1", "1"), ("x2", "1")], name="ng")
+    M = build_lattice(["0", "p", "q1", "q2", "r1", "r2", "t"],
+                      [("0", "p"), ("0", "q1"), ("0", "q2"), ("p", "r1"),
+                       ("q1", "r1"), ("p", "r2"), ("r1", "t"), ("r2", "t"),
+                       ("q2", "t")], name="m")
+    return L, M
+
+
 def test_iso_tables_match_the_leq_search(monkeypatch):
     """Every equal-size pair ([k, top], [bottom, a]) of the duality corpus,
     M3 x M3, B2 x C2 x C4, C2^5, C4 x C8 and M7 gives the same tables in the
     same order."""
     monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
-    roots = ROOTS + [
-        direct_product([fx.build_fixture("m3")] * 2).lattice,
-        direct_product([fx.build_fixture("b2"), fx.chain(2), fx.chain(4)]).lattice,
-        direct_product([fx.chain(2)] * 5).lattice,
-        direct_product([fx.chain(4), fx.chain(8)]).lattice,
-        fx.mk(7)]
     pairs = {}
-    for L in roots:
+    for L in ROOTS + iso_products():
         ups = [interval(L, k, L.top).as_lattice for k in range(L.n)]
         downs = [interval(L, L.bottom, a).as_lattice for a in range(L.n)]
         for A in ups:
@@ -434,24 +459,12 @@ def test_iso_tables_match_the_leq_search(monkeypatch):
 
 
 def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
-    """[lo, top] of a lattice that is not graded: y < z1, z2, and x1, x2 sit
-    above longer chains from the bottom, so they have rank one in the
-    interval but larger ids than z1 and z2. M has the same ranks, but its r1
-    of rank two lies above two elements of rank one, so the two are not
-    isomorphic. Positions filled in id order would take [lo, top] onto M;
-    filled in rank order they do not, and the four automorphisms come out
-    in table order although rank order visits x1 and x2 before z1 and z2."""
-    L = build_lattice(
-        ["0", "lo", "y", "z1", "z2", "u1", "u2", "u3", "x1", "v1", "v2", "v3",
-         "x2", "1"],
-        [("0", "lo"), ("lo", "y"), ("y", "z1"), ("y", "z2"), ("z1", "1"),
-         ("z2", "1"), ("0", "u1"), ("u1", "u2"), ("u2", "u3"), ("u3", "x1"),
-         ("0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "x2"), ("lo", "x1"),
-         ("lo", "x2"), ("x1", "1"), ("x2", "1")], name="ng")
-    M = build_lattice(["0", "p", "q1", "q2", "r1", "r2", "t"],
-                      [("0", "p"), ("0", "q1"), ("0", "q2"), ("p", "r1"),
-                       ("q1", "r1"), ("p", "r2"), ("r1", "t"), ("r2", "t"),
-                       ("q2", "t")], name="m")
+    """[lo, top] of the non-graded ng and the lattice m are not isomorphic
+    (see non_graded_lattices). Positions filled in id order would take
+    [lo, top] onto m; filled in rank order they do not, and the four
+    automorphisms come out in table order although rank order visits x1
+    and x2 before z1 and z2."""
+    L, M = non_graded_lattices()
     upper = interval(L, L.id_of("lo"), L.top)
     A = upper.as_lattice
     assert list(A.rank) != sorted(A.rank)
@@ -460,6 +473,162 @@ def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
     assert len(autos) == 4 and autos == brute_force_isos(upper, upper)
     for phi in enumerate_linmors(L, M):
         assert validate_linear(L, M, phi.map).kernel == phi.kernel
+
+
+# -- index-level interval views ------------------------------------------------
+
+
+def interval_lattice_by_tables(L, lo, hi):
+    """[lo, hi] re-indexed as a lattice from L's order, join and meet tables
+    and `_assemble`, as `interval` once built it for every view: the oracle
+    for `IntervalView.as_lattice`."""
+    members = tuple(sorted(_bits(L.up_mask(lo) & L.down_mask(hi))))
+    pos = {p: i for i, p in enumerate(members)}
+    m = len(members)
+    up = [0] * m
+    down = [0] * m
+    for i, p in enumerate(members):
+        for j, q in enumerate(members):
+            if L.leq(p, q):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    join = [[pos[L.join_of(p, q)] for q in members] for p in members]
+    meet = [[pos[L.meet_of(p, q)] for q in members] for p in members]
+    sub, _ = _assemble(f"{L.name}[{L.names[lo]},{L.names[hi]}]",
+                       [L.names[p] for p in members], up, down, join, meet,
+                       canonicalize=False)
+    sub._modular = L._modular or None
+    return members, sub
+
+
+LATTICE_FIELDS = ("name", "names", "_up", "_down", "_join", "_meet", "_covers",
+                  "rank", "bottom", "top", "_modular")
+
+
+def view_corpus():
+    """Fresh copies of the duality roots, the iso products and ng, so that
+    no interval view of theirs has built its lattice yet."""
+    return ([lattice_from_json(lattice_to_json(L)) for L in ROOTS]
+            + iso_products() + [non_graded_lattices()[0]])
+
+
+def test_interval_views_match_the_eager_build():
+    """Every interval of the view corpus: a view reads n, rank, its down
+    masks and its structure key off the parent without building a lattice,
+    they equal those of `as_lattice`, and `as_lattice` is the eager build,
+    field by field."""
+    count = 0
+    for L in view_corpus():
+        for lo in range(L.n):
+            for hi in _bits(L.up_mask(lo)):
+                view = interval(L, lo, hi)
+                facts = (view.n, view.rank, view.structure_key,
+                         [view.down_mask(i) for i in range(view.n)])
+                assert view._lattice is None
+                sub = view.as_lattice
+                assert facts == (sub.n, sub.rank, sub.structure_key,
+                                 [sub.down_mask(i) for i in range(sub.n)])
+                members, want = interval_lattice_by_tables(L, lo, hi)
+                assert view.members == members
+                assert view.from_parent == {p: i for i, p in enumerate(members)}
+                for field in LATTICE_FIELDS:
+                    assert getattr(sub, field) == getattr(want, field), \
+                        (L.name, L.names[lo], L.names[hi], field)
+                assert sub.structure_key == want.structure_key
+                count += 1
+    assert count > 5000
+
+
+def test_iso_tables_read_views_as_their_lattices(monkeypatch):
+    """Every equal-size pair ([k, top], [bottom, a]) of the view corpus and
+    every equal-size pair of intervals of ng: the search on the two views
+    gives the tables the search on their lattices gives, with the cache
+    emptied before each search."""
+    monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
+    pairs = {}
+    for L in view_corpus():
+        ups = [interval(L, k, L.top) for k in range(L.n)]
+        downs = [interval(L, L.bottom, a) for a in range(L.n)]
+        for A in ups:
+            for B in downs:
+                if A.n == B.n:
+                    pairs.setdefault((A.structure_key, B.structure_key), (A, B))
+    ng = non_graded_lattices()[0]
+    views = [interval(ng, lo, hi) for lo in range(ng.n) for hi in _bits(ng.up_mask(lo))]
+    for A in views:
+        for B in views:
+            if A.n == B.n:
+                pairs.setdefault((A.structure_key, B.structure_key), (A, B))
+    found = 0
+    for A, B in pairs.values():
+        morphisms._ISO_CACHE.clear()
+        got = morphisms._iso_tables(A, B)
+        morphisms._ISO_CACHE.clear()
+        assert got == morphisms._iso_tables(A.as_lattice, B.as_lattice), (A, B)
+        found += len(got)
+    assert found
+
+
+# -- Hom(L, M) gathered per (kernel, image top) block ------------------------------
+
+
+def linmor_tables_by_flat_list(L, M):
+    """Hom(L, M) as `_linmor_tables` once collected it: the composites of
+    each (kernel, image top) pair appended to one flat list of values, the
+    isomorphisms searched on the interval lattices."""
+    flat, kernels, image_tops = [], [], []
+    for k in range(L.n):
+        up_view = interval(L, k, L.top)
+        row = [up_view.from_parent[L.join_of(x, k)] for x in range(L.n)]
+        for a in range(M.n):
+            dn_view = interval(M, M.bottom, a)
+            if len(dn_view.members) == len(up_view.members):
+                start = len(flat)
+                for fwd in morphisms._iso_tables(up_view.as_lattice, dn_view.as_lattice):
+                    flat.extend(dn_view.members[fwd[i]] for i in row)
+                count = (len(flat) - start) // L.n
+                kernels += [k] * count
+                image_tops += [a] * count
+    tables = np.array(flat, dtype=np.min_scalar_type(M.n - 1)).reshape(-1, L.n)
+    order = np.lexsort(tables.T[::-1])
+    return (tables[order], np.array(kernels, dtype=np.intp)[order],
+            np.array(image_tops, dtype=np.intp)[order])
+
+
+def test_hom_tables_match_the_flat_list(monkeypatch):
+    """Hom(L, L) and Hom([bottom, x], L) for every L of the view corpus and
+    every x below its top, with both caches emptied before each
+    enumeration: equal tables, kernels and image tops, in equal dtypes. The
+    cap is raised to the 32 elements of the largest products."""
+    monkeypatch.setattr(config, "DEFAULT_ENUM_CAP", 32)
+    monkeypatch.setattr(morphisms, "_LINMOR_CACHE", {})
+    monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
+    count = 0
+    for L in view_corpus():
+        for D in [L] + [interval(L, L.bottom, x).as_lattice for x in range(L.n) if x != L.top]:
+            morphisms._LINMOR_CACHE.clear()
+            morphisms._ISO_CACHE.clear()
+            want = linmor_tables_by_flat_list(D, L)
+            morphisms._ISO_CACHE.clear()
+            got = morphisms._linmor_tables(D, L)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (D.name, L.name)
+            count += 1
+    assert count > 1500
+
+
+def test_full_monoid_and_c1_build_no_interval_lattice(monkeypatch):
+    """End(L) reads only the views' masks and members, and C1 only their
+    members: on a fresh 20-element product, with cold caches, no view
+    builds its lattice."""
+    monkeypatch.setattr(morphisms, "_LINMOR_CACHE", {})
+    monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
+    P = direct_product([fx.build_fixture("m3"), fx.chain(4)]).lattice
+    assert P.n == 20
+    full_monoid(P)
+    check_condition(P, None, "c1")
+    assert len(P._interval_cache) == 2 * P.n - 1
+    assert all(view._lattice is None for view in P._interval_cache.values())
 
 
 @pytest.mark.parametrize("L,size", [
