@@ -35,11 +35,8 @@ from .lattice import (Lattice, _assemble, _bits, close_under, complemented_eleme
                       is_modular)
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, certify_tables, row_keys, validate_linear
-from .properties import check_rickart_family
+from .properties import RICKART_KINDS as KINDS, check_rickart_family
 from .verdict import Verdict
-
-# the properties rickart_module_direct compares on both sides
-KINDS = ("rickart", "baer", "dual_rickart", "dual_baer")
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def _subgroup_lattice(g: AbelianGroup) -> _SubgroupLattice:
             cand = up[i] & up[j]
             join[i][j] = (cand & -cand).bit_length() - 1
     lat, order = _assemble(f"sub({g.spec_string()})", _subgroup_names(g, masks),
-                           up, down, join, meet, canonicalize=True)
+                           up, down, join, meet)
     mod = is_modular(lat)
     if not mod.holds:
         raise ConsistencyError(f"subgroup lattice of {g.spec_string()} "

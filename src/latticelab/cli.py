@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .abelian import KINDS, AbelianGroup, induced_monoid, rickart_module_direct
+from .abelian import AbelianGroup, induced_monoid, rickart_module_direct
 from .conformance import REGISTRY, random_corpus, run_conformance, select_names
 from .errors import LatticeLabError
 from .lattice import (
     Lattice,
     decompose,
     direct_product,
-    is_boolean,
     is_modular,
     lattice_from_json,
     lattice_to_dot,
@@ -33,20 +32,9 @@ from .lattice import (
 )
 from .monoid import EndoMonoid, full_monoid, monoid_from_spec
 from .morphisms import enumerate_linmors
-from .properties import (
-    check_condition,
-    check_nonsingularity,
-    check_retractable,
-    check_rickart_family,
-    check_rickpix,
-    check_summand_property,
-)
+from .properties import NO_MONOID, PROPERTY_NAMES, RICKART_KINDS, check_property
 
-PROP_CHOICES = (
-    "modular", "boolean", "rickart", "baer", "dual_rickart", "dual_baer",
-    "cip", "scip", "csp", "scsp", "c1", "d1", "mc2", "md2",
-    "k", "t", "k_co", "t_co", "retractable", "rickpix",
-)
+PROP_CHOICES = PROPERTY_NAMES
 
 DEFAULT_PROPS = (
     "modular", "rickart", "baer", "dual_rickart", "dual_baer", "cip", "csp",
@@ -55,26 +43,6 @@ DEFAULT_PROPS = (
 
 def _load_lattice(path: str) -> Lattice:
     return lattice_from_json(Path(path).read_text())
-
-
-def _run_prop(L: Lattice, m: EndoMonoid | None, prop: str):
-    if prop == "modular":
-        return is_modular(L)
-    if prop == "boolean":
-        return is_boolean(L)
-    if prop in ("rickart", "baer", "dual_rickart", "dual_baer"):
-        return check_rickart_family(L, m, prop)
-    if prop in ("cip", "scip", "csp", "scsp"):
-        return check_summand_property(L, prop)
-    if prop in ("c1", "d1", "mc2", "md2"):
-        return check_condition(L, m, prop)
-    if prop in ("k", "t", "k_co", "t_co"):
-        return check_nonsingularity(L, m, prop)
-    if prop == "retractable":
-        return check_retractable(L, m)
-    if prop == "rickpix":
-        return check_rickpix(L, m)
-    raise ValueError(f"unknown property: {prop!r}")
 
 
 def _emit(doc, as_json: bool, human_lines):
@@ -119,10 +87,9 @@ def cmd_analyze(args) -> int:
     monoid = None
     if args.monoid != "full":
         monoid = monoid_from_spec(L, parse_json(Path(args.monoid).read_text()))
-    elif any(p not in ("modular", "boolean", "cip", "scip", "csp", "scsp", "c1", "d1")
-             for p in props):
+    elif not NO_MONOID.issuperset(props):
         monoid = full_monoid(L)
-    results = [_run_prop(L, monoid, p) for p in props]
+    results = [check_property(L, monoid, p) for p in props]
     doc = {"lattice": L.name, "monoid": args.monoid,
            "results": [v.to_json_dict() for v in results]}
     lines = [f"{L.name}: monoid={args.monoid}"]
@@ -173,7 +140,7 @@ def cmd_product(args) -> int:
 
 def cmd_module(args) -> int:
     # the selection is read first: a bad one exits before any group is built
-    props = _parse_names(args.props, KINDS, "module properties", lower=True)
+    props = _parse_names(args.props, RICKART_KINDS, "module properties", lower=True)
     grp = AbelianGroup.from_spec(args.group)
     mono = induced_monoid(grp)
     lat = mono.lattice
@@ -294,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("module", help="finite abelian group bridge")
     p.add_argument("--group", required=True,
                    help="comma-separated invariant factors, e.g. 4 or 2,4")
-    p.add_argument("--props", default=",".join(KINDS))
+    p.add_argument("--props", default=",".join(RICKART_KINDS))
     p.set_defaults(fn=cmd_module)
 
     p = sub.add_parser("theorems", help="run the conformance registry")

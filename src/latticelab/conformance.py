@@ -53,11 +53,9 @@ from .morphisms import (
     validate_linear,
 )
 from .properties import (
-    check_condition,
     check_cross_rickart,
     check_generation,
-    check_nonsingularity,
-    check_retractable,
+    check_property,
     check_rickart_family,
     check_rickpix,
     check_summand_property,
@@ -174,34 +172,12 @@ class LatticeContext:
     def comp_set(self) -> set[int]:
         return self._get("comp_set", lambda: set(self.comp))
 
-    def family_prop(self, kind: str) -> bool:
-        return self._get(f"rf_{kind}",
-                         lambda: check_rickart_family(self.L, self.monoid, kind)).holds
-
-    @property
-    def rickart(self) -> bool:
-        return self.family_prop("rickart")
-
-    @property
-    def baer(self) -> bool:
-        return self.family_prop("baer")
-
-    def summand(self, kind: str) -> bool:
-        return self._get(f"sp_{kind}",
-                         lambda: check_summand_property(self.L, kind)).holds
-
-    def condition(self, kind: str) -> bool:
-        return self._get(f"cond_{kind}",
-                         lambda: check_condition(self.L, self.monoid, kind)).holds
-
-    def nonsing(self, kind: str) -> bool:
-        return self._get(f"ns_{kind}",
-                         lambda: check_nonsingularity(self.L, self.monoid, kind)).holds
-
-    @property
-    def retractable(self) -> bool:
-        return self._get("retract",
-                         lambda: check_retractable(self.L, self.monoid)).holds
+    def fact(self, name: str) -> bool:
+        """Whether L has the property `name` of `check_property`, read with
+        the full monoid even where the checker needs none, so a lattice
+        whose End(L) is over the size cap decides no fact."""
+        return self._get(("fact", name), lambda: check_property(
+            self.L, self.monoid, name).holds)
 
     @property
     def fully_invariant(self) -> tuple[int, ...]:
@@ -260,10 +236,10 @@ class LatticeContext:
 
     def interval_family_prop(self, hi: int, kind: str) -> bool:
         """The Rickart-type property `kind` of [bottom, hi] with its full
-        monoid. [bottom, top] is L itself, so the top reads `family_prop`.
+        monoid. [bottom, top] is L itself, so the top reads `fact`.
         The monoid of [bottom, hi] is built once and shared by the kinds."""
         if hi == self.L.top:
-            return self.family_prop(kind)
+            return self.fact(kind)
 
         def build():
             sub = interval(self.L, self.L.bottom, hi).as_lattice
@@ -301,33 +277,33 @@ def _on_op(check):
 
 def chk_riccipssp(ctx: LatticeContext):
     hit = False
-    if ctx.rickart:
+    if ctx.fact("rickart"):
         hit = True
-        if not ctx.summand("cip"):
+        if not ctx.fact("cip"):
             return _fail(side="cip")
-    if ctx.op.rickart:
+    if ctx.op.fact("rickart"):
         hit = True
-        if not ctx.summand("csp"):
+        if not ctx.fact("csp"):
             return _fail(side="csp")
     return _ok() if hit else _skip("neither kernel nor image condition holds")
 
 
 def chk_baerricscip(ctx):
-    if (ctx.rickart and ctx.summand("scip")) != ctx.baer:
-        return _fail(side="kernel", rickart=ctx.rickart,
-                     scip=ctx.summand("scip"), baer=ctx.baer)
-    if (ctx.op.rickart and ctx.summand("scsp")) != ctx.op.baer:
-        return _fail(side="image", dual_rickart=ctx.op.rickart,
-                     scsp=ctx.summand("scsp"), dual_baer=ctx.op.baer)
+    if (ctx.fact("rickart") and ctx.fact("scip")) != ctx.fact("baer"):
+        return _fail(side="kernel", rickart=ctx.fact("rickart"),
+                     scip=ctx.fact("scip"), baer=ctx.fact("baer"))
+    if (ctx.op.fact("rickart") and ctx.fact("scsp")) != ctx.op.fact("baer"):
+        return _fail(side="image", dual_rickart=ctx.op.fact("rickart"),
+                     scsp=ctx.fact("scsp"), dual_baer=ctx.op.fact("baer"))
     return _ok()
 
 
 def chk_ricendoric(ctx):
     if not ctx.comp_feasible:
         return _skip("monoid too large for annihilator calculus")
-    a = ctx.rickart
+    a = ctx.fact("rickart")
     rr = ctx.monoid_pred("right_rickart")
-    b = rr and ctx.retractable
+    b = rr and ctx.fact("retractable")
     c = rr and all(ctx.generated(k) for k in ctx.monoid.kernels)
     if not (a == b == c):
         return _fail(rickart=a, monoid_and_retractable=b, monoid_and_generated=c)
@@ -338,7 +314,7 @@ def chk_baercar(ctx):
     if not ctx.comp_feasible:
         return _skip("monoid too large for annihilator calculus")
     L, m = ctx.L, ctx.monoid
-    a_side = ctx.baer
+    a_side = ctx.fact("baer")
     # row a: the members sending a to bottom, which must form some m*e
     b_side = None not in principal_idempotents(m, "left", (m.tables == L.bottom).T)
     # the zero member's kernel is the top, the meet of the empty family
@@ -352,14 +328,14 @@ def chk_baercar(ctx):
 
 
 def chk_ricd2(ctx):
-    a_side = ctx.rickart
+    a_side = ctx.fact("rickart")
     # an iso [bottom, phi(top)] -> [bottom, x] after phi lands in the monoid
     # exactly when some member shares phi's kernel and has image top x
     second = all(any(x in ctx.comp_set for x in tops)
                  for tops in ctx.monoid.pairs.values())
-    b_side = ctx.condition("md2") and second
+    b_side = ctx.fact("md2") and second
     return _ok() if a_side == b_side else _fail(
-        rickart=a_side, md2=ctx.condition("md2"), image_iso_clause=second)
+        rickart=a_side, md2=ctx.fact("md2"), image_iso_clause=second)
 
 
 def chk_kercompkergenann(ctx):
@@ -377,18 +353,19 @@ def chk_kercompkergenann(ctx):
 
 
 def chk_baercarK(ctx):
-    lhs = ctx.nonsing("k") and ctx.condition("c1")
-    rhs = ctx.baer and ctx.nonsing("k_co")
+    lhs = ctx.fact("k") and ctx.fact("c1")
+    rhs = ctx.fact("baer") and ctx.fact("k_co")
     return _ok() if lhs == rhs else _fail(
-        k_nonsingular=ctx.nonsing("k"), c1=ctx.condition("c1"),
-        baer=ctx.baer, k_cononsingular=ctx.nonsing("k_co"))
+        k_nonsingular=ctx.fact("k"), c1=ctx.fact("c1"),
+        baer=ctx.fact("baer"), k_cononsingular=ctx.fact("k_co"))
 
 
 def chk_acc_rickart_eq_baer(ctx):
-    if ctx.rickart != ctx.baer:
-        return _fail(rickart=ctx.rickart, baer=ctx.baer)
-    if ctx.op.rickart != ctx.op.baer:
-        return _fail(dual_rickart=ctx.op.rickart, dual_baer=ctx.op.baer)
+    if ctx.fact("rickart") != ctx.fact("baer"):
+        return _fail(rickart=ctx.fact("rickart"), baer=ctx.fact("baer"))
+    if ctx.op.fact("rickart") != ctx.op.fact("baer"):
+        return _fail(dual_rickart=ctx.op.fact("rickart"),
+                     dual_baer=ctx.op.fact("baer"))
     return _ok()
 
 
@@ -575,7 +552,7 @@ def chk_boolean_meetmaps(ctx):
 
 
 def chk_compintric(ctx):
-    if not ctx.rickart:
+    if not ctx.fact("rickart"):
         return _skip("lattice is not rickart")
     L = ctx.L
     for a in ctx.comp:
@@ -585,7 +562,7 @@ def chk_compintric(ctx):
 
 
 def chk_complbaer(ctx):
-    if not ctx.baer:
+    if not ctx.fact("baer"):
         return _skip("lattice is not baer")
     for a in ctx.comp:
         if not ctx.interval_family_prop(a, "baer"):
@@ -603,18 +580,18 @@ def chk_ricind2(ctx):
             f"{L.name} has socle {L.names[soc]!r} and radical {L.names[rad]!r} "
             f"although it has more than one element")
     indecomposable = ctx.comp_set == {L.bottom, L.top}
-    lhs = indecomposable and ctx.rickart
+    lhs = indecomposable and ctx.fact("rickart")
     rhs = L.n == 2
     return _ok() if lhs == rhs else _fail(
-        indecomposable=indecomposable, rickart=ctx.rickart, n=L.n)
+        indecomposable=indecomposable, rickart=ctx.fact("rickart"), n=L.n)
 
 
 def chk_if2(ctx):
     L = ctx.L
     blocks = ctx.decomposition.blocks
     all_two = all(len(interval(L, L.bottom, b).members) == 2 for b in blocks)
-    return _ok() if ctx.rickart == all_two else _fail(
-        rickart=ctx.rickart, blocks=[L.names[b] for b in blocks])
+    return _ok() if ctx.fact("rickart") == all_two else _fail(
+        rickart=ctx.fact("rickart"), blocks=[L.names[b] for b in blocks])
 
 
 def chk_sumric(ctx):
@@ -624,9 +601,9 @@ def chk_sumric(ctx):
     L = ctx.L
     for fam in fams:
         rhs = all(ctx.interval_family_prop(a, "rickart") for a in fam)
-        if rhs != ctx.rickart:
+        if rhs != ctx.fact("rickart"):
             return _fail(family=[L.names[a] for a in fam],
-                         blocks_rickart=rhs, rickart=ctx.rickart)
+                         blocks_rickart=rhs, rickart=ctx.fact("rickart"))
     return _ok()
 
 
@@ -642,9 +619,9 @@ def chk_decomp_fi(ctx):
             continue
         hit = True
         rhs = all(ctx.interval_family_prop(a, "rickart") for a in fam)
-        if rhs != ctx.rickart:
+        if rhs != ctx.fact("rickart"):
             return _fail(family=[L.names[a] for a in fam],
-                         blocks_rickart=rhs, rickart=ctx.rickart)
+                         blocks_rickart=rhs, rickart=ctx.fact("rickart"))
     return _ok() if hit else _skip("no fully invariant family joins to top")
 
 
@@ -741,10 +718,10 @@ def chk_fi_join(ctx):
 
 def chk_booluniqb_exists(ctx):
     L, pairs = ctx.L, ctx.monoid.pairs
-    lhs = ctx.rickart and all(pairs.get(a, ()) for a in range(L.n))
+    lhs = ctx.fact("rickart") and all(pairs.get(a, ()) for a in range(L.n))
     rhs = len(ctx.comp) == L.n
     return _ok() if lhs == rhs else _fail(
-        rickart=ctx.rickart,
+        rickart=ctx.fact("rickart"),
         choices={L.names[a]: [L.names[b] for b in pairs.get(a, ())]
                  for a in range(L.n)},
         complemented=rhs)
@@ -752,7 +729,7 @@ def chk_booluniqb_exists(ctx):
 
 def chk_booluniqb_unique(ctx):
     L, pairs = ctx.L, ctx.monoid.pairs
-    if not (ctx.rickart and all(len(pairs.get(a, ())) == 1 for a in range(L.n))):
+    if not (ctx.fact("rickart") and all(len(pairs.get(a, ())) == 1 for a in range(L.n))):
         return _skip("hypothesis (rickart with unique target) not met")
     if not is_boolean(L).holds:
         return _fail(choices={L.names[a]: [L.names[b] for b in pairs.get(a, ())]
@@ -798,7 +775,7 @@ def chk_cbool(ctx):
 
 
 def chk_clcomp(ctx):
-    if not (ctx.baer or ctx.op.baer):
+    if not (ctx.fact("baer") or ctx.op.fact("baer")):
         return _skip("lattice is neither baer nor dual baer")
     L = ctx.L
     comp = ctx.comp
@@ -818,9 +795,9 @@ def chk_clcomp(ctx):
 
 
 def chk_retractable(ctx):
-    if ctx.rickart and not ctx.retractable:
+    if ctx.fact("rickart") and not ctx.fact("retractable"):
         return _fail(clause="rickart implies retractable")
-    if ctx.retractable:
+    if ctx.fact("retractable"):
         for k, i in ctx.monoid.first_with("kernel").items():
             if not ctx.generated(k):
                 return _fail(clause="retractable implies kernels generated",
@@ -841,28 +818,20 @@ def chk_baer_symmetry(ctx):
     return _ok() if r == l else _fail(right_baer=r, left_baer=l)
 
 
-def chk_c1_kco(ctx):
-    if not ctx.condition("c1"):
-        return _skip("c1 does not hold")
-    return _ok() if ctx.nonsing("k_co") else _fail()
+def _implies(hypothesis: tuple[str, ...], conclusion: str):
+    """The lattice check that the facts `hypothesis` together imply the fact
+    `conclusion`; skipped where the hypothesis does not hold."""
+    def check(ctx):
+        if not all(ctx.fact(h) for h in hypothesis):
+            return _skip("hypothesis not met")
+        return _ok() if ctx.fact(conclusion) else _fail()
+    return check
 
 
-def chk_knonsing_c1_baer(ctx):
-    if not (ctx.nonsing("k") and ctx.condition("c1")):
-        return _skip("hypothesis not met")
-    return _ok() if ctx.baer else _fail()
-
-
-def chk_ric_knonsing(ctx):
-    if not ctx.rickart:
-        return _skip("lattice is not rickart")
-    return _ok() if ctx.nonsing("k") else _fail()
-
-
-def chk_baer_kco_c1(ctx):
-    if not (ctx.baer and ctx.nonsing("k_co")):
-        return _skip("hypothesis not met")
-    return _ok() if ctx.condition("c1") else _fail()
+chk_c1_kco = _implies(("c1",), "k_co")
+chk_knonsing_c1_baer = _implies(("k", "c1"), "baer")
+chk_ric_knonsing = _implies(("rickart",), "k")
+chk_baer_kco_c1 = _implies(("baer", "k_co"), "c1")
 
 
 def chk_artif(ctx):
@@ -918,7 +887,7 @@ def chk_ricdirsumsub(ctxL, ctxM):
 
 def chk_cip_prod_rickart(ctxL, ctxM):
     L, M = ctxL.L, ctxM.L
-    if not ctxL.summand("cip"):
+    if not ctxL.fact("cip"):
         return _skip("left lattice lacks the complement intersection property")
     fams = ctxM.families
     if fams is None:

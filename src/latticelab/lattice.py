@@ -298,12 +298,12 @@ def _ranks(n, covers):
     return rank
 
 
-def _assemble(name, names, up, down, join, meet, *, canonicalize):
+def _assemble(name, names, up, down, join, meet):
     """Finish a lattice from validated masks/tables.
 
-    Finds bottom/top, computes covers and ranks, and (optionally) re-sorts
-    elements into the canonical (rank, name) order. Returns the lattice and
-    `order`, the input index of each output element.
+    Finds bottom/top, computes covers and ranks, and re-sorts elements into
+    the canonical (rank, name) order. Returns the lattice and `order`, the
+    input index of each output element.
     """
     n = len(names)
     full = (1 << n) - 1
@@ -311,31 +311,25 @@ def _assemble(name, names, up, down, join, meet, *, canonicalize):
     top = next(a for a in range(n) if down[a] == full)
     covers = _covers_from_masks(n, up, down)
     rank = _ranks(n, covers)
-    order = list(range(n))
+    order = sorted(range(n), key=lambda i: (rank[i], names[i]))
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
 
-    if canonicalize:
-        order.sort(key=lambda i: (rank[i], names[i]))
-        pos = [0] * n
-        for new, old in enumerate(order):
-            pos[old] = new
+    def remap_mask(m: int) -> int:
+        out = 0
+        for b in _bits(m):
+            out |= 1 << pos[b]
+        return out
 
-        def remap_mask(m: int) -> int:
-            out = 0
-            for b in _bits(m):
-                out |= 1 << pos[b]
-            return out
-
-        names = [names[old] for old in order]
-        up = [remap_mask(up[old]) for old in order]
-        down = [remap_mask(down[old]) for old in order]
-        join = [[pos[join[o1][o2]] for o2 in order] for o1 in order]
-        meet = [[pos[meet[o1][o2]] for o2 in order] for o1 in order]
-        covers = sorted((pos[a], pos[b]) for a, b in covers)
-        rank = [rank[old] for old in order]
-        bottom, top = pos[bottom], pos[top]
-
-    lat = Lattice(name=name, names=names, up=up, down=down, join=join,
-                  meet=meet, bottom=bottom, top=top, rank=rank, covers=covers)
+    lat = Lattice(name=name, names=[names[old] for old in order],
+                  up=[remap_mask(up[old]) for old in order],
+                  down=[remap_mask(down[old]) for old in order],
+                  join=[[pos[join[o1][o2]] for o2 in order] for o1 in order],
+                  meet=[[pos[meet[o1][o2]] for o2 in order] for o1 in order],
+                  bottom=pos[bottom], top=pos[top],
+                  rank=[rank[old] for old in order],
+                  covers=sorted((pos[a], pos[b]) for a, b in covers))
     return lat, order
 
 
@@ -373,15 +367,14 @@ def build_lattice(elements: Sequence[str], covers: Iterable[tuple[str, str]],
         pred[b].append(a)
     up, down = _closure_masks(n, succ, pred)
     join, meet = _tables_from_masks(n, up, down, names)
-    return _assemble(name, names, up, down, join, meet, canonicalize=True)[0]
+    return _assemble(name, names, up, down, join, meet)[0]
 
 
 def opposite(L: Lattice) -> Lattice:
     """The order dual, in canonical order; memoized both ways, so
     opposite(opposite(L)) is L."""
     if L._opposite is None:
-        op = _assemble(f"{L.name}^op", L.names, L._down, L._up, L._meet, L._join,
-                       canonicalize=True)[0]
+        op = _assemble(f"{L.name}^op", L.names, L._down, L._up, L._meet, L._join)[0]
         op._modular = L._modular or None  # the modular law is self-dual
         op._opposite = L
         L._opposite = op
@@ -734,7 +727,7 @@ def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     meet = [[pos[tuple(f.meet_of(a, b) for f, a, b in zip(factors, t, s))]
              for s in tuples] for t in tuples]
     lat, order = _assemble("x".join(f.name for f in factors), names,
-                           up, down, join, meet, canonicalize=True)
+                           up, down, join, meet)
     return ProductLattice(lattice=lat, factors=tuple(factors),
                           coords=tuple(tuples[o] for o in order))
 

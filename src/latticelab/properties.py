@@ -18,10 +18,24 @@ from .lattice import (
     complements_of,
     essential_superfluous,
     interval,
+    is_boolean,
+    is_modular,
 )
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, _linmor_tables, iso_composites
 from .verdict import Verdict
+
+# the kernel/image complement kinds of `check_rickart_family`
+RICKART_KINDS = ("rickart", "baer", "dual_rickart", "dual_baer")
+
+# the properties `check_property` decides, in the order `analyze --props all`
+# prints them, and those of them that read no monoid
+PROPERTY_NAMES = (
+    "modular", "boolean", *RICKART_KINDS,
+    "cip", "scip", "csp", "scsp", "c1", "d1", "mc2", "md2",
+    "k", "t", "k_co", "t_co", "retractable", "rickpix",
+)
+NO_MONOID = frozenset(("modular", "boolean", "cip", "scip", "csp", "scsp", "c1", "d1"))
 
 
 def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
@@ -32,7 +46,7 @@ def check_rickart_family(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
     subsets); dual variants use image tops and join closures. The witness
     member is the first one with the failing kernel or image top.
     """
-    if kind not in ("rickart", "dual_rickart", "baer", "dual_baer"):
+    if kind not in RICKART_KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
     comp = set(complemented_elements(L))
     side = "image" if kind.startswith("dual") else "kernel"
@@ -258,3 +272,26 @@ def check_rickpix(L: Lattice, m: EndoMonoid) -> Verdict:
     witness = None if rhs else {"morphism": m[failing].as_name_map()}
     return Verdict("rickpix", lhs == rhs, witness=witness,
                    notes=f"kernel-complement side={lhs}, projection side={rhs}")
+
+
+def check_property(L: Lattice, m: EndoMonoid | None, name: str) -> Verdict:
+    """The verdict on the property `name` of PROPERTY_NAMES for L with the
+    monoid m, which the names in NO_MONOID do not read. Each checker is
+    called by its module-level name, so rebinding that name reaches it."""
+    if name == "modular":
+        return is_modular(L)
+    if name == "boolean":
+        return is_boolean(L)
+    if name in RICKART_KINDS:
+        return check_rickart_family(L, m, name)
+    if name in ("cip", "scip", "csp", "scsp"):
+        return check_summand_property(L, name)
+    if name in ("c1", "d1", "mc2", "md2"):
+        return check_condition(L, m, name)
+    if name in ("k", "t", "k_co", "t_co"):
+        return check_nonsingularity(L, m, name)
+    if name == "retractable":
+        return check_retractable(L, m)
+    if name == "rickpix":
+        return check_rickpix(L, m)
+    raise ValueError(f"unknown property: {name!r}")

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from latticelab import cli
 from latticelab import fixtures as fx
 from latticelab import monoid as monoid_module
+from latticelab import properties
 from latticelab.abelian import AbelianGroup, _subgroup_lattice, induced_monoid
 from latticelab.cli import _name_maps_json, run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
@@ -26,6 +28,7 @@ from latticelab.lattice import (build_lattice, direct_product, lattice_from_json
                                 lattice_to_json)
 from latticelab.monoid import explicit_monoid, full_monoid
 from latticelab.morphisms import morphism_to_json, validate_linear
+from latticelab.properties import NO_MONOID, PROPERTY_NAMES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -125,6 +128,27 @@ class TestAnalyze:
         doc = json.loads(out)
         assert len(doc["results"]) > 15
         assert all(r["holds"] for r in doc["results"])
+
+    # the calls of `analyze --props all` into each checker, by its name in
+    # latticelab.properties: one per property it decides, and one more into
+    # check_rickart_family from check_rickpix
+    CHECKER_CALLS = {"is_modular": 1, "is_boolean": 1, "check_rickart_family": 5,
+                     "check_summand_property": 4, "check_condition": 4,
+                     "check_nonsingularity": 4, "check_retractable": 1, "check_rickpix": 1}
+
+    def test_all_props_reach_each_checker_by_its_module_name(self, monkeypatch, capsys):
+        """`check_property` looks each checker up in latticelab.properties
+        when it calls it, so a wrapper bound there, as a tracer binds one,
+        counts every call of `analyze --props all`."""
+        calls = collections.Counter()
+        for name in self.CHECKER_CALLS:
+            def counted(*args, _name=name, _fn=getattr(properties, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(properties, name, counted)
+        assert run(["analyze", str(FIXTURES / "b2.json"), "--props", "all"]) == 0
+        capsys.readouterr()
+        assert calls == self.CHECKER_CALLS
 
     # sha256 of `--json analyze fixtures/<f>.json --props all --monoid full`
     PINNED = {
@@ -447,12 +471,20 @@ class TestMalformedInput:
             "--props", "modular"])
         assert len(err.splitlines()) == 1
         assert err.startswith("error: n5 is not modular: ")
-        # the default full monoid is built only for properties that use it
-        assert run(["analyze", str(FIXTURES / "n5.json"),
-                    "--props", "modular,cip,csp,c1,d1"]) == 1
-        # properties that need no monoid still run
-        assert run(["analyze", str(FIXTURES / "n5.json"),
-                    "--props", "modular,cip,csp,c1,d1"]) == 1
+
+    @pytest.mark.parametrize("prop", PROPERTY_NAMES)
+    def test_each_property_alone_on_a_non_modular_lattice(self, capsys, prop):
+        """The default full monoid is built only for the properties that read
+        it, and on n5 the build fails. The others still run, except boolean,
+        which needs the modular law."""
+        code = run(["analyze", str(FIXTURES / "n5.json"), "--props", prop])
+        out, err = capsys.readouterr()
+        if prop not in NO_MONOID or prop == "boolean":
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: n5 is not modular: ")
+        else:
+            assert code in (0, 1) and err == ""
 
 
 NAMES = ("0", "a", "b", "c", "d", "1")

@@ -27,13 +27,15 @@ from latticelab.conformance import (
     random_modular_lattice,
     run_conformance,
 )
-from latticelab.errors import LatticeLabError, LinearValidationError, NotIntervalIsoError
+from latticelab.errors import (LatticeLabError, LinearValidationError, NotIntervalIsoError,
+                               SizeLimitExceededError)
 from latticelab.lattice import (complements_of, direct_product, interval, is_modular,
-                               lattice_to_json)
+                               lattice_to_json, opposite)
 from latticelab.monoid import EndoMonoid, full_monoid, generated_monoid
 from latticelab.morphisms import (LinearMorphism, compose, enumerate_linmors,
                                   iso_composites, table_verdicts, validate_linear)
-from latticelab.properties import check_rickart_family
+from latticelab.properties import (PROPERTY_NAMES, check_generation, check_property,
+                                   check_rickart_family)
 
 from test_duality import ROOTS
 
@@ -126,17 +128,26 @@ class TestRunner:
         assert list(report.counts) == ["splits", "kerpi"]
         assert report.counts["splits"]["pass"] == 1
 
-    def test_context_generation_matches_public_checker(self, excip, m3):
-        from latticelab.conformance import LatticeContext
-        from latticelab.lattice import opposite
-        from latticelab.properties import check_generation
-        for L in (excip, m3):
+    def test_context_generation_matches_public_checker(self):
+        """The context's generation and facts are the public checkers' with
+        the full monoid, and a fact is read with it even where the checker
+        needs none: on the 21-element c3xr3_39, over the enumeration cap,
+        c1_kco cannot run."""
+        corpus = [fx.build_fixture(nm) for nm in fx.MODULAR_FIXTURES] + random_corpus(30, 8, 7)
+        for L in corpus:
             ctx = LatticeContext(L)
             for x in range(L.n):
                 assert ctx.generated(x) == check_generation(
                     L, ctx.monoid, x, "generated").holds
                 assert ctx.op.generated(opposite(L).id_of(L.names[x])) == \
                     check_generation(L, ctx.monoid, x, "cogenerated").holds
+            m = full_monoid(L)
+            for name in PROPERTY_NAMES:
+                assert ctx.fact(name) == check_property(L, m, name).holds, (L.name, name)
+        P = direct_product([fx.build_fixture("c3"), random_corpus(40, 8, 3)[39]]).lattice
+        assert (P.name, P.n) == ("c3xr3_39", 21)
+        with pytest.raises(SizeLimitExceededError):
+            run_conformance([P], checks=["c1_kco"])
 
 
 def inject_verdict(monkeypatch, bad=None, reject=False):

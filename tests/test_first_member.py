@@ -114,9 +114,9 @@ def rickpix_scan(L, m):
 
 
 def chk_retractable_scan(ctx):
-    if ctx.rickart and not ctx.retractable:
+    if ctx.fact("rickart") and not ctx.fact("retractable"):
         return conformance_mod._fail(clause="rickart implies retractable")
-    if ctx.retractable:
+    if ctx.fact("retractable"):
         for phi in ctx.monoid.members:
             if not ctx.generated(phi.kernel):
                 return conformance_mod._fail(

@@ -612,7 +612,7 @@ def kercompkergenann_by_annihilators(ctx, singles, cosets):
 def baercar_by_members(ctx, cosets, right_baer):
     """chk_baercar with the pointwise masks built member by member."""
     L, m = ctx.L, ctx.monoid
-    a_side = ctx.baer
+    a_side = ctx.fact("baer")
     b_side = True
     for a in range(L.n):
         mask = np.zeros(len(m), dtype=bool)

@@ -25,9 +25,9 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import (_assemble, _bits, build_lattice, complemented_elements,
-                                complements_of, direct_product, interval,
-                                lattice_from_json, lattice_to_json)
+from latticelab.lattice import (Lattice, _bits, _covers_from_masks, _ranks, build_lattice,
+                                complemented_elements, complements_of, direct_product,
+                                interval, lattice_from_json, lattice_to_json)
 from latticelab.morphisms import (
     LinearMorphism,
     certify_tables,
@@ -479,9 +479,9 @@ def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
 
 
 def interval_lattice_by_tables(L, lo, hi):
-    """[lo, hi] re-indexed as a lattice from L's order, join and meet tables
-    and `_assemble`, as `interval` once built it for every view: the oracle
-    for `IntervalView.as_lattice`."""
+    """[lo, hi] re-indexed as a lattice from L's order, join and meet tables,
+    in L's element order, as `interval` once built it for every view: the
+    oracle for `IntervalView.as_lattice`."""
     members = tuple(sorted(_bits(L.up_mask(lo) & L.down_mask(hi))))
     pos = {p: i for i, p in enumerate(members)}
     m = len(members)
@@ -494,9 +494,12 @@ def interval_lattice_by_tables(L, lo, hi):
                 down[j] |= 1 << i
     join = [[pos[L.join_of(p, q)] for q in members] for p in members]
     meet = [[pos[L.meet_of(p, q)] for q in members] for p in members]
-    sub, _ = _assemble(f"{L.name}[{L.names[lo]},{L.names[hi]}]",
-                       [L.names[p] for p in members], up, down, join, meet,
-                       canonicalize=False)
+    covers = _covers_from_masks(m, up, down)
+    full = (1 << m) - 1
+    sub = Lattice(name=f"{L.name}[{L.names[lo]},{L.names[hi]}]",
+                  names=[L.names[p] for p in members], up=up, down=down, join=join,
+                  meet=meet, bottom=up.index(full), top=down.index(full),
+                  rank=_ranks(m, covers), covers=covers)
     sub._modular = L._modular or None
     return members, sub
 

@@ -150,8 +150,8 @@ def pair_mismatches(L, m):
     clause = image_clause_scan(L, m)
     if clause != all(any(x in ctx.comp_set for x in choices[k]) for k in m.kernels):
         bad.append("image clause")
-    want = conformance_mod._ok() if ctx.rickart == (md2.holds and clause) else \
-        conformance_mod._fail(rickart=ctx.rickart, md2=md2.holds,
+    want = conformance_mod._ok() if ctx.fact("rickart") == (md2.holds and clause) else \
+        conformance_mod._fail(rickart=ctx.fact("rickart"), md2=md2.holds,
                               image_iso_clause=clause)
     if chk_ricd2(ctx) != want:
         bad.append("ricd2")
