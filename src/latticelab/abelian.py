@@ -35,7 +35,7 @@ from .lattice import (Lattice, _assemble, _bits, close_under, complemented_eleme
                       is_modular)
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, certify_tables, row_keys, validate_linear
-from .properties import RICKART_KINDS as KINDS, check_rickart_family
+from .properties import RICKART_KINDS, check_rickart_family
 from .verdict import Verdict
 
 
@@ -362,7 +362,7 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
     """
     rows = _endo_sweep(g)  # checks the endomorphism cap first
     lat = subgroup_lattice(g)
-    return EndoMonoid.from_tables(lat, rows, *certify_tables(lat, lat, rows))
+    return EndoMonoid(lat, rows, certify_tables(lat, lat, rows))
 
 
 # -- the bridge verdicts -----------------------------------------------------------
@@ -395,7 +395,7 @@ def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
     the subgroup lattice is complemented. A disagreement raises
     ConsistencyError.
     """
-    if kind not in KINDS:
+    if kind not in RICKART_KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
     sub = _subgroup_lattice(g)
     lat = sub.lattice

@@ -34,8 +34,6 @@ from .monoid import EndoMonoid, full_monoid, monoid_from_spec
 from .morphisms import enumerate_linmors
 from .properties import NO_MONOID, PROPERTY_NAMES, RICKART_KINDS, check_property
 
-PROP_CHOICES = PROPERTY_NAMES
-
 DEFAULT_PROPS = (
     "modular", "rickart", "baer", "dual_rickart", "dual_baer", "cip", "csp",
 )
@@ -80,8 +78,8 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     L = _load_lattice(args.lattice)
-    props = (list(PROP_CHOICES) if args.props == "all"
-             else _parse_names(args.props, PROP_CHOICES, "properties", lower=True))
+    props = (list(PROPERTY_NAMES) if args.props == "all"
+             else _parse_names(args.props, PROPERTY_NAMES, "properties", lower=True))
     # an explicit spec file is always read and built, so a bad one is an error
     # whatever the properties; the default full monoid is built only if used
     monoid = None

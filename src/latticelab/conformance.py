@@ -157,10 +157,10 @@ class LatticeContext:
         return self._get("monoid", lambda: full_monoid(self.L))
 
     @property
-    def end_verdicts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def end_verdicts(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows of End(L), `monoid.tables`, certified in one batch: a
-        mask of the rows `validate_linear` rejects, and the kernel and image
-        top each row certifies with."""
+        mask of the rows `validate_linear` rejects, and the kernel each row
+        certifies with."""
         return self._get("end_verdicts", lambda: table_verdicts(
             self.L, self.L, self.monoid.tables))
 
@@ -383,7 +383,7 @@ def _certified_kernels(ctx: LatticeContext, tables: np.ndarray) -> np.ndarray:
     verdicts. A row that is not found is certified on its own by
     `validate_linear`, so no verdict rests on End(L) being complete."""
     L = ctx.L
-    rejected, kernels, _ = ctx.end_verdicts
+    rejected, kernels = ctx.end_verdicts
     rows = ctx.monoid.find(tables)
     got = np.where(rejected[rows], -1, kernels[rows])
     for i in np.flatnonzero(rows < 0).tolist():
@@ -525,7 +525,7 @@ def chk_isolin(ctx):
     whose order is that of the composites' values on [a, top].
     """
     L, m = ctx.L, ctx.monoid
-    rejected, kernels, _ = ctx.end_verdicts
+    rejected, kernels = ctx.end_verdicts
     failing = np.flatnonzero(rejected | (kernels != m.member_kernels))
     if not len(failing):
         return _ok()
@@ -679,7 +679,8 @@ def chk_exmorf(ctx):
     for x in ctx.comp:
         vx = interval(L, L.bottom, x)
         below = np.array(vx.members, dtype=np.intp)
-        homs, hom_kernels, tops = _linmor_tables(vx.as_lattice, L)
+        homs, hom_kernels = _linmor_tables(vx.as_lattice, L)
+        tops = homs[:, vx.as_lattice.top]
         by_top = np.argsort(tops, kind="stable")
         homs, hom_kernels, tops = homs[by_top], hom_kernels[by_top], tops[by_top]
         xps = np.array(complements_of(L, x), dtype=np.intp)

@@ -429,13 +429,17 @@ def lattice_from_json(text: str) -> Lattice:
     return build_lattice(elements, [tuple(pair) for pair in covers], name=name)
 
 
+def _dot_quoted(text: str) -> str:
+    """text as a DOT quoted string, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def lattice_to_dot(L: Lattice) -> str:
     """Hasse diagram in DOT form, one edge per cover, drawn bottom-up."""
-    lines = [f'digraph "{L.name}" {{', "  rankdir=BT;", "  node [shape=plaintext];"]
-    for nm in L.names:
-        lines.append(f'  "{nm}";')
-    for a, b in L.covers():
-        lines.append(f'  "{L.names[a]}" -> "{L.names[b]}";')
+    q = [_dot_quoted(nm) for nm in L.names]
+    lines = [f"digraph {_dot_quoted(L.name)} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+    lines += [f"  {nm};" for nm in q]
+    lines += [f"  {q[a]} -> {q[b]};" for a, b in L.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

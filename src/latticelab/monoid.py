@@ -47,33 +47,22 @@ class EndoMonoid:
     The lattice must be modular, as for the linear maps of Albu and Iosif:
     off modular lattices a composite of linear maps need not be linear.
 
-    A linear map is fixed by its table, and its kernel and image top are read
-    off it, so the monoid stores three read-only arrays in member order:
-    `tables` (one map table per row, sorted), `member_kernels` and
-    `member_image_tops`. `LinearMorphism` objects are built only on demand:
-    `m[i]` makes the one for row i, and `members` makes them all once.
+    A linear map is fixed by its table, and its image top is its value at
+    the top, so the monoid stores its certified rows and their kernels:
+    read-only arrays in member order, `tables` (one map table per row,
+    sorted), `member_kernels`, and `member_image_tops`, the tables' top
+    column. `LinearMorphism` objects are built only on demand: `m[i]` makes
+    the one for row i, and `members` makes them all once.
     """
 
     __slots__ = ("lattice", "tables", "member_kernels", "member_image_tops",
                  "zero_idx", "id_idx", "_members", "_comp", "_idem", "_cosets",
                  "_pairs", "_first", "_kernels", "_image_tops", "_zero_products")
 
-    def __init__(self, lattice: Lattice, members: list[LinearMorphism]):
-        unique = {m.map: m for m in members}  # a repeated table is one member
-        self._setup(lattice, np.array(list(unique), dtype=np.intp).reshape(-1, lattice.n),
-                    [m.kernel for m in unique.values()],
-                    [m.image_top for m in unique.values()])
-
-    @classmethod
-    def from_tables(cls, lattice: Lattice, tables, kernels, image_tops) -> EndoMonoid:
+    def __init__(self, lattice: Lattice, tables, kernels):
         """The monoid of certified rows, given in any order: each row of
-        `tables` a linear map table of the lattice, with its kernel and image
-        top. A repeated row raises ValueError."""
-        m = cls.__new__(cls)
-        m._setup(lattice, tables, kernels, image_tops)
-        return m
-
-    def _setup(self, lattice: Lattice, tables, kernels, image_tops) -> None:
+        `tables` a linear map table of the lattice, with its kernel. A
+        repeated row raises ValueError."""
         require_modular(lattice)
         n = lattice.n
         tables = np.asarray(tables)
@@ -89,7 +78,7 @@ class EndoMonoid:
         self.lattice = lattice
         self.tables = tables
         self.member_kernels = np.asarray(kernels, dtype=np.intp)[order]
-        self.member_image_tops = np.asarray(image_tops, dtype=np.intp)[order]
+        self.member_image_tops = tables[:, lattice.top].astype(np.intp)
         for arr in (self.tables, self.member_kernels, self.member_image_tops):
             arr.setflags(write=False)
         self.zero_idx, self.id_idx = hits.argmax(axis=0).tolist()
@@ -280,7 +269,7 @@ def _all_projections(L: Lattice):
 def full_monoid(L: Lattice) -> EndoMonoid:
     """End_lin(L), enumerated and cached by lattice structure."""
     require_modular(L)
-    return EndoMonoid.from_tables(L, *_linmor_tables(L, L))
+    return EndoMonoid(L, *_linmor_tables(L, L))
 
 
 def _endomorphisms_of(L: Lattice, morphisms) -> list[LinearMorphism]:
@@ -317,7 +306,7 @@ def generated_monoid(L: Lattice, generators=(),
     The new tables are then certified in one batch.
     """
     require_modular(L)
-    seeds = {phi.map: phi for phi in [
+    seeds = {phi.map: phi.kernel for phi in [
         identity_morphism(L), zero_morphism(L), *_endomorphisms_of(L, generators),
         *(_all_projections(L) if with_projections else ())]}
     n = L.n
@@ -348,18 +337,17 @@ def generated_monoid(L: Lattice, generators=(),
         frontier = np.concatenate(fresh)
         found.append(frontier)
     new = np.concatenate(found)
-    kernels, image_tops = certify_tables(L, L, new)
-    return EndoMonoid.from_tables(
-        L, np.concatenate([S, new]),
-        np.concatenate([[phi.kernel for phi in seeds.values()], kernels]),
-        np.concatenate([[phi.image_top for phi in seeds.values()], image_tops]))
+    return EndoMonoid(L, np.concatenate([S, new]),
+                      np.concatenate([list(seeds.values()), certify_tables(L, L, new)]))
 
 
 def explicit_monoid(L: Lattice, members) -> EndoMonoid:
     """Verify an explicit member set is a submonoid with zero."""
     members = _endomorphisms_of(L, members)
     _require_member_count(len(members))
-    mono = EndoMonoid(L, members)
+    unique = {phi.map: phi.kernel for phi in members}  # a repeated map is one member
+    mono = EndoMonoid(L, np.array(list(unique), dtype=np.intp).reshape(-1, L.n),
+                      list(unique.values()))
     mono.comp  # materializes and verifies closure
     return mono
 

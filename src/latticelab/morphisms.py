@@ -141,11 +141,11 @@ _BLOCK_ROWS = 4096
 
 
 def table_verdicts(domain: Lattice, codomain: Lattice,
-                   tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   tables) -> tuple[np.ndarray, np.ndarray]:
     """Certify every row of an (N, domain.n) array in one batch, without
     raising for a row: return whether `validate_linear` rejects each row,
-    and the kernel and image top of each row it accepts (the values of a
-    rejected row mean nothing).
+    and the kernel of each row it accepts (the kernel of a rejected row
+    means nothing). A row's image top is its value at the top.
 
     The clauses are those of `validate_linear`, over whole blocks of rows.
     The kernels are joins of the zero preimages, reduced through the join
@@ -178,7 +178,6 @@ def table_verdicts(domain: Lattice, codomain: Lattice,
 
     rejected = np.empty(len(given), dtype=bool)
     kernels = np.empty(len(given), dtype=np.intp)
-    image_tops = np.empty(len(given), dtype=np.intp)
     for start in range(0, len(given), _BLOCK_ROWS):
         T = given[start:start + _BLOCK_ROWS]
         bad = ((T < 0) | (T >= codomain.n)).any(axis=1)
@@ -200,26 +199,24 @@ def table_verdicts(domain: Lattice, codomain: Lattice,
             bad[rows] |= repeats.any(axis=1) | ~lands.all(axis=1)
         rejected[start:start + len(T)] = bad
         kernels[start:start + len(T)] = k
-        image_tops[start:start + len(T)] = a
-    return rejected, kernels, image_tops
+    return rejected, kernels
 
 
-def certify_tables(domain: Lattice, codomain: Lattice,
-                   tables) -> tuple[np.ndarray, np.ndarray]:
+def certify_tables(domain: Lattice, codomain: Lattice, tables) -> np.ndarray:
     """Certify every row of an (N, domain.n) array as a linear morphism, in
-    one batch (see `table_verdicts`); return the kernels and the image tops.
+    one batch (see `table_verdicts`); return the kernels.
 
     The first rejected row goes through `validate_linear`, so it raises the
     scalar error class and text; if that row certifies there, the two
     certifiers disagree: ConsistencyError.
     """
-    rejected, kernels, image_tops = table_verdicts(domain, codomain, tables)
+    rejected, kernels = table_verdicts(domain, codomain, tables)
     if rejected.any():
         row = int(np.argmax(rejected))
         validate_linear(domain, codomain, np.asarray(tables)[row].tolist())
         raise ConsistencyError(f"row {row} certifies by validate_linear but "
                                f"not in the batch")
-    return kernels, image_tops
+    return kernels
 
 
 def row_keys(tables) -> np.ndarray:
@@ -384,12 +381,13 @@ def iso_composites(src: IntervalView, dst: IntervalView, pre):
 
 # -- enumeration of all linear morphisms --------------------------------------
 
-_LINMOR_CACHE: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_LINMOR_CACHE: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every linear morphism L -> M as three read-only arrays: the map tables,
-    one row each in lexicographic order, their kernels and their image tops.
+def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Every linear morphism L -> M as two read-only arrays: the map tables,
+    one row each in lexicographic order, and their kernels. The image tops
+    are the tables' column at L.top.
 
     Each (kernel k, image top a) pair whose intervals [k, top] and
     [bottom, a] have one size contributes the composites x -> theta(x v k)
@@ -409,7 +407,6 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.n
     iso_arrays: dict[tuple[bytes, bytes], np.ndarray] = {}
     blocks: list[np.ndarray] = []
     kernels: list[int] = []
-    image_tops: list[int] = []
     for k in range(L.n):
         up_view = interval(L, k, L.top)
         row_k = None
@@ -430,7 +427,6 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.n
                                   for x in range(L.n)], dtype=np.intp)
             blocks.append(np.array(dn_view.members, dtype=dtype)[isos[:, row_k]])
             kernels.append(k)
-            image_tops.append(a)
     counts = [len(b) for b in blocks]
     tables = np.concatenate(blocks)
     order = np.lexsort(tables.T[::-1])
@@ -439,8 +435,7 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray, np.n
         raise ConsistencyError(
             f"two factorizations give the same map from {L.name} to {M.name}")
     kernels = np.repeat(np.array(kernels, dtype=np.intp), counts)[order]
-    image_tops = np.repeat(np.array(image_tops, dtype=np.intp), counts)[order]
-    result = (tables, kernels, image_tops)
+    result = (tables, kernels)
     for arr in result:
         arr.setflags(write=False)
     _LINMOR_CACHE[key] = result
@@ -455,10 +450,9 @@ def enumerate_linmors(L: Lattice, M: Lattice | None = None) -> list[LinearMorphi
     result (kernel, image top, restriction).
     """
     M = M if M is not None else L
-    tables, kernels, image_tops = _linmor_tables(L, M)
-    return [LinearMorphism(domain=L, codomain=M, map=t, kernel=k, image_top=a)
-            for t, k, a in zip(map(tuple, tables.tolist()), kernels.tolist(),
-                               image_tops.tolist())]
+    tables, kernels = _linmor_tables(L, M)
+    return [LinearMorphism(domain=L, codomain=M, map=t, kernel=k, image_top=t[L.top])
+            for t, k in zip(map(tuple, tables.tolist()), kernels.tolist())]
 
 
 # -- extension from an interval ------------------------------------------------

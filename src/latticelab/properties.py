@@ -238,10 +238,10 @@ def check_cross_rickart(L: Lattice, M: Lattice) -> Verdict:
     the kernel array of Hom(L, M) is read; the witness, the first failing
     map in table order, is the one morphism built."""
     comp = set(complemented_elements(L))
-    tables, kernels, image_tops = _linmor_tables(L, M)
+    tables, kernels = _linmor_tables(L, M)
     for i, k in enumerate(kernels.tolist()):
         if k not in comp:
-            phi = LinearMorphism(L, M, tuple(tables[i].tolist()), k, int(image_tops[i]))
+            phi = LinearMorphism(L, M, tuple(tables[i].tolist()), k, int(tables[i, L.top]))
             return Verdict("cross_rickart", False, witness={
                 "morphism": phi.as_name_map(), "kernel": L.names[k]})
     return Verdict("cross_rickart", True)

@@ -17,7 +17,6 @@ import pytest
 
 from latticelab import config
 from latticelab.abelian import (
-    KINDS,
     AbelianGroup,
     GroupHom,
     _gen_images,
@@ -37,6 +36,7 @@ from latticelab.abelian import (
 from latticelab.errors import DomainMismatchError, SizeLimitExceededError
 from latticelab.lattice import _bits, complemented_elements, is_modular
 from latticelab.morphisms import compose, enumerate_linmors
+from latticelab.properties import RICKART_KINDS
 
 ENUMERATION_NOTE = "lattice side via induced monoid enumeration"
 COMPLEMENT_NOTE = "lattice side via complements of all subgroups, each a kernel and an image"
@@ -482,13 +482,13 @@ class TestBridgeVerdicts:
         assert len(groups) == 54
         enumerated = {}
         for g in groups:
-            for kind in KINDS:
+            for kind in RICKART_KINDS:
                 v = rickart_module_direct(g, kind)
                 assert v.notes == ENUMERATION_NOTE
                 enumerated[g, kind] = (v.holds, v.witness)
         monkeypatch.setattr(config, "DEFAULT_ENDO_CAP", 0)
         for g in groups:
-            for kind in KINDS:
+            for kind in RICKART_KINDS:
                 v = rickart_module_direct(g, kind)
                 assert v.notes == COMPLEMENT_NOTE
                 assert (v.holds, v.witness) == enumerated[g, kind], (g, kind)
@@ -506,7 +506,7 @@ class TestBridgeVerdicts:
                      None)
         squarefree = all(all(d % (p * p) for p in _primes_of(d))
                          for d in g.invariant_factors)
-        for kind in KINDS:
+        for kind in RICKART_KINDS:
             v = rickart_module_direct(g, kind)
             assert v.notes == COMPLEMENT_NOTE
             assert v.holds == squarefree == (first is None), kind

@@ -32,8 +32,8 @@ from latticelab.errors import (LatticeLabError, LinearValidationError, NotInterv
 from latticelab.lattice import (complements_of, direct_product, interval, is_modular,
                                lattice_to_json, opposite)
 from latticelab.monoid import EndoMonoid, full_monoid, generated_monoid
-from latticelab.morphisms import (LinearMorphism, compose, enumerate_linmors,
-                                  iso_composites, table_verdicts, validate_linear)
+from latticelab.morphisms import (compose, enumerate_linmors, iso_composites,
+                                  table_verdicts, validate_linear)
 from latticelab.properties import (PROPERTY_NAMES, check_generation, check_property,
                                    check_rickart_family)
 
@@ -155,8 +155,7 @@ def inject_verdict(monkeypatch, bad=None, reject=False):
     tables are in `bad` rejected, or give them (every row, when `bad` is
     None) a wrong kernel, the top for bottom and bottom for any other."""
     def faulty(domain, codomain, tables):
-        rejected, kernels, image_tops = (v.copy() for v in table_verdicts(
-            domain, codomain, tables))
+        rejected, kernels = (v.copy() for v in table_verdicts(domain, codomain, tables))
         hit = np.array([bad is None or tuple(row) in bad
                         for row in np.asarray(tables).tolist()], dtype=bool)
         if reject:
@@ -164,7 +163,7 @@ def inject_verdict(monkeypatch, bad=None, reject=False):
         else:
             kernels[hit] = np.where(kernels[hit] == domain.bottom, domain.top,
                                     domain.bottom)
-        return rejected, kernels, image_tops
+        return rejected, kernels
 
     monkeypatch.setattr(conformance, "table_verdicts", faulty)
 
@@ -625,20 +624,19 @@ def test_isolin_reports_a_faulty_composite_like_its_loop(monkeypatch, L):
 @pytest.mark.parametrize("L", FAULT_LATTICES, ids=lambda L: L.name)
 def test_linmor_joins_reports_a_bad_member_like_its_loop(L):
     rng = random.Random(L.n)
-    members = list(full_monoid(L).members)
-    known = {phi.map for phi in members}
+    known = {phi.map: phi.kernel for phi in full_monoid(L).members}
     failures = 0
     for trial in range(24):
-        bogus = []
+        bogus = {}  # bogus tables, each given the kernel bottom
         for _ in range(1 + trial % 2):  # with two, the first failing one is named
             table = [rng.randrange(L.n) for _ in range(L.n)]
             if trial % 3:  # most keep bottom, so a join is what fails
                 table[L.bottom] = L.bottom
             if tuple(table) not in known:
-                bogus.append(LinearMorphism(domain=L, codomain=L, map=tuple(table),
-                                            kernel=L.bottom, image_top=L.top))
+                bogus[tuple(table)] = L.bottom
+        members = {**known, **bogus}
         ctx = LatticeContext(L)
-        ctx._cache["monoid"] = EndoMonoid(L, members + bogus)
+        ctx._cache["monoid"] = EndoMonoid(L, list(members), list(members.values()))
         got = chk_linmor_joins(ctx)
         failures += got[0] == "fail"
         assert got == linmor_joins_by_pairs(ctx), bogus

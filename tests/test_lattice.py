@@ -1,6 +1,7 @@
 """Construction, validation, and structural queries."""
 
 import json
+import re
 
 import pytest
 
@@ -361,6 +362,26 @@ class TestSerialization:
         assert dot.startswith('digraph "c3"')
         assert '"0" -> "n";' in dot and '"n" -> "1";' in dot
         assert dot == lattice_to_dot(fx.build_fixture("c3"))
+
+    def test_dot_export_escapes_quotes_and_backslashes(self):
+        """Each quoted DOT token reads back as its name: a double quote or a
+        backslash in a name is escaped, and the lines keep their shape."""
+        names = ['0', 'q"x', 'a"b', 'c\\', '\\"d', '1']
+        doc = {"name": 'l"\\t', "elements": names,
+               "covers": [["0", n] for n in names[1:5]] + [[n, "1"] for n in names[1:5]]}
+        L = lattice_from_json(json.dumps(doc))
+        token = r'"((?:[^"\\]|\\.)*)"'
+        lines = lattice_to_dot(L).splitlines()
+        read = [[re.sub(r"\\(.)", r"\1", t) for t in re.findall(token, line)]
+                for line in lines]
+        assert re.fullmatch(rf"digraph {token} {{", lines[0])
+        assert read[0] == [L.name]
+        assert all(re.fullmatch(rf"  {token};", line) for line in lines[3:3 + L.n])
+        assert read[3:3 + L.n] == [[nm] for nm in L.names]
+        covers = [[L.names[a], L.names[b]] for a, b in L.covers()]
+        assert all(re.fullmatch(rf"  {token} -> {token};", line)
+                   for line in lines[3 + L.n:-1])
+        assert read[3 + L.n:-1] == covers and lines[-1] == "}"
 
     def test_packaged_fixtures_match_builders(self):
         """build_fixture reads the packaged JSON; serializing its lattice

@@ -33,7 +33,7 @@ from latticelab.monoid import (
     monoid_predicate,
 )
 from latticelab.morphisms import (identity_morphism, morphism_to_json, projection,
-                                  zero_morphism)
+                                  validate_linear, zero_morphism)
 
 from test_duality import LATTICES
 from test_pair_index import monoids
@@ -151,14 +151,38 @@ def pair_index_monoids():
         yield induced_monoid.__wrapped__(AbelianGroup.from_spec(spec))
 
 
+def builder_monoids():
+    """(label, monoid) from every builder on each modular fixture and each
+    lattice of `random_corpus(30, 8, 7)`: the full monoid, generated ones
+    with and without projections, an explicit list with a repeated member,
+    each spec kind, and the induced monoids of 2,2 and 2,4."""
+    lattices = [L for L in map(fx.build_fixture, fx.FIXTURE_NAMES) if is_modular(L).holds]
+    for L in lattices + random_corpus(30, 8, 7):
+        full = full_monoid(L)
+        gens = [phi for phi in full.members if phi.kernel not in (L.bottom, L.top)][:2]
+        generated = generated_monoid(L, gens)
+        docs = [json.loads(morphism_to_json(phi)) for phi in generated.members]
+        yield from ((f"{L.name} {label}", m) for label, m in (
+            ("full", full),
+            ("generated", generated),
+            ("generated with projections", generated_monoid(L, gens, True)),
+            ("explicit", explicit_monoid(L, generated.members + generated.members[-1:])),
+            ("spec full", monoid_from_spec(L, {"kind": "full"})),
+            ("spec generated", monoid_from_spec(L, {
+                "kind": "generated", "generators": docs[:2], "with_projections": True})),
+            ("spec explicit", monoid_from_spec(L, {"kind": "explicit",
+                                                   "members": docs + docs[:1]}))))
+    for spec in ("2,2", "2,4"):
+        yield spec, induced_monoid.__wrapped__(AbelianGroup.from_spec(spec))
+
+
 class TestArrayBacked:
-    """The array-backed monoid: `from_tables` on shuffled rows and the member
-    list constructor set up the same monoid, and members are built on
-    demand from the rows."""
+    """The array-backed monoid: the constructor on shuffled rows sets up the
+    same monoid, and members are built on demand from the rows."""
 
     NOT_CLOSED = r"^a submonoid with zero must contain the zero morphism and the identity$"
 
-    def test_from_tables_and_member_lists_agree(self):
+    def test_shuffled_rows_give_the_same_monoid(self):
         rng = np.random.default_rng(3)
         count = 0
         for m in pair_index_monoids():
@@ -167,31 +191,39 @@ class TestArrayBacked:
             by_index = triples(m[i] for i in range(len(m)))
             assert m._members is None, L.name  # m[i] builds no member list
             perm = rng.permutation(len(m))
-            shuffled = EndoMonoid.from_tables(L, m.tables[perm], m.member_kernels[perm],
-                                              m.member_image_tops[perm])
-            listed = EndoMonoid(L, [m.members[i] for i in perm])
-            for other in (shuffled, listed):
-                assert other.tables.dtype == m.tables.dtype
-                for name in ("tables", "member_kernels", "member_image_tops"):
-                    assert np.array_equal(getattr(other, name), getattr(m, name)), name
-                    assert not getattr(other, name).flags.writeable
-                assert (other.zero_idx, other.id_idx) == (m.zero_idx, m.id_idx)
-                assert other.pairs == m.pairs
-                for side in ("kernel", "image"):
-                    assert dict(other.first_with(side)) == dict(m.first_with(side))
-                assert triples(other.members) == triples(m.members)
+            other = EndoMonoid(L, m.tables[perm], m.member_kernels[perm])
+            assert other.tables.dtype == m.tables.dtype
+            for name in ("tables", "member_kernels", "member_image_tops"):
+                assert np.array_equal(getattr(other, name), getattr(m, name)), name
+                assert not getattr(other, name).flags.writeable
+            assert other.member_image_tops.dtype == np.intp
+            assert (other.zero_idx, other.id_idx) == (m.zero_idx, m.id_idx)
+            assert other.pairs == m.pairs
+            for side in ("kernel", "image"):
+                assert dict(other.first_with(side)) == dict(m.first_with(side))
+            assert triples(other.members) == triples(m.members)
             assert by_index == triples(m.members)
             assert triples(m[i] for i in range(len(m))) == triples(m.members)
             count += 1
         assert count == 3 * len(LATTICES) + 2
 
     def test_members_agree_with_the_rows(self):
-        m = full_monoid(fx.build_fixture("m3"))
-        for i, phi in enumerate(m.members):
-            assert phi.map == tuple(m.tables[i].tolist())
-            assert (phi.kernel, phi.image_top) == (m.member_kernels[i],
-                                                   m.member_image_tops[i])
-            assert m.find([phi.map]).tolist() == [i]
+        """Every row of every builder's monoid certifies with its kernel and
+        image top, is found at its own index, and the zero and identity
+        indices name the zero map and the identity."""
+        count = 0
+        for label, m in builder_monoids():
+            L = m.lattice
+            assert np.array_equal(m.find(m.tables), np.arange(len(m))), label
+            assert m.tables[m.zero_idx].tolist() == [L.bottom] * L.n, label
+            assert m.tables[m.id_idx].tolist() == list(range(L.n)), label
+            for i, phi in enumerate(m.members):
+                assert phi.map == tuple(m.tables[i].tolist())
+                ref = validate_linear(L, L, phi.map)
+                assert (phi.kernel, phi.image_top) == (ref.kernel, ref.image_top) == \
+                    (m.member_kernels[i], m.member_image_tops[i]), (label, i)
+            count += 1
+        assert count == 7 * (6 + 30) + 2  # six fixtures are modular
 
     def test_repeated_row_is_refused(self):
         for m in pair_index_monoids():
@@ -199,18 +231,16 @@ class TestArrayBacked:
                 continue
             rows = np.r_[np.arange(len(m)), len(m) // 2]
             with pytest.raises(ValueError, match=r"^a member table is repeated$"):
-                EndoMonoid.from_tables(m.lattice, m.tables[rows], m.member_kernels[rows],
-                                       m.member_image_tops[rows])
+                EndoMonoid(m.lattice, m.tables[rows], m.member_kernels[rows])
 
     @pytest.mark.parametrize("missing", ["zero_idx", "id_idx"])
     def test_set_without_zero_or_identity_is_refused(self, missing):
         for m in pair_index_monoids():
             keep = np.arange(len(m)) != getattr(m, missing)
             with pytest.raises(NotClosedError, match=self.NOT_CLOSED):
-                EndoMonoid.from_tables(m.lattice, m.tables[keep], m.member_kernels[keep],
-                                       m.member_image_tops[keep])
+                EndoMonoid(m.lattice, m.tables[keep], m.member_kernels[keep])
             with pytest.raises(NotClosedError, match=self.NOT_CLOSED):
-                EndoMonoid(m.lattice, [phi for phi, k in zip(m.members, keep) if k])
+                explicit_monoid(m.lattice, [phi for phi, k in zip(m.members, keep) if k])
 
 
 def find_by_dict(m, rows):

@@ -579,7 +579,7 @@ def linmor_tables_by_flat_list(L, M):
     """Hom(L, M) as `_linmor_tables` once collected it: the composites of
     each (kernel, image top) pair appended to one flat list of values, the
     isomorphisms searched on the interval lattices."""
-    flat, kernels, image_tops = [], [], []
+    flat, kernels = [], []
     for k in range(L.n):
         up_view = interval(L, k, L.top)
         row = [up_view.from_parent[L.join_of(x, k)] for x in range(L.n)]
@@ -591,17 +591,15 @@ def linmor_tables_by_flat_list(L, M):
                     flat.extend(dn_view.members[fwd[i]] for i in row)
                 count = (len(flat) - start) // L.n
                 kernels += [k] * count
-                image_tops += [a] * count
     tables = np.array(flat, dtype=np.min_scalar_type(M.n - 1)).reshape(-1, L.n)
     order = np.lexsort(tables.T[::-1])
-    return (tables[order], np.array(kernels, dtype=np.intp)[order],
-            np.array(image_tops, dtype=np.intp)[order])
+    return tables[order], np.array(kernels, dtype=np.intp)[order]
 
 
 def test_hom_tables_match_the_flat_list(monkeypatch):
     """Hom(L, L) and Hom([bottom, x], L) for every L of the view corpus and
     every x below its top, with both caches emptied before each
-    enumeration: equal tables, kernels and image tops, in equal dtypes. The
+    enumeration: equal tables and kernels, in equal dtypes. The
     cap is raised to the 32 elements of the largest products."""
     monkeypatch.setattr(config, "DEFAULT_ENUM_CAP", 32)
     monkeypatch.setattr(morphisms, "_LINMOR_CACHE", {})
@@ -614,6 +612,7 @@ def test_hom_tables_match_the_flat_list(monkeypatch):
             want = linmor_tables_by_flat_list(D, L)
             morphisms._ISO_CACHE.clear()
             got = morphisms._linmor_tables(D, L)
+            assert len(got) == len(want) == 2
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w), (D.name, L.name)
             count += 1
@@ -712,7 +711,7 @@ def raised(fn, *args):
 
 def assert_batch_agrees(domain, codomain, tables):
     """certify_tables and table_verdicts against validate_linear: the linear
-    tables certify as one batch with the same kernels and image tops, each
+    tables certify as one batch with the same kernels, each
     rejected table, as a one-row batch, raises the same class and message,
     and table_verdicts on the whole mixed batch rejects exactly those."""
     linear = []
@@ -724,15 +723,13 @@ def assert_batch_agrees(domain, codomain, tables):
             linear.append(validate_linear(domain, codomain, table))
         else:
             assert raised(certify_tables, domain, codomain, [table]) == want, table
-    kernels, image_tops = certify_tables(
+    kernels = certify_tables(
         domain, codomain, np.array([phi.map for phi in linear]).reshape(-1, domain.n))
     assert kernels.tolist() == [phi.kernel for phi in linear]
-    assert image_tops.tolist() == [phi.image_top for phi in linear]
-    rejected, kernels, image_tops = table_verdicts(
+    rejected, kernels = table_verdicts(
         domain, codomain, np.array(tables).reshape(-1, domain.n))
     assert rejected.tolist() == rejects
     assert kernels[~rejected].tolist() == [phi.kernel for phi in linear]
-    assert image_tops[~rejected].tolist() == [phi.image_top for phi in linear]
     return len(linear)
 
 
@@ -850,14 +847,12 @@ class TestCoverCertificate:
         batch = [ident] * 5000 + [not_iso, no_kernel]
         assert raised(certify_tables, b2, b2, batch) == \
             raised(validate_linear, b2, b2, not_iso)
-        kernels, image_tops = certify_tables(b2, b2, [ident] * 5000 + [zero])
+        kernels = certify_tables(b2, b2, [ident] * 5000 + [zero])
         assert kernels.tolist() == [b2.bottom] * 5000 + [b2.top]
-        assert image_tops.tolist() == [b2.top] * 5000 + [b2.bottom]
         # a table of the wrong length
         assert raised(certify_tables, b2, c3, [[0, 1, 2]]) == \
             raised(validate_linear, b2, c3, [0, 1, 2])
-        empty = certify_tables(b2, c3, np.zeros((0, b2.n), dtype=int))
-        assert [len(v) for v in empty] == [0, 0]
+        assert len(certify_tables(b2, c3, np.zeros((0, b2.n), dtype=int))) == 0
 
     @pytest.mark.parametrize("covers, target_covers", [
         # N5 onto 0 < x, y < z < 1: order-preserving, as many covers, and
@@ -963,8 +958,8 @@ def test_batches_match_the_definition_on_random_lattices(seed, data):
             certify_tables(L, M, tables)
         assert type(info.value).__name__ == failed[0]
     else:
-        kernels, image_tops = certify_tables(L, M, tables)
-        assert [("linear", k, a) for k, a in zip(kernels.tolist(), image_tops.tolist())] \
+        kernels = certify_tables(L, M, tables)
+        assert [("linear", k, t[L.top]) for k, t in zip(kernels.tolist(), tables)] \
             == outcomes
 
 
