@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -718,6 +719,10 @@ def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     pos = {t: i for i, t in enumerate(tuples)}
     names = ["(" + ",".join(f.names[c] for f, c in zip(factors, t)) + ")"
              for t in tuples]
+    # factor names with commas can make two different tuples read alike
+    repeated = next((nm for nm, c in Counter(names).items() if c > 1), None)
+    if repeated is not None:
+        raise ValueError(f"product element name {repeated!r} is repeated")
     n = len(tuples)
     up = [0] * n
     down = [0] * n

@@ -190,6 +190,14 @@ class EndoMonoid:
         self.pairs  # the same pass over the members records both sides
         return self._first[side]
 
+    def first_in_class(self, kernel: int, image_top: int, cols) -> int:
+        """The index of the member with this kernel and image top whose
+        values on `cols` come first in lexicographic order. The class must
+        not be empty."""
+        rows = np.flatnonzero((self.member_kernels == kernel)
+                              & (self.member_image_tops == image_top))
+        return int(rows[np.lexsort(self.tables[rows][:, cols].T[::-1])[0]])
+
     @property
     def kernels(self) -> tuple[int, ...]:
         """The distinct member kernels, sorted."""

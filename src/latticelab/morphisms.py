@@ -17,6 +17,7 @@ of [k, top].
 from __future__ import annotations
 
 import json
+import numbers
 import reprlib
 from dataclasses import dataclass
 
@@ -89,6 +90,11 @@ def validate_linear(domain: Lattice, codomain: Lattice,
     m = tuple(mapping)
     if len(m) != domain.n:
         raise ValueError("map table length does not match the domain")
+    # an exact int skips the isinstance test against the ABC, which costs
+    # over ten times as much per value
+    not_ids = [v for v in m if type(v) is not int and not isinstance(v, numbers.Integral)]
+    if not_ids:
+        raise ValueError(f"map table has non-integer values: {reprlib.repr(not_ids)}")
     if any(not (0 <= v < codomain.n) for v in m):
         raise ValueError("map table has out-of-range values")
 
@@ -304,11 +310,13 @@ class IntervalIso:
     backward: tuple[int, ...]
 
 
-_ISO_CACHE: dict[tuple[bytes, bytes], tuple[tuple[int, ...], ...]] = {}
+_ISO_CACHE: dict[tuple[bytes, bytes], np.ndarray] = {}
 
 
-def _iso_tables(A, B) -> tuple[tuple[int, ...], ...]:
-    """Every order isomorphism A -> B as a forward table, sorted.
+def _iso_tables(A, B) -> np.ndarray:
+    """Every order isomorphism A -> B as a forward table, one row each in
+    sorted order: a read-only (count, A.n) array of the smallest unsigned
+    dtype that holds A.n - 1, kept per pair of structure keys.
 
     A and B are lattices or interval views: only their `n`, `rank`,
     `down_mask` and `structure_key` are read. Isomorphisms keep rank. The
@@ -343,8 +351,10 @@ def _iso_tables(A, B) -> tuple[tuple[int, ...], ...]:
                     bt(step + 1, used | 1 << v)
 
         bt(0, 0)
+        del bt  # it refers to itself: break the cycle, so `out` goes on return
         out.sort()  # rank order differs from id order off graded lattices
-    result = tuple(out)
+    result = np.array(out, dtype=np.min_scalar_type(A.n - 1)).reshape(-1, A.n)
+    result.setflags(write=False)
     _ISO_CACHE[key] = result
     return result
 
@@ -355,28 +365,18 @@ def enumerate_interval_isos(A: IntervalView, B: IntervalView) -> list[IntervalIs
     Backtracking assigns elements of equal rank, checking each against the
     down-sets of those already assigned; an empty list means the posets differ.
     """
-    isos = []
-    for fwd in _iso_tables(A, B):
-        back = [0] * len(fwd)
-        for i, v in enumerate(fwd):
-            back[v] = i
-        isos.append(IntervalIso(source=A, target=B, forward=fwd,
-                                backward=tuple(back)))
-    return isos
+    tables = _iso_tables(A, B)
+    return [IntervalIso(source=A, target=B, forward=tuple(fwd), backward=tuple(back))
+            for fwd, back in zip(tables.tolist(), tables.argsort(axis=1).tolist())]
 
 
-def iso_composites(src: IntervalView, dst: IntervalView, pre):
-    """The tables x -> theta(pre[x]) for each iso theta: src -> dst.
-
-    `pre` lists, for each x, a parent element inside src; the composites
-    come in `enumerate_interval_isos` order and are read off in parent ids.
-    """
-    tables = _iso_tables(src, dst)
-    if not tables:
-        return
+def iso_composites(src: IntervalView, dst: IntervalView, pre) -> list[tuple[int, ...]]:
+    """The tables x -> theta(pre[x]) for each iso theta: src -> dst, in
+    `enumerate_interval_isos` order, read off in parent ids by one gather.
+    `pre` lists, for each x, a parent element inside src."""
     row = [src.from_parent[p] for p in pre]
-    for fwd in tables:
-        yield tuple(dst.members[fwd[i]] for i in row)
+    gathered = np.array(dst.members)[_iso_tables(src, dst)[:, row]]
+    return list(map(tuple, gathered.tolist()))
 
 
 # -- enumeration of all linear morphisms --------------------------------------
@@ -404,7 +404,6 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray]:
     if hit is not None:
         return hit
     dtype = np.min_scalar_type(M.n - 1)
-    iso_arrays: dict[tuple[bytes, bytes], np.ndarray] = {}
     blocks: list[np.ndarray] = []
     kernels: list[int] = []
     for k in range(L.n):
@@ -414,12 +413,7 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray]:
             dn_view = interval(M, M.bottom, a)
             if dn_view.n != up_view.n:
                 continue
-            pair = (up_view.structure_key, dn_view.structure_key)
-            isos = iso_arrays.get(pair)
-            if isos is None:
-                isos = iso_arrays[pair] = np.array(
-                    _iso_tables(up_view, dn_view),
-                    dtype=np.min_scalar_type(up_view.n - 1)).reshape(-1, up_view.n)
+            isos = _iso_tables(up_view, dn_view)
             if not len(isos):
                 continue
             if row_k is None:

@@ -22,7 +22,7 @@ from .lattice import (
     is_modular,
 )
 from .monoid import EndoMonoid
-from .morphisms import LinearMorphism, _linmor_tables, iso_composites
+from .morphisms import LinearMorphism, _linmor_tables
 from .verdict import Verdict
 
 # the kernel/image complement kinds of `check_rickart_family`
@@ -140,38 +140,30 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
         raise ValueError("mC2/mD2 need a monoid")
     if kind == "md2":
         # such a composite lies in m exactly when a member has kernel a and
-        # image top x; the iso scan only rebuilds the first failing composite
+        # image top x; on [a, top] it is its theta, so the first on those
+        # columns is the first in iso order
         for a, tops in m.pairs.items():
             x = next((x for x in tops if x in comp_set), None)
             if a in comp_set or x is None:
                 continue
-            tables = list(iso_composites(
-                interval(L, a, L.top), interval(L, L.bottom, x),
-                (L.join_of(y, a) for y in range(L.n))))
-            table = next(t for t, i in zip(tables, m.find(tables)) if i >= 0)
+            phi = m[m.first_in_class(a, x, interval(L, a, L.top).members)]
             return Verdict(kind, False, witness={
-                "a": L.names[a], "x": L.names[x],
-                "composite": {L.names[i]: L.names[v]
-                              for i, v in enumerate(table)}})
+                "a": L.names[a], "x": L.names[x], "composite": phi.as_name_map()})
         return Verdict(kind, True)
     if kind == "mc2":
         # z -> theta((z v x') ^ x) has kernel x' and image top a, and a
         # member phi with those is such a composite, theta(u) = phi(u v x'),
-        # since ((z v x') ^ x) v x' = z v x' by modularity; the iso scan only
-        # rebuilds the first failing composite
+        # since ((z v x') ^ x) v x' = z v x' by modularity; on [bottom, x]
+        # it is theta, so the first on those columns is the first in iso order
         for x in comp:
             for xp in complements_of(L, x):
                 a = next((a for a in m.pairs.get(xp, ()) if a not in comp_set), None)
                 if a is None:
                     continue
-                tables = list(iso_composites(
-                    interval(L, L.bottom, x), interval(L, L.bottom, a),
-                    (L.meet_of(L.join_of(z, xp), x) for z in range(L.n))))
-                table = next(t for t, i in zip(tables, m.find(tables)) if i >= 0)
+                phi = m[m.first_in_class(xp, a, interval(L, L.bottom, x).members)]
                 return Verdict(kind, False, witness={
                     "a": L.names[a], "x": L.names[x], "x_prime": L.names[xp],
-                    "composite": {L.names[i]: L.names[v]
-                                  for i, v in enumerate(table)}})
+                    "composite": phi.as_name_map()})
         return Verdict(kind, True)
     raise ValueError(f"unknown kind: {kind!r}")
 

@@ -597,6 +597,20 @@ class TestDecomposeProductExport:
         doc = json.loads(out_path.read_text())
         assert len(doc["elements"]) == 6
 
+    def test_product_with_names_that_read_alike_writes_nothing(self, tmp_path, capsys):
+        factors = []
+        for name, mid in (("E", "1,0"), ("F", "0,1")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(lattice_to_json(
+                build_lattice(["0", mid, "1"], [("0", mid), (mid, "1")], name=name)))
+            factors.append(str(path))
+        out_path = tmp_path / "P.json"
+        code = run(["product", *factors, "-o", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: product element name '(1,0,1)' is repeated\n"
+        assert not out_path.exists()
+
     def test_export_dot(self, tmp_path, capsys):
         out_path = tmp_path / "c3.dot"
         code, _ = run_capture(capsys, [

@@ -228,6 +228,15 @@ class TestProduct:
         with pytest.raises(SizeLimitExceededError):
             direct_product([b3, b3])
 
+    def test_names_that_read_alike_are_refused(self):
+        """Factor names with commas: ("1,0", "1") and ("1", "0,1") would
+        both be named "(1,0,1)"."""
+        E = build_lattice(["0", "1,0", "1"], [("0", "1,0"), ("1,0", "1")], name="E")
+        F = build_lattice(["0", "0,1", "1"], [("0", "0,1"), ("0,1", "1")], name="F")
+        with pytest.raises(ValueError, match=re.escape("'(1,0,1)' is repeated")):
+            direct_product([E, F])
+        assert direct_product([E, E]).lattice.n == 9
+
     def test_coords_track_reindexing(self, c2, c3):
         prod = direct_product([c2, c3])
         for i, cs in enumerate(prod.coords):

@@ -4,6 +4,7 @@ The enumeration oracle lives here: filter every total map through the
 definitional validator and compare against the factorized enumeration.
 """
 
+import gc
 import itertools
 import random
 
@@ -90,6 +91,17 @@ class TestValidate:
     def test_nothing_maps_to_bottom(self, c2):
         with pytest.raises(NoKernelError):
             validate_linear(c2, c2, (1, 1))
+
+    @pytest.mark.parametrize("table,message", [
+        ((0, 0), "length does not match"),
+        ((0, 0, 3), "out-of-range values"),
+        ((0, -1, 1), "out-of-range values"),
+        ((0, 0.0, 1.0), r"non-integer values: \[0.0, 1.0\]"),
+        (("0", 0, 1), r"non-integer values: \['0'\]"),
+    ])
+    def test_malformed_tables_raise_value_error(self, c3, table, message):
+        with pytest.raises(ValueError, match=message):
+            validate_linear(c3, c3, table)
 
     def test_zero_morphism_kernel_is_top(self, m3):
         assert zero_morphism(m3).kernel == m3.top
@@ -453,9 +465,35 @@ def test_iso_tables_match_the_leq_search(monkeypatch):
     found = 0
     for A, B in pairs.values():
         want = iso_tables_by_leq(A, B)
-        assert morphisms._iso_tables(A, B) == want, (A.name, B.name)
+        assert morphisms._iso_tables(A, B).tolist() == list(map(list, want)), \
+            (A.name, B.name)
         found += len(want)
     assert found
+
+
+def test_iso_tables_are_one_read_only_array_per_pair(monkeypatch):
+    """`_iso_tables` returns the cached read-only (count, n) array of the
+    smallest unsigned dtype for n - 1, an empty one of shape (0, n), with
+    the rows of the leq search; the search leaves no cyclic garbage."""
+    monkeypatch.setattr(morphisms, "_ISO_CACHE", {})
+    m5, c5, b3 = fx.mk(5), fx.chain(5), fx.build_fixture("b3")
+    for A, B in [(m5, m5), (m5, c5), (b3, b3), (m5, b3)]:
+        got = morphisms._iso_tables(A, B)
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+        assert got.dtype == np.min_scalar_type(A.n - 1)
+        assert got.shape == (len(iso_tables_by_leq(A, B)), A.n)
+        assert got.tolist() == list(map(list, iso_tables_by_leq(A, B)))
+        assert morphisms._iso_tables(A, B) is got
+    assert morphisms._iso_tables(m5, c5).shape == morphisms._iso_tables(m5, b3).shape \
+        == (0, m5.n)
+    morphisms._ISO_CACHE.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(morphisms._iso_tables(m5, m5)) == 120  # 5! permutations of the atoms
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_iso_search_on_an_interval_whose_ids_do_not_follow_rank():
@@ -567,7 +605,8 @@ def test_iso_tables_read_views_as_their_lattices(monkeypatch):
         morphisms._ISO_CACHE.clear()
         got = morphisms._iso_tables(A, B)
         morphisms._ISO_CACHE.clear()
-        assert got == morphisms._iso_tables(A.as_lattice, B.as_lattice), (A, B)
+        want = morphisms._iso_tables(A.as_lattice, B.as_lattice)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (A, B)
         found += len(got)
     assert found
 

@@ -15,8 +15,8 @@ import random
 import pytest
 
 from latticelab import conformance as conformance_mod
-from latticelab.conformance import LatticeContext, chk_ricd2
-from latticelab.errors import NotModularError
+from latticelab.conformance import LatticeContext, chk_ricd2, random_corpus
+from latticelab.errors import NotModularError, SizeLimitExceededError
 from latticelab.lattice import (build_lattice, close_under, complemented_elements,
                                 complements_of, essential_superfluous, interval,
                                 is_modular)
@@ -210,3 +210,53 @@ def test_non_modular_lattices_have_no_monoid():
         for build in builders:
             with pytest.raises(NotModularError, match=f"{L.name} is not modular: "):
                 build()
+
+
+def capped_monoids(L, seed):
+    """`monoids`, up to the first generated one over MAX_GENERATED_MEMBERS;
+    the one with projections holds the one without."""
+    try:
+        yield from monoids(L, seed)
+    except SizeLimitExceededError:
+        pass
+
+
+def first_member_composite(m, src, dst, pre):
+    """The first `iso_composites` table that `find` locates in m: the old
+    route to the mD2 and mC2 witnesses."""
+    tables = iso_composites(src, dst, pre)
+    return next(t for t, i in zip(tables, m.find(tables)) if i >= 0)
+
+
+def test_first_in_class_is_the_first_composite_in_iso_order():
+    """Every (kernel, image top) class of End(L) in the mD2 form, columns
+    [k, top], and every class (x', a) with a in pairs[x'] in the mC2 form,
+    columns [bottom, x], for the full and the seeded generated monoids, on
+    the duality corpus and random_corpus(60, 10, 5): `first_in_class` names
+    the first composite in iso order that is a member. On some classes that
+    is not the class's first member in member order."""
+    counts = {"md2": 0, "mc2": 0, "not first in member order": 0}
+
+    def agree(m, kernel, image_top, src, dst, pre):
+        i = m.first_in_class(kernel, image_top, src.members)
+        want = first_member_composite(m, src, dst, pre)
+        assert tuple(m.tables[i].tolist()) == want, (L.name, kernel, image_top)
+        rows = (m.member_kernels == kernel) & (m.member_image_tops == image_top)
+        counts["not first in member order"] += i != rows.argmax()
+
+    for seed, L in enumerate(LATTICES + random_corpus(60, 10, 5)):
+        for j, m in enumerate(capped_monoids(L, seed)):
+            if j == 0:
+                for k, tops in m.pairs.items():
+                    up = interval(L, k, L.top)
+                    for a in tops:
+                        agree(m, k, a, up, interval(L, L.bottom, a),
+                              [L.join_of(y, k) for y in range(L.n)])
+                        counts["md2"] += 1
+            for x in complemented_elements(L):
+                for xp in complements_of(L, x):
+                    for a in m.pairs.get(xp, ()):
+                        agree(m, xp, a, interval(L, L.bottom, x), interval(L, L.bottom, a),
+                              [L.meet_of(L.join_of(z, xp), x) for z in range(L.n)])
+                        counts["mc2"] += 1
+    assert counts == {"md2": 6050, "mc2": 16800, "not first in member order": 2}
