@@ -16,6 +16,16 @@ isomorphic to a subgroup of M^ ≅ M, and K is the kernel of M -> M/K -> M.
 Dually, restriction maps M^ onto K^, so K ≅ K^ is isomorphic to a quotient
 M/K', and K is the image of M -> M/K' ≅ K. The module side of the bridge
 therefore quantifies over every subgroup and needs no endomorphism.
+
+The same duality builds the subgroup lattice. For invariant factors
+d1 | ... | dk with exponent N = dk, <x, y> = sum_j x_j y_j (N / d_j) mod N
+is a perfect pairing of M with itself, so H -> H^perp = {x : <x, y> = 0 for
+all y in H} reverses inclusion and H^perp^perp = H. Every subgroup is then
+the intersection of the perps y^perp of the elements of its perp: the
+subgroups are the intersection closure of the n element perps (0^perp = M).
+Subgroups are held as uint64 element masks, which caps the group order at
+64; the meet is the intersection, and the join is perp(meet(perp, perp)),
+since (A + B)^perp = A^perp ^ B^perp (Delsarte, Ann. Math. 1948).
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import itertools
 import reprlib
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -31,8 +41,7 @@ import numpy as np
 
 from . import config
 from .errors import ConsistencyError, DomainMismatchError, SizeLimitExceededError
-from .lattice import (Lattice, _assemble, _bits, close_under, complemented_elements,
-                      is_modular)
+from .lattice import Lattice, _assemble, _bits, complemented_elements, is_modular
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, certify_tables, row_keys, validate_linear
 from .properties import RICKART_KINDS, check_rickart_family
@@ -101,7 +110,6 @@ class _GroupData(NamedTuple):
     coords: np.ndarray  # coords[j, i]: coordinate j of element i
     orders: tuple[int, ...]
     gen_ids: tuple[int, ...]  # ids of the standard generators
-    sum_memo: dict[tuple[int, int], int]  # filled by _pair_sum
 
 
 @cache
@@ -122,7 +130,7 @@ def _group_data(g: AbelianGroup) -> _GroupData:
     orders = tuple(np.lcm.reduce(d // np.gcd(d, c), axis=0).ravel().tolist()) if fs else (1,)
     for table in (add, sc_mul, coords):
         table.setflags(write=False)  # shared by every caller through the cache
-    return _GroupData(elements, add, sc_mul, coords, orders, tuple(strides), {})
+    return _GroupData(elements, add, sc_mul, coords, orders, tuple(strides))
 
 
 def _cyclic(g: AbelianGroup, e: int) -> int:
@@ -130,34 +138,67 @@ def _cyclic(g: AbelianGroup, e: int) -> int:
     return sum(1 << v for v in set(_group_data(g).sc_mul[:, e].tolist()))
 
 
-def _pair_sum(g: AbelianGroup, a: int, b: int) -> int:
-    """Sum of two subgroups given as masks, as the union of the cosets
-    A + y for y in B, via the addition table; memoized."""
-    data = _group_data(g)
-    key = (a, b) if a <= b else (b, a)
-    hit = data.sum_memo.get(key)
-    if hit is None:
-        ea = list(_bits(a))
-        hit = 0
-        for y in _bits(b):
-            if not hit >> y & 1:  # y starts a coset not yet in the sum
-                row = data.add[y].tolist()
-                for x in ea:
-                    hit |= 1 << row[x]
-        data.sum_memo[key] = hit
-    return hit
-
-
 # -- subgroups and the subgroup lattice ----------------------------------------
+
+_WORD_BITS = 64  # subgroups are uint64 element masks
+
+
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted. (A bare np.unique imports numpy.ma on its
+    first call, a cost paid inside the first request.)"""
+    words = np.sort(words, axis=None)
+    return words[np.concatenate(([True], words[1:] != words[:-1]))]
+
+
+def _masks_to_ints(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, bit j set where row[j] is."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 @cache
+def _perp_words(g: AbelianGroup) -> np.ndarray:
+    """perps[y]: the element mask of y^perp under the pairing of the module
+    docstring. Raises SizeLimitExceededError above the word size, so a
+    program that raises the group order cap gets no wrapped masks."""
+    if g.order > _WORD_BITS:
+        raise SizeLimitExceededError(
+            f"group order {g.order} exceeds the {_WORD_BITS}-element word limit "
+            f"of subgroup masks")
+    data = _group_data(g)
+    fs = g.invariant_factors
+    exponent = fs[-1] if fs else 1
+    c = data.coords.astype(np.intp)[:, :, None]  # (coordinate, element, 1)
+    w = np.array([exponent // d for d in fs], dtype=np.intp).reshape(-1, 1, 1)
+    pairing = (c * c.transpose(0, 2, 1) * w).sum(axis=0) % exponent  # <x, y>
+    perps = np.array(_masks_to_ints(pairing == 0), dtype=np.uint64)
+    perps.setflags(write=False)
+    return perps
+
+
+@cache
+def _subgroup_words(g: AbelianGroup) -> np.ndarray:
+    """Every subgroup as a uint64 element mask, by size, then by mask: the
+    intersection closure of the element perps, one AND per frontier word and
+    perp."""
+    perps = _distinct(_perp_words(g))
+    closed = frontier = perps  # closed stays sorted
+    while frontier.size:
+        meets = _distinct(frontier[:, None] & perps)
+        at = np.searchsorted(closed, meets).clip(max=len(closed) - 1)
+        frontier = meets[closed[at] != meets]
+        closed = np.sort(np.concatenate((closed, frontier)))
+    words = closed[np.argsort(np.bitwise_count(closed), kind="stable")]
+    words.setflags(write=False)
+    return words
+
+
 def _subgroup_masks(g: AbelianGroup) -> tuple[int, ...]:
     """Every subgroup as an element mask, by size, then by mask."""
-    # every subgroup is a sum of cyclic subgroups
-    cyclic = dict.fromkeys((_cyclic(g, e) for e in range(g.order)), ())
-    return tuple(sorted(close_under(cyclic, partial(_pair_sum, g)),
-                        key=lambda m: (m.bit_count(), m)))
+    return tuple(_subgroup_words(g).tolist())
 
 
 def _subgroup_names(g: AbelianGroup, masks) -> list[str]:
@@ -190,24 +231,30 @@ class _SubgroupLattice(NamedTuple):
 
 @cache
 def _subgroup_lattice(g: AbelianGroup) -> _SubgroupLattice:
-    masks = _subgroup_masks(g)
-    idx = {m: i for i, m in enumerate(masks)}
-    s = len(masks)
-    up = [0] * s
-    down = [0] * s
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & mj == mi:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    meet = [[idx[masks[i] & masks[j]] for j in range(s)] for i in range(s)]
-    join = [[0] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            cand = up[i] & up[j]
-            join[i][j] = (cand & -cand).bit_length() - 1
+    words = _subgroup_words(g)
+    sorted_words = np.sort(words)
+    by_mask = np.empty(len(words), dtype=np.intp)  # by_mask[j]: index of sorted_words[j]
+    by_mask[np.searchsorted(sorted_words, words)] = np.arange(len(words))
+
+    def index(w: np.ndarray) -> np.ndarray:
+        return by_mask[np.searchsorted(sorted_words, w)]
+
+    meets = words[:, None] & words
+    leq = meets == words[:, None]  # leq[i, j]: subgroup i lies in subgroup j
+    meet = index(meets)
+    # H^perp is the intersection of y^perp over the elements y of H
+    has = (words[:, None] >> np.arange(g.order, dtype=np.uint64)) & np.uint64(1)
+    dual = index(np.bitwise_and.reduce(
+        np.where(has == 1, _perp_words(g), words[-1]), axis=1))
+    join = dual[meet[np.ix_(dual, dual)]]
+    # rows of shared ints: tolist() makes an int object per entry above 256,
+    # 16 M of them at 2,825 subgroups
+    ids = list(range(len(words)))
+    join, meet = ([list(map(ids.__getitem__, row.tolist())) for row in table]
+                  for table in (join, meet))
+    masks = tuple(words.tolist())
     lat, order = _assemble(f"sub({g.spec_string()})", _subgroup_names(g, masks),
-                           up, down, join, meet)
+                           _masks_to_ints(leq), _masks_to_ints(leq.T), join, meet)
     mod = is_modular(lat)
     if not mod.holds:
         raise ConsistencyError(f"subgroup lattice of {g.spec_string()} "
@@ -263,12 +310,21 @@ class GroupHom:
 
 def _hom_tables(g: AbelianGroup, images) -> np.ndarray:
     """tables[i, e]: the image of element e under the endomorphism with
-    generator images images[i], built in one gather per generator."""
+    generator images images[i]. Ids are row-major in the coordinates, so
+    the columns for coordinates (x_1, ..., x_j) come from those for
+    (x_1, ..., x_j-1) by one flat gather from the addition table per
+    generator, with x_j times its image added, on indices in the narrowest
+    unsigned dtype that holds order^2 - 1."""
     data = _group_data(g)
+    n = g.order
+    dtype = np.min_scalar_type(n * n - 1)
+    add = data.add.ravel().astype(dtype)
     images = np.array(images, dtype=np.intp, ndmin=2)
-    tables = np.zeros((len(images), g.order), dtype=np.int16)
-    for j in range(g.rank):
-        tables = data.add[tables, data.sc_mul[data.coords[j], images[:, j, None]]]
+    tables = np.zeros((len(images), 1), dtype=dtype)
+    for j, d in enumerate(g.invariant_factors):
+        multiples = data.sc_mul[:d, images[:, j]].T.astype(dtype)  # c * image for c < d
+        tables = add[(tables * n)[:, :, None] + multiples[:, None, :]]
+        tables = tables.reshape(len(images), -1)
     return tables
 
 
@@ -322,16 +378,20 @@ def _image_steps(g: AbelianGroup) -> tuple[np.ndarray, tuple[tuple[int, int, int
 
 def _induced_rows(g: AbelianGroup, tables: np.ndarray) -> np.ndarray:
     """rows[i, s]: the lattice id of the image of subgroup s under hom table
-    tables[i], one join-table gather per subgroup."""
+    tables[i], one flat join-table gather per subgroup, on indices in the
+    narrowest unsigned dtype that holds s^2 - 1; the rows come in the
+    narrowest one that holds a lattice id."""
     lat = _subgroup_lattice(g).lattice
     cyclic, steps = _image_steps(g)
-    join = lat.tables_np[1]
-    images = cyclic[tables.T]  # images[e, i]: the id of <f_i(e)>
-    cols = np.empty((lat.n, len(tables)), dtype=np.int16)
+    s = lat.n
+    dtype = np.min_scalar_type(s * s - 1)
+    join = lat.tables_np[1].ravel().astype(dtype)
+    images = cyclic.astype(dtype)[tables.T]  # images[e, i]: the id of <f_i(e)>
+    cols = np.empty((s, len(tables)), dtype=dtype)
     cols[lat.bottom] = lat.bottom
     for h, c, e in steps:
-        cols[h] = join[cols[c], images[e]]
-    return cols.T
+        cols[h] = join.take(cols[c] * s + images[e])
+    return cols.T.astype(np.min_scalar_type(s - 1))
 
 
 def induced_map(f: GroupHom) -> LinearMorphism:

@@ -807,6 +807,11 @@ def chk_retractable(ctx):
 
 
 def chk_rickpix(ctx):
+    # This check cannot fail on a modular lattice: x' <= k, x ^ k = bottom
+    # and x v x' = top give k = x' v (x ^ k) = x' by the modular law, so the
+    # projection side is "every member kernel is complemented", the kernel
+    # side itself. It pins only that check_rickart_family and the
+    # per-kernel test in check_rickpix agree.
     v = check_rickpix(ctx.L, ctx.monoid)
     return _ok() if v.holds else (FAIL, {"notes": v.notes, "witness": v.witness})
 

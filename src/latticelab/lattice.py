@@ -154,10 +154,10 @@ class Lattice:
         """(leq, join, meet) as numpy arrays, built lazily."""
         if self._np_tables is None:
             n = self.n
-            leq = np.zeros((n, n), dtype=bool)
-            for a in range(n):
-                for b in _bits(self._up[a]):
-                    leq[a, b] = True
+            width = (n + 7) // 8
+            packed = b"".join(m.to_bytes(width, "little") for m in self._up)
+            leq = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(n, width),
+                                axis=1, count=n, bitorder="little").view(bool)
             join = np.array(self._join, dtype=np.int32)
             meet = np.array(self._meet, dtype=np.int32)
             self._np_tables = (leq, join, meet)
@@ -243,31 +243,29 @@ def _closure_masks(n: int, succ: list[list[int]], pred: list[list[int]]):
 
 
 def _tables_from_masks(n, up, down, names):
-    """Join/meet tables from up/down masks; raises when a bound is missing."""
+    """Join/meet tables from up/down masks; raises when a bound is missing.
+
+    The least upper bound of a and b is the one element whose up-set is
+    exactly their common upper bounds, up[a] & up[b], so each join is one
+    lookup of that mask; meets read down-sets the same way.
+    """
+    by_up = {m: y for y, m in enumerate(up)}
+    by_down = {m: y for y, m in enumerate(down)}
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for a in range(n):
+        up_a, down_a, join_a, meet_a = up[a], down[a], join[a], meet[a]
         for b in range(a, n):
-            ub = up[a] & up[b]
-            j = -1
-            for y in _bits(ub):
-                if up[y] & ub == ub:
-                    j = y
-                    break
-            if j < 0:
+            j = by_up.get(up_a & up[b])
+            if j is None:
                 raise NotALatticeError(
                     f"elements {names[a]!r} and {names[b]!r} have no least upper bound")
-            join[a][b] = join[b][a] = j
-            lb = down[a] & down[b]
-            m = -1
-            for y in _bits(lb):
-                if down[y] & lb == lb:
-                    m = y
-                    break
-            if m < 0:
+            join_a[b] = join[b][a] = j
+            m = by_down.get(down_a & down[b])
+            if m is None:
                 raise NotALatticeError(
                     f"elements {names[a]!r} and {names[b]!r} have no greatest lower bound")
-            meet[a][b] = meet[b][a] = m
+            meet_a[b] = meet[b][a] = m
     return join, meet
 
 
@@ -449,7 +447,8 @@ def lattice_to_dot(L: Lattice) -> str:
 
 
 def _modular_law(L: Lattice) -> Verdict:
-    """The modular-law test itself, uncached: O(n^3) table comparisons."""
+    """The modular-law test itself, uncached: O(n^3) table comparisons. The
+    witness is the first failing (a, b, c), b outermost, then a, then c."""
     leq, join, meet = L.tables_np
     for b in range(L.n):
         below = np.nonzero(leq[:, b])[0]
@@ -465,13 +464,46 @@ def _modular_law(L: Lattice) -> Verdict:
     return Verdict("modular", True)
 
 
+def _birkhoff(L: Lattice) -> bool:
+    """Birkhoff's criterion, in O(n^2): a finite lattice is modular exactly
+    when it is graded and r(x) + r(y) = r(x ^ y) + r(x v y) for all x, y.
+    With `L.rank` the longest chain up from the bottom, the lattice is
+    graded exactly when every cover raises the rank by 1. That rank rises
+    strictly along the order, and a strictly rising r with the rank
+    equation already makes the lattice modular, so the graded test is a
+    quick reject that never changes the answer."""
+    _, join, meet = L.tables_np
+    rank = np.array(L.rank, dtype=np.min_scalar_type(2 * L.n))  # sums fit
+    lo, hi = np.array(L._covers, dtype=np.intp).reshape(-1, 2).T
+    return bool((rank[hi] == rank[lo] + 1).all()) and np.array_equal(
+        rank[join] + rank[meet], rank[:, None] + rank)
+
+
+def _decide_modular(L: Lattice) -> Verdict:
+    """The modularity verdict, uncached: Birkhoff's criterion decides, and
+    only a lattice it refutes goes to `_modular_law` for the witness."""
+    if _birkhoff(L):
+        return Verdict("modular", True)
+    verdict = _modular_law(L)
+    if verdict.holds:
+        raise ConsistencyError(
+            f"{L.name} fails Birkhoff's rank criterion but the modular law "
+            f"finds no witness")
+    return verdict
+
+
 def is_modular(L: Lattice) -> Verdict:
     """Modular law: a <= b implies a v (c ^ b) = (a v c) ^ b, all a, b, c.
 
-    Decided once per lattice; later calls return the stored verdict.
+    Decided once per lattice; later calls return the stored verdict. The
+    decision is Birkhoff's criterion (graded, with r(x) + r(y) = r(x ^ y) +
+    r(x v y)), one pass over the covers and one over the join and meet
+    tables. A lattice it refutes goes through the O(n^3) modular law, whose
+    first failing triple is the witness; if that finds none, the two routes
+    disagree and ConsistencyError is raised.
     """
     if L._modular is None:
-        L._modular = _modular_law(L)
+        L._modular = _decide_modular(L)
     return L._modular
 
 

@@ -153,56 +153,63 @@ def table_verdicts(domain: Lattice, codomain: Lattice,
     and the kernel of each row it accepts (the kernel of a rejected row
     means nothing). A row's image top is its value at the top.
 
-    The clauses are those of `validate_linear`, over whole blocks of rows.
-    The kernels are joins of the zero preimages, reduced through the join
-    table, and the first clause is one gather, T[r, J[x, k_r]] == T[r, x].
-    For the second clause, a row with kernel k and image top a must be
-    injective on [k, top] (a sort finds repeated values), send every cover
-    of [k, top] to a cover, and [k, top] must have as many covers as
-    [bottom, a]. Then the restriction is an order isomorphism onto
-    [bottom, a]: chains of covers up to top land below T[top] = a, the
-    covers of [k, top] go one-to-one, so by count onto, to the covers of
-    [bottom, a], and every element of [bottom, a] lies on one of them. (A
-    row with an empty zero preimage keeps k = bottom and fails here, since
-    nothing reaches bottom.) Cover counts are read per row from
-    per-element tables, and the rows sharing a kernel are checked together.
+    The clauses are those of `validate_linear`, over whole blocks of rows,
+    with no loop inside a block. A linear row with kernel k sends exactly
+    [bottom, k] to bottom, and ids follow the order, so its kernel is the
+    last element it sends to bottom; each row is checked against that
+    candidate k, and one that passes is linear with kernel k, which is then
+    the join of its zero preimage, as `validate_linear` computes it. The
+    first clause is one gather, T[r, J[k_r, x]] == T[r, x]. For the second,
+    the values outside [k, top] are replaced by distinct sentinels above
+    every codomain id. A row with kernel k and image top a must then be
+    injective on [k, top] (one sort per row finds a repeated value), send
+    every cover of [k, top] to a cover (one gather over all domain covers
+    from a cover table whose sentinel rows all read true, since a cover with
+    its lower end in [k, top] has its upper end there too), and [k, top]
+    must have as many covers as [bottom, a]. Then the restriction is an
+    order isomorphism onto [bottom, a]: chains of covers up to top land
+    below T[top] = a, the covers of [k, top] go one-to-one, so by count
+    onto, to the covers of [bottom, a], and every element of [bottom, a]
+    lies on one of them. The gathers read flat tables, on indices in the
+    narrowest dtype that holds them.
     """
     given = np.asarray(tables)
     if given.ndim != 2:
         raise ValueError("map tables must form an (N, n) array")
     if given.shape[1] != domain.n:
         raise ValueError("map table length does not match the domain")
+    n, cn = domain.n, codomain.n
     leq, join, _ = domain.tables_np
     cod_leq = codomain.tables_np[0]
     lo, hi = np.array(domain.covers(), dtype=np.intp).reshape(-1, 2).T
     cod_lo, cod_hi = np.array(codomain.covers(), dtype=np.intp).reshape(-1, 2).T
-    is_cover = np.zeros((codomain.n, codomain.n), dtype=bool)
+    width = cn + n  # codomain ids, then one sentinel per domain element
+    is_cover = np.zeros((width, width), dtype=bool)
     is_cover[cod_lo, cod_hi] = True
+    is_cover[cn:] = True
     is_cover = is_cover.ravel()
     covers_above = leq[:, lo].sum(axis=1)  # the number of covers in [k, top]
     covers_below = cod_leq[cod_hi].sum(axis=0)  # ... and in [bottom, a]
+    dtype = np.min_scalar_type(width * width - 1)
+    sentinels = np.arange(cn, width, dtype=dtype)
+    offsets = np.arange(0, _BLOCK_ROWS * n, n, dtype=np.int32)[:, None]
 
     rejected = np.empty(len(given), dtype=bool)
     kernels = np.empty(len(given), dtype=np.intp)
     for start in range(0, len(given), _BLOCK_ROWS):
         T = given[start:start + _BLOCK_ROWS]
-        bad = ((T < 0) | (T >= codomain.n)).any(axis=1)
-        T = np.where(bad[:, None], codomain.bottom, T).astype(np.intp)
+        bad = ((T < 0) | (T >= cn)).any(axis=1)
+        T = np.where(bad[:, None], codomain.bottom, T).astype(dtype)
         zero = T == codomain.bottom
-        k = np.full(len(T), domain.bottom, dtype=np.intp)
-        for x in range(domain.n):
-            k = np.where(zero[:, x], join[k, x], k)
-        bad |= (np.take_along_axis(T, join[:, k].T, axis=1) != T).any(axis=1)
-        a = T[:, domain.top]
-        bad |= covers_above[k] != covers_below[a]
-        order = np.argsort(k, kind="stable")
-        starts = np.flatnonzero(np.diff(k[order], prepend=-1))
-        for rows in np.split(order, starts)[1:]:
-            up = leq[k[rows[0]]]
-            sub = T[rows]
-            repeats = np.diff(np.sort(sub[:, up], axis=1), axis=1) == 0
-            lands = is_cover[sub[:, lo[up[lo]]] * codomain.n + sub[:, hi[up[lo]]]]
-            bad[rows] |= repeats.any(axis=1) | ~lands.all(axis=1)
+        bad |= ~zero.any(axis=1)
+        k = n - 1 - np.argmax(zero[:, ::-1], axis=1)
+        bad |= (T.ravel()[offsets[:len(T)] + join[k]] != T).any(axis=1)
+        bad |= covers_above[k] != covers_below[T[:, domain.top]]
+        V = np.where(leq[k], T, sentinels)
+        ranked = np.sort(V, axis=1)
+        bad |= (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        V = np.ascontiguousarray(V.T)  # one row per element: the gathers copy rows
+        bad |= ~is_cover[V[lo] * width + V[hi]].all(axis=0)
         rejected[start:start + len(T)] = bad
         kernels[start:start + len(T)] = k
     return rejected, kernels

@@ -9,6 +9,7 @@ every group whose endomorphisms can be enumerated up to order 32.
 """
 
 import itertools
+from functools import cache
 from math import gcd, lcm, prod
 from types import SimpleNamespace
 
@@ -22,10 +23,11 @@ from latticelab.abelian import (
     _gen_images,
     _group_data,
     _hom_tables,
+    _cyclic,
     _induced_rows,
-    _pair_sum,
     _subgroup_lattice,
     _subgroup_masks,
+    _subgroup_names,
     endomorphisms,
     hom_compose,
     induced_map,
@@ -34,7 +36,8 @@ from latticelab.abelian import (
     subgroup_lattice,
 )
 from latticelab.errors import DomainMismatchError, SizeLimitExceededError
-from latticelab.lattice import _bits, complemented_elements, is_modular
+from latticelab.cli import run as cli_run
+from latticelab.lattice import _assemble, _bits, close_under, complemented_elements, is_modular
 from latticelab.morphisms import compose, enumerate_linmors
 from latticelab.properties import RICKART_KINDS
 
@@ -165,6 +168,49 @@ def kernel_image_sets_by_tables(g):
     return {int(v) for v in np.unique(kernels)}, {int(v) for v in np.unique(images)}
 
 
+def pair_sum(g, a, b):
+    """Sum of two subgroups given as masks, as the union of the cosets
+    A + y for y in B, via the addition table."""
+    add = _group_data(g).add
+    ea = list(_bits(a))
+    out = 0
+    for y in _bits(b):
+        if not out >> y & 1:  # y starts a coset not yet in the sum
+            row = add[y].tolist()
+            for x in ea:
+                out |= 1 << row[x]
+    return out
+
+
+@cache
+def subgroup_lattice_by_sums(g):
+    """(lattice, masks in lattice order) by the sum route: the subgroups are
+    the sum closure of the cyclic subgroups, the order and the meets come
+    from O(s^2) loops over mask pairs, and each join is the first common
+    upper bound in (size, mask) order. The oracle for the duality builder."""
+    cyclic = dict.fromkeys((_cyclic(g, e) for e in range(g.order)), ())
+    masks = sorted(close_under(cyclic, lambda a, b: pair_sum(g, a, b)),
+                   key=lambda m: (m.bit_count(), m))
+    idx = {m: i for i, m in enumerate(masks)}
+    s = len(masks)
+    up = [0] * s
+    down = [0] * s
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if mi & mj == mi:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    meet = [[idx[masks[i] & masks[j]] for j in range(s)] for i in range(s)]
+    join = [[0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(s):
+            cand = up[i] & up[j]
+            join[i][j] = (cand & -cand).bit_length() - 1
+    lat, order = _assemble(f"sub({g.spec_string()})", _subgroup_names(g, masks),
+                           up, down, join, meet)
+    return lat, tuple(masks[o] for o in order)
+
+
 def type_from_invariant_factors(g):
     """Per-prime descending exponent partitions, read off the factors."""
     out = {}
@@ -285,7 +331,49 @@ class TestSubgroupLattice:
                     for y in range(g.order):
                         if a >> x & 1 and b >> y & 1:
                             want |= 1 << int(add[x, y])
-                assert _pair_sum(g, a, b) == want, (a, b)
+                assert pair_sum(g, a, b) == want, (a, b)
+
+    def test_duality_builder_matches_the_sum_route(self):
+        """Field by field, for every group of order at most 64 but
+        2,2,2,2,2,2, whose 2,825 subgroups take the O(s^2) loops too long."""
+        chains = [c for c in invariant_factor_chains(64) if c != (2,) * 6]
+        assert len(chains) == 116
+        for chain in chains:
+            g = AbelianGroup(chain)
+            got = _subgroup_lattice(g)
+            lat, masks = subgroup_lattice_by_sums(g)
+            assert got.masks == masks, chain
+            assert got.mask_index == {m: i for i, m in enumerate(masks)}, chain
+            for field in ("name", "names", "n", "bottom", "top", "rank", "_up", "_down",
+                          "_join", "_meet", "_covers", "_upper_covers"):
+                assert getattr(got.lattice, field) == getattr(lat, field), (chain, field)
+
+    @pytest.mark.parametrize("rank, count", [
+        (0, 1), (1, 2), (2, 5), (3, 16), (4, 67), (5, 374), (6, 2825)])
+    def test_galois_numbers(self, rank, count):
+        """(Z/2)^k has as many subgroups as GF(2)^k has subspaces: the
+        Galois numbers, OEIS A006116."""
+        masks = _subgroup_masks(AbelianGroup((2,) * rank))
+        assert len(masks) == len(set(masks)) == count
+        assert masks == tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+    def test_masks_are_limited_to_one_word(self, monkeypatch, capsys):
+        """A raised group order cap admits groups above the 64 bits of a
+        subgroup mask: they raise SizeLimitExceededError, and `module`
+        exits 2, instead of building wrapped masks."""
+        monkeypatch.setattr(config, "DEFAULT_GROUP_ORDER_CAP", 128)
+        for spec in ("128", "2,64", "5,20"):
+            g = AbelianGroup.from_spec(spec)
+            with pytest.raises(SizeLimitExceededError, match="64-element word limit"):
+                _subgroup_masks(g)
+            with pytest.raises(SizeLimitExceededError, match="64-element word limit"):
+                subgroup_lattice(g)
+            assert cli_run(["module", "--group", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "64-element word limit" in captured.err
+        # order 64 itself fills the word: its last element is bit 63
+        assert _subgroup_masks(AbelianGroup((64,)))[-1] == (1 << 64) - 1
 
     def test_subgroup_counts(self):
         # chains: divisor counts; elementary abelian: Gaussian binomial sums

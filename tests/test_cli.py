@@ -739,6 +739,32 @@ def test_cli_run_leaves_numpy_ma_unimported():
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
+def test_requests_import_nothing_the_cli_import_did_not():
+    """Every module a request needs is imported with `latticelab.cli`, so no
+    request pays for a first import: `module --group 2,4,4 --json` and
+    run_conformance on the fixtures import nothing new. `locale` is the one
+    exception: argparse loads it on first use."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = ("import contextlib, io, json, sys\n"
+            "import latticelab.cli\n"
+            "from latticelab import fixtures\n"
+            "from latticelab.conformance import run_conformance\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = latticelab.cli.run(['--json', 'module', '--group', '2,4,4'])\n"
+            "report = run_conformance([fixtures.build_fixture(name)\n"
+            "                          for name in fixtures.FIXTURE_NAMES])\n"
+            "print(json.dumps([code, report.total_failures,\n"
+            "                  sorted(set(sys.modules) - before)]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, failures, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, failures) == (1, 0)
+    assert set(imported) <= {"locale", "_locale"}
+
+
 class TestTheorems:
     def test_fixture_corpus(self, capsys):
         code, out = run_capture(capsys, [

@@ -72,7 +72,7 @@ class TestMemo:
 
 
 def test_modular_law_runs_at_most_once_per_lattice(monkeypatch):
-    real = lattice_mod._modular_law
+    real = lattice_mod._decide_modular
     seen: dict[int, list] = {}
 
     def counting(L):
@@ -80,7 +80,7 @@ def test_modular_law_runs_at_most_once_per_lattice(monkeypatch):
         entry[1] += 1
         return real(L)
 
-    monkeypatch.setattr(lattice_mod, "_modular_law", counting)
+    monkeypatch.setattr(lattice_mod, "_decide_modular", counting)
     report = run_conformance([fx.mk(5)])
     assert report.total_failures == 0
     assert seen
@@ -89,16 +89,16 @@ def test_modular_law_runs_at_most_once_per_lattice(monkeypatch):
 
 def test_modular_law_runs_only_on_corpus_lattices(monkeypatch):
     """Intervals and opposites take over a holding verdict, so the monoids
-    built on them run no modular-law test of their own. excip's opposite
+    built on them decide no modularity of their own. excip's opposite
     has another structure key, so its dual twins use a second context."""
-    real = lattice_mod._modular_law
+    real = lattice_mod._decide_modular
     ran = []
 
     def recording(L):
         ran.append(L)
         return real(L)
 
-    monkeypatch.setattr(lattice_mod, "_modular_law", recording)
+    monkeypatch.setattr(lattice_mod, "_decide_modular", recording)
     corpus = [fx.build_fixture("excip"), fx.build_fixture("b3"), fx.mk(4)]
     # global checks build lattices of their own
     checks = [nm for nm, c in conformance_mod.REGISTRY.items() if c.kind != "global"]

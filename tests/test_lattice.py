@@ -1,13 +1,18 @@
 """Construction, validation, and structural queries."""
 
 import json
+import random
 import re
 
 import pytest
 
 from latticelab import config
 from latticelab import fixtures as fx
+from latticelab import lattice as lattice_mod
+from latticelab.abelian import AbelianGroup, subgroup_lattice
+from latticelab.conformance import random_corpus
 from latticelab.errors import (
+    ConsistencyError,
     EmptyLatticeError,
     NotALatticeError,
     NotAPosetError,
@@ -16,6 +21,11 @@ from latticelab.errors import (
     SizeLimitExceededError,
 )
 from latticelab.lattice import (
+    _birkhoff,
+    _bits,
+    _closure_masks,
+    _modular_law,
+    _tables_from_masks,
     build_lattice,
     complemented_elements,
     complements_of,
@@ -31,6 +41,8 @@ from latticelab.lattice import (
     lattice_to_json,
     socle_radical,
 )
+from latticelab.verdict import Verdict
+from test_pair_index import random_lattice
 
 
 class TestBuild:
@@ -110,6 +122,107 @@ class TestModular:
 
     def test_excip(self, excip):
         assert is_modular(excip).holds
+
+
+def is_graded(L):
+    return all(L.rank[b] == L.rank[a] + 1 for a, b in L.covers())
+
+
+class TestBirkhoff:
+    """Birkhoff's rank criterion decides modularity; the modular law is the
+    independent route, and names the witness."""
+
+    def test_criterion_matches_the_modular_law(self):
+        rng = random.Random(26)
+        randoms = [random_lattice(rng, f"r{i}", 4 + i % 2) for i in range(600)]
+        groups = [AbelianGroup.from_spec(spec) for spec in
+                  ("1", "8", "2,2", "2,4", "3,3", "2,2,2", "2,8", "4,4", "2,2,4", "2,2,2,2")]
+        lattices = ([fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+                    + random_corpus(200, 8, 42) + random_corpus(60, 10, 5)
+                    + [subgroup_lattice(g) for g in groups] + randoms)
+        kinds = set()
+        for L in lattices:
+            law = _modular_law(L).holds
+            assert _birkhoff(L) == law, L.name
+            kinds.add((law, is_graded(L)))
+        assert kinds == {(True, True), (False, True), (False, False)}
+        assert sum(not _modular_law(L).holds for L in randoms) > 200
+
+    def test_refutation_without_a_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(lattice_mod, "_modular_law",
+                            lambda L: Verdict("modular", True))
+        with pytest.raises(ConsistencyError, match="n5 fails Birkhoff"):
+            is_modular(fx.build_fixture("n5"))
+
+
+def tables_by_scan(n, up, down, names):
+    """Join and meet tables by scanning the common bounds for the one that
+    lies below (or above) all of them, pairs in order; the oracle for the
+    up-set lookup."""
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            ub = up[a] & up[b]
+            j = next((y for y in _bits(ub) if up[y] & ub == ub), None)
+            if j is None:
+                raise NotALatticeError(
+                    f"elements {names[a]!r} and {names[b]!r} have no least upper bound")
+            join[a][b] = join[b][a] = j
+            lb = down[a] & down[b]
+            m = next((y for y in _bits(lb) if down[y] & lb == lb), None)
+            if m is None:
+                raise NotALatticeError(
+                    f"elements {names[a]!r} and {names[b]!r} have no greatest lower bound")
+            meet[a][b] = meet[b][a] = m
+    return join, meet
+
+
+def test_bound_lookup_matches_the_scan():
+    """On random posets, lattices or not: the same tables, or the same
+    error text for the same first pair."""
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        names = [f"e{i}" for i in range(n)]
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.3:
+                    succ[a].append(b)
+                    pred[b].append(a)
+        up, down = _closure_masks(n, succ, pred)
+        results = []
+        for build in (_tables_from_masks, tables_by_scan):
+            try:
+                results.append(build(n, up, down, names))
+            except NotALatticeError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        outcomes.add(results[0].split(" have ")[1] if isinstance(results[0], str)
+                     else "lattice")
+    assert outcomes == {"lattice", "no least upper bound", "no greatest lower bound"}
+
+
+def test_numpy_tables_match_the_masks():
+    """tables_np against the scalar queries: leq bit by bit from the up-set
+    masks, join and meet entry by entry, on lattices of up to 67 elements,
+    so the masks run past one 64-bit word."""
+    rng = random.Random(5)
+    lattices = ([fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+                + random_corpus(40, 12, 3)
+                + [random_lattice(rng, f"r{i}", 6) for i in range(20)]
+                + [subgroup_lattice(AbelianGroup.from_spec("2,2,2,2"))])
+    assert max(L.n for L in lattices) == 67
+    for L in lattices:
+        leq, join, meet = L.tables_np
+        assert leq.dtype == bool and leq.shape == (L.n, L.n)
+        assert leq.tolist() == [[bool(L.up_mask(a) >> b & 1) for b in range(L.n)]
+                                for a in range(L.n)]
+        assert join.tolist() == [[L.join_of(a, b) for b in range(L.n)] for a in range(L.n)]
+        assert meet.tolist() == [[L.meet_of(a, b) for b in range(L.n)] for a in range(L.n)]
 
 
 class TestBoolean:

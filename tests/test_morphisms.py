@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from latticelab import config
 from latticelab import fixtures as fx
 from latticelab import morphisms
-from latticelab.abelian import AbelianGroup, subgroup_lattice
+from latticelab.abelian import AbelianGroup, induced_monoid, subgroup_lattice
 from latticelab.conformance import random_corpus, random_modular_lattice
 from latticelab.errors import (
     DomainMismatchError,
@@ -810,6 +810,35 @@ def validate_linear_by_bits(domain, codomain, mapping):
                 f"covers of {codomain.names[m[u]]!r} below {codomain.names[a]!r}")
     return LinearMorphism(domain=domain, codomain=codomain, map=m,
                           kernel=k, image_top=a)
+
+
+def test_batch_matches_validate_linear_on_monoid_rows():
+    """table_verdicts against validate_linear, row by row, on the rows of
+    full monoids, single-entry perturbations of them and random rows: the
+    modular fixtures, random_corpus(60, 10, 5) and three induced monoids,
+    the last of them more than one block of rows."""
+    rng = random.Random(26)
+    cases = [(L, full_monoid(L).tables) for L in
+             [fx.build_fixture(name) for name in fx.FIXTURE_NAMES if name != "n5"]
+             + random_corpus(60, 10, 5)]
+    for spec in ("2,2,2", "3,9", "2,4,4"):
+        mono = induced_monoid(AbelianGroup.from_spec(spec))
+        cases.append((mono.lattice, mono.tables))
+    rows_seen = linear_seen = 0
+    for L, members in cases:
+        rows = members.tolist()
+        if len(rows) < 4096:
+            rows = rng.sample(rows, min(len(rows), 120))
+        for base in rng.sample(rows, min(len(rows), 60)):
+            one = list(base)
+            one[rng.randrange(L.n)] = rng.randrange(L.n)
+            rows.append(one)
+        rows += [[rng.randrange(L.n) for _ in range(L.n)] for _ in range(20)]
+        rng.shuffle(rows)
+        linear_seen += assert_batch_agrees(L, L, rows)
+        rows_seen += len(rows)
+    assert 0 < linear_seen < rows_seen
+    assert max(len(members) for _, members in cases) > 4096
 
 
 def test_memoized_covers_match_the_bit_loops():

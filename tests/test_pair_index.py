@@ -167,10 +167,12 @@ def test_pair_index_matches_the_iso_scans_on_the_duality_corpus():
     assert mismatches == {}
 
 
-def random_lattice(rng, name):
-    """The intersection closure of a few random subsets of a 4-set, with the
-    whole set, ordered by inclusion: every finite lattice arises this way."""
-    sets = {15} | {rng.getrandbits(4) for _ in range(rng.randint(2, 6))}
+def random_lattice(rng, name, points=4):
+    """The intersection closure of a few random subsets of a `points`-set,
+    with the whole set, ordered by inclusion: every finite lattice arises
+    this way."""
+    sets = {(1 << points) - 1} | {rng.getrandbits(points)
+                                  for _ in range(rng.randint(2, points + 2))}
     closed = sorted(close_under(dict.fromkeys(sets, ()), lambda s, t: s & t),
                     key=lambda s: (bin(s).count("1"), s))
     names = [f"s{s}" for s in closed]
