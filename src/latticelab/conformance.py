@@ -28,6 +28,7 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
+    ProductLattice,
     build_lattice,
     close_under,
     complemented_elements,
@@ -171,6 +172,10 @@ class LatticeContext:
     @property
     def comp_set(self) -> set[int]:
         return self._get("comp_set", lambda: set(self.comp))
+
+    def product_with(self, other: LatticeContext) -> ProductLattice:
+        """The direct product of this lattice and other's, built once per pair."""
+        return self._get(("product", other), lambda: direct_product([self.L, other.L]))
 
     def fact(self, name: str) -> bool:
         """Whether L has the property `name` of `check_property`, read with
@@ -853,7 +858,7 @@ def chk_artif(ctx):
 
 def chk_prod_projections_linear(ctxL, ctxM):
     L, M = ctxL.L, ctxM.L
-    prod = direct_product([L, M])
+    prod = ctxL.product_with(ctxM)
     P = prod.lattice
     for j, factor in enumerate((L, M)):
         table = tuple(prod.coords[p][j] for p in range(P.n))
@@ -870,7 +875,7 @@ def chk_prod_projections_linear(ctxL, ctxM):
 
 def chk_prod_rickart_pairs(ctxL, ctxM):
     L, M = ctxL.L, ctxM.L
-    P = direct_product([L, M]).lattice
+    P = ctxL.product_with(ctxM).lattice
     comp = set(complemented_elements(P))
     lhs = comp.issuperset(_linmor_tables(P, P)[1].tolist())
     rhs = all(check_cross_rickart(A, B).holds

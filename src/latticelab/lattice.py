@@ -153,11 +153,7 @@ class Lattice:
     def tables_np(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(leq, join, meet) as numpy arrays, built lazily."""
         if self._np_tables is None:
-            n = self.n
-            width = (n + 7) // 8
-            packed = b"".join(m.to_bytes(width, "little") for m in self._up)
-            leq = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(n, width),
-                                axis=1, count=n, bitorder="little").view(bool)
+            leq = _bit_table(self._up, self.n)
             join = np.array(self._join, dtype=np.int32)
             meet = np.array(self._meet, dtype=np.int32)
             self._np_tables = (leq, join, meet)
@@ -174,6 +170,14 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, n={self.n})"
+
+
+def _bit_table(masks: Sequence[int], n: int) -> np.ndarray:
+    """The (len(masks), n) boolean table whose row i holds the bits of masks[i]."""
+    width = (n + 7) // 8
+    packed = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width),
+                         axis=1, count=n, bitorder="little").view(bool)
 
 
 def _structure_key(up: Sequence[int]) -> bytes:
@@ -623,66 +627,50 @@ class IntervalView:
 
     `members[i]` is the parent id of sub-element i; `from_parent` inverts it.
     Member order follows the parent's order. An interval is convex, so its
-    order and its covers are the parent's, restricted to the members: `n`,
-    `rank`, `down_mask` and `structure_key` are read off the parent's up,
-    down and upper-cover masks, compressed to member indices. `as_lattice`,
-    the interval re-indexed as a lattice, is built from those masks and the
-    parent's join and meet rows on first use, and agrees with them.
+    order and its covers are the parent's, restricted to the members.
+
+    Views are made by `interval` a side at a time: the first request for a
+    lower interval [bottom, x] makes all n lower views, the first for an
+    upper interval [x, top] all n upper views, and any other interval is
+    made alone. A view starts with its members and makes `from_parent` on
+    first use. The first read of `rank`, `structure_key` or the masks
+    (`_order`: up, down and upper-cover masks over member indices) of any
+    view fills in those fields for every view of the parent made so far, in
+    one pass (`_fill_views`). `as_lattice`, the interval re-indexed as a
+    lattice, is built from the masks and the parent's join and meet rows on
+    first use.
     """
 
-    __slots__ = ("parent", "lo", "hi", "members", "from_parent",
-                 "_masks", "_rank", "_key", "_lattice")
+    __slots__ = ("parent", "lo", "hi", "members", "from_parent", "_pending",
+                 "_order", "rank", "structure_key", "_lattice")
 
-    def __init__(self, parent: Lattice, lo: int, hi: int,
-                 members: tuple[int, ...], from_parent: dict[int, int]):
+    def __init__(self, parent: Lattice, lo: int, hi: int, members: tuple[int, ...]):
         self.parent = parent
         self.lo = lo
         self.hi = hi
         self.members = members
-        self.from_parent = from_parent
-        self._masks = None
-        self._rank: tuple[int, ...] | None = None
-        self._key: bytes | None = None
+        self._pending = True
         self._lattice: Lattice | None = None
+
+    def __getattr__(self, name: str):
+        # called only for a slot that is unset: a field not filled in yet
+        if name == "from_parent":
+            self.from_parent = dict(zip(self.members, range(len(self.members))))
+            return self.from_parent
+        if name not in ("_order", "rank", "structure_key") or not self._pending:
+            raise AttributeError(name)
+        _fill_views(self.parent)
+        return getattr(self, name)
 
     @property
     def n(self) -> int:
         return len(self.members)
-
-    @property
-    def _order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(up, down, upper covers) masks over member indices, built lazily."""
-        if self._masks is None:
-            L, pos = self.parent, self.from_parent
-            inside = L._up[self.lo] & L._down[self.hi]
-
-            def compress(m: int) -> int:
-                out = 0
-                for b in _bits(m & inside):
-                    out |= 1 << pos[b]
-                return out
-
-            self._masks = tuple(tuple(compress(masks[p]) for p in self.members)
-                                for masks in (L._up, L._down, L._upper_covers))
-        return self._masks
 
     def down_mask(self, i: int) -> int:
         return self._order[1][i]
 
     def _covers(self) -> list[tuple[int, int]]:
         return [(a, b) for a, m in enumerate(self._order[2]) for b in _bits(m)]
-
-    @property
-    def rank(self) -> tuple[int, ...]:
-        if self._rank is None:
-            self._rank = tuple(_ranks(self.n, self._covers()))
-        return self._rank
-
-    @property
-    def structure_key(self) -> bytes:
-        if self._key is None:
-            self._key = _structure_key(self._order[0])
-        return self._key
 
     @property
     def as_lattice(self) -> Lattice:
@@ -707,17 +695,83 @@ class IntervalView:
 
 
 def interval(L: Lattice, lo: int, hi: int) -> IntervalView:
-    """The index-level view of [lo, hi]; cached per lattice."""
-    cached = L._interval_cache.get((lo, hi))
+    """The index-level view of [lo, hi]; cached per lattice. The first
+    request for a lower interval [bottom, x] makes every lower view, the
+    first for an upper interval [x, top] every upper view."""
+    cache = L._interval_cache
+    cached = cache.get((lo, hi))
     if cached is not None:
         return cached
     if not L.leq(lo, hi):
         raise NotComparableError(
             f"{L.names[lo]!r} is not below {L.names[hi]!r} in {L.name}")
-    members = tuple(_bits(L.up_mask(lo) & L.down_mask(hi)))
-    view = IntervalView(L, lo, hi, members, {p: i for i, p in enumerate(members)})
-    L._interval_cache[(lo, hi)] = view
-    return view
+    if lo == L.bottom:
+        side = [(lo, x) for x in range(L.n)]
+    elif hi == L.top:
+        side = [(x, hi) for x in range(L.n)]
+    else:
+        side = [(lo, hi)]
+    inside = _bit_table([L._up[a] & L._down[b] for a, b in side], L.n)
+    ids = inside.nonzero()[1].tolist()  # the members of each view, view by view
+    start = 0
+    for pair, count in zip(side, inside.sum(axis=1).tolist()):
+        if pair not in cache:  # [bottom, top] is on both sides
+            cache[pair] = IntervalView(L, *pair, tuple(ids[start:start + count]))
+        start += count
+    return cache[(lo, hi)]
+
+
+def _fill_views(L: Lattice) -> None:
+    """Fill in the masks, ranks and structure keys of every view of L made
+    so far, in one pass.
+
+    Bit i of the compressed up mask of a member p of a view is whether p
+    lies below the view's i-th member; the down and upper-cover masks read
+    the other two tables the same way. One gather reads those bits for
+    every member of every view from the three tables, at its view's
+    members padded with an absent element n, and one product with the
+    powers of two packs them into uint64 words (a view has at most 64
+    members under the cap). The rank of y in [lo, hi] is the longest chain
+    from lo up to y. When lo is the bottom, or L is modular and so graded,
+    that is L.rank[y] - L.rank[lo]; otherwise one boolean product over the
+    covers per chain length finds it, as off graded lattices the
+    difference can fall short.
+    """
+    views = [view for view in L._interval_cache.values() if view._pending]
+    n = L.n
+    tables = np.zeros((3, n + 1, n + 1), dtype=bool)  # up-sets, down-sets, upper covers
+    tables[:, :n, :n] = _bit_table(L._up + L._down + L._upper_covers, n).reshape(3, n, n)
+    counts = [view.n for view in views]
+    members = np.fromiter(itertools.chain.from_iterable(view.members for view in views),
+                          dtype=np.intp)
+    owner = np.arange(len(views)).repeat(counts)
+    at = np.fromiter(itertools.chain.from_iterable(map(range, counts)), dtype=np.intp)
+    padded = np.full((len(views), max(counts)), n)  # each view's members, then n
+    padded[owner, at] = members
+    bits = tables.reshape(3, -1).take(members[:, None] * (n + 1) + padded[owner], axis=1)
+    powers = np.left_shift(np.uint64(1), np.arange(padded.shape[1], dtype=np.uint64))
+    up, down, upper_covers = (bits.view(np.uint8) @ powers).tolist()
+    lo = np.array([view.lo for view in views])
+    rank = np.array(L.rank)
+    if L._modular or (lo == L.bottom).all():
+        rank = rank[members] - rank[lo][owner]
+    else:
+        cover = tables[2, :n, :n].view(np.uint8)
+        reach, rank = tables[0, lo, :n], 0
+        while reach.any():  # reach[v, y]: some chain of the current length
+            reach = (reach.view(np.uint8) @ cover).astype(bool)  # runs from lo up to y
+            rank = rank + reach
+        rank = rank[owner, members]
+    rank = rank.tolist()
+    start = 0
+    for view, count in zip(views, counts):
+        end = start + count
+        ups = tuple(up[start:end])
+        view._order = (ups, tuple(down[start:end]), tuple(upper_covers[start:end]))
+        view.rank = tuple(rank[start:end])
+        view.structure_key = _structure_key(ups)
+        view._pending = False
+        start = end
 
 
 # -- products ----------------------------------------------------------------
@@ -735,9 +789,13 @@ class ProductLattice:
 def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     """Pointwise-ordered Cartesian product.
 
-    Element names are coordinate tuples of factor element names. Joins and
-    meets are taken coordinatewise, then the result is re-indexed into the
-    canonical order.
+    Element names are coordinate tuples of factor element names. The order,
+    join and meet tables are built by broadcasting the factor tables over
+    the coordinates of the elements in `itertools.product` order, whose ids
+    are the coordinates read in mixed radix; joins and meets are taken
+    coordinatewise. A cover raises one coordinate by a cover, so the rank
+    is the sum of the coordinate ranks. The result is then re-indexed into
+    the canonical order.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -748,27 +806,31 @@ def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     if total > cap:
         raise SizeLimitExceededError(f"product size {total} exceeds cap {cap}")
     tuples = list(itertools.product(*[range(f.n) for f in factors]))
-    pos = {t: i for i, t in enumerate(tuples)}
     names = ["(" + ",".join(f.names[c] for f, c in zip(factors, t)) + ")"
              for t in tuples]
     # factor names with commas can make two different tuples read alike
     repeated = next((nm for nm, c in Counter(names).items() if c > 1), None)
     if repeated is not None:
         raise ValueError(f"product element name {repeated!r} is repeated")
-    n = len(tuples)
-    up = [0] * n
-    down = [0] * n
-    for i, t in enumerate(tuples):
-        for j, s in enumerate(tuples):
-            if all(f.leq(a, b) for f, a, b in zip(factors, t, s)):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    join = [[pos[tuple(f.join_of(a, b) for f, a, b in zip(factors, t, s))]
-             for s in tuples] for t in tuples]
-    meet = [[pos[tuple(f.meet_of(a, b) for f, a, b in zip(factors, t, s))]
-             for s in tuples] for t in tuples]
-    lat, order = _assemble("x".join(f.name for f in factors), names,
-                           up, down, join, meet)
+    leq, join, meet, rank = True, 0, 0, 0
+    for f, c in zip(factors, np.array(tuples, dtype=np.intp).T):
+        f_leq, f_join, f_meet = (table[np.ix_(c, c)] for table in f.tables_np)
+        leq, join, meet = leq & f_leq, join * f.n + f_join, meet * f.n + f_meet
+        rank = rank + np.array(f.rank)[c]
+    rank = rank.tolist()
+    order = sorted(range(total), key=lambda i: (rank[i], names[i]))
+    pos = np.empty(total, dtype=np.int32)
+    pos[order] = np.arange(total)
+    leq, join, meet = (table[np.ix_(order, order)] for table in (leq, pos[join], pos[meet]))
+    # a cover is a pair with nothing strictly between
+    between = leq.view(np.uint8) @ leq.view(np.uint8)
+    bits = np.left_shift(np.uint64(1), np.arange(total, dtype=np.uint64))
+    lat = Lattice(name="x".join(f.name for f in factors), names=[names[o] for o in order],
+                  up=(leq * bits).sum(axis=1).tolist(), down=(leq.T * bits).sum(axis=1).tolist(),
+                  join=join.tolist(), meet=meet.tolist(), bottom=0, top=total - 1,
+                  rank=[rank[o] for o in order],
+                  covers=list(map(tuple, np.argwhere(leq & (between == 2)).tolist())))
+    lat._np_tables = (leq, join, meet)
     return ProductLattice(lattice=lat, factors=tuple(factors),
                           coords=tuple(tuples[o] for o in order))
 

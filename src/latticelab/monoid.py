@@ -22,6 +22,7 @@ from .lattice import (Lattice, close_under, complemented_elements, complements_o
                       require_modular)
 from .morphisms import (
     LinearMorphism,
+    _ascending,
     _linmor_tables,
     certify_tables,
     identity_morphism,
@@ -60,28 +61,32 @@ class EndoMonoid:
                  "_pairs", "_first", "_kernels", "_image_tops", "_zero_products")
 
     def __init__(self, lattice: Lattice, tables, kernels):
-        """The monoid of certified rows, given in any order: each row of
-        `tables` a linear map table of the lattice, with its kernel. A
-        repeated row raises ValueError."""
+        """The monoid of certified rows: each row of `tables` a linear map
+        table of the lattice, with its kernel. Rows that come in strictly
+        increasing lexicographic order, as `_linmor_tables` and `np.unique`
+        give them, are kept as they are, arrays included; rows in any other
+        order are sorted. A repeated row raises ValueError."""
         require_modular(lattice)
         n = lattice.n
-        tables = np.asarray(tables)
-        order = np.lexsort(tables.T[::-1])  # rows in lexicographic order
-        tables = tables[order].astype(np.min_scalar_type(n - 1), copy=False)
-        if (tables[1:] == tables[:-1]).all(axis=1).any():
-            raise ValueError("a member table is repeated")
-        # hits[r]: whether row r is the zero map, and whether it is the identity
-        hits = (tables[:, None] == np.array([[lattice.bottom] * n, range(n)])).all(axis=2)
-        if not hits.any(axis=0).all():
+        tables = np.asarray(tables).astype(np.min_scalar_type(n - 1), copy=False)
+        kernels = np.asarray(kernels, dtype=np.intp)
+        if not _ascending(tables):
+            order = np.lexsort(tables.T[::-1])
+            tables, kernels = tables[order], kernels[order]
+            if not _ascending(tables):  # sorted, so two rows are equal
+                raise ValueError("a member table is repeated")
+        # the bottom is id 0, so the zero map is the smallest row when present
+        identity = (tables == np.arange(n)).all(axis=1)
+        if not identity.any() or tables[0].any():
             raise NotClosedError("a submonoid with zero must contain the zero "
                                  "morphism and the identity")
         self.lattice = lattice
         self.tables = tables
-        self.member_kernels = np.asarray(kernels, dtype=np.intp)[order]
-        self.member_image_tops = tables[:, lattice.top].astype(np.intp)
+        self.member_kernels = kernels
+        self.member_image_tops = tables[:, lattice.top]
         for arr in (self.tables, self.member_kernels, self.member_image_tops):
             arr.setflags(write=False)
-        self.zero_idx, self.id_idx = hits.argmax(axis=0).tolist()
+        self.zero_idx, self.id_idx = 0, int(identity.argmax())
         self._members = None
         self._comp = None
         self._idem = None
@@ -170,15 +175,20 @@ class EndoMonoid:
         onto [a, top] followed by an interval isomorphism onto [bottom, b],
         so some such composite lies in the monoid exactly when b is in pairs[a]."""
         if self._pairs is None:
-            tops: dict[int, set[int]] = {}
-            first: dict[str, dict[int, int]] = {"kernel": {}, "image": {}}
-            for i, (k, a) in enumerate(zip(self.member_kernels.tolist(),
-                                           self.member_image_tops.tolist())):
-                tops.setdefault(k, set()).add(a)
-                first["kernel"].setdefault(k, i)
-                first["image"].setdefault(a, i)
-            self._first = {side: MappingProxyType(d) for side, d in first.items()}
-            self._pairs = {k: tuple(sorted(tops[k])) for k in sorted(tops)}
+            n = self.lattice.n
+            # the (kernel, image top) classes, sorted, and each one's first member
+            classes, first = np.unique(self.member_kernels * n + self.member_image_tops,
+                                       return_index=True)
+            classes, first = classes.tolist(), first.tolist()
+            firsts: dict[str, dict[int, int]] = {"kernel": {}, "image": {}}
+            for i, c in sorted(zip(first, classes)):
+                firsts["kernel"].setdefault(c // n, i)
+                firsts["image"].setdefault(c % n, i)
+            pairs: dict[int, list[int]] = {}
+            for c in classes:
+                pairs.setdefault(c // n, []).append(c % n)
+            self._first = {side: MappingProxyType(d) for side, d in firsts.items()}
+            self._pairs = {k: tuple(tops) for k, tops in pairs.items()}
         return self._pairs
 
     def first_with(self, side: str) -> Mapping[int, int]:
@@ -187,7 +197,7 @@ class EndoMonoid:
         member, read-only. A checker whose condition reads only the kernel or
         the image top names this first member as the witness of a failing
         one: it is the first failing member."""
-        self.pairs  # the same pass over the members records both sides
+        self.pairs  # one pass over the classes records both sides
         return self._first[side]
 
     def first_in_class(self, kernel: int, image_top: int, cols) -> int:

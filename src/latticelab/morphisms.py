@@ -232,6 +232,16 @@ def certify_tables(domain: Lattice, codomain: Lattice, tables) -> np.ndarray:
     return kernels
 
 
+def _ascending(tables: np.ndarray) -> bool:
+    """Whether the rows are in strictly increasing lexicographic order: at
+    the first position where each row differs from the one before it, its
+    value is the larger (rows that do not differ fail)."""
+    after, before = tables[1:], tables[:-1]
+    at = (after != before).argmax(axis=1)
+    rows = np.arange(len(at))
+    return bool((after[rows, at] > before[rows, at]).all())
+
+
 def row_keys(tables) -> np.ndarray:
     """One void key per row of an (N, n) array of non-negative table values.
     The values are written big-endian, in unsigned integers of the array's
@@ -337,10 +347,11 @@ def _iso_tables(A, B) -> np.ndarray:
     if hit is not None:
         return hit
     out: list[tuple[int, ...]] = []
-    if sorted(A.rank) == sorted(B.rank):
+    rank_a, rank_b = A.rank, B.rank
+    if sorted(rank_a) == sorted(rank_b):
         n = A.n
-        order = sorted(range(n), key=A.rank.__getitem__)
-        cand = [[v for v in range(n) if B.rank[v] == A.rank[p]] for p in order]
+        order = sorted(range(n), key=rank_a.__getitem__)
+        cand = [[v for v, r in enumerate(rank_b) if r == rank_a[p]] for p in order]
         below = [tuple(_bits(A.down_mask(p) & ~(1 << p))) for p in order]
         down = [B.down_mask(v) for v in range(n)]
         assign = [-1] * n
@@ -377,15 +388,6 @@ def enumerate_interval_isos(A: IntervalView, B: IntervalView) -> list[IntervalIs
             for fwd, back in zip(tables.tolist(), tables.argsort(axis=1).tolist())]
 
 
-def iso_composites(src: IntervalView, dst: IntervalView, pre) -> list[tuple[int, ...]]:
-    """The tables x -> theta(pre[x]) for each iso theta: src -> dst, in
-    `enumerate_interval_isos` order, read off in parent ids by one gather.
-    `pre` lists, for each x, a parent element inside src."""
-    row = [src.from_parent[p] for p in pre]
-    gathered = np.array(dst.members)[_iso_tables(src, dst)[:, row]]
-    return list(map(tuple, gathered.tolist()))
-
-
 # -- enumeration of all linear morphisms --------------------------------------
 
 _LINMOR_CACHE: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
@@ -400,7 +402,9 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray]:
     [bottom, a] have one size contributes the composites x -> theta(x v k)
     of its interval isomorphisms theta, gathered as one block from the
     isomorphism tables and the members of [bottom, a], in the final table
-    dtype.
+    dtype. The views of both sides are fetched before any is read, so one
+    pass fills them in, and the lower views are grouped by size, so only
+    views of equal size are paired.
     """
     cap = config.DEFAULT_ENUM_CAP
     if max(L.n, M.n) > cap:
@@ -411,28 +415,30 @@ def _linmor_tables(L: Lattice, M: Lattice) -> tuple[np.ndarray, np.ndarray]:
     if hit is not None:
         return hit
     dtype = np.min_scalar_type(M.n - 1)
+    upper = [interval(L, k, L.top) for k in range(L.n)]
+    lower: dict[int, list[tuple[IntervalView, np.ndarray]]] = {}
+    for a in range(M.n):
+        dn_view = interval(M, M.bottom, a)
+        lower.setdefault(dn_view.n, []).append(
+            (dn_view, np.array(dn_view.members, dtype=dtype)))
     blocks: list[np.ndarray] = []
     kernels: list[int] = []
-    for k in range(L.n):
-        up_view = interval(L, k, L.top)
+    for k, up_view in enumerate(upper):
         row_k = None
-        for a in range(M.n):
-            dn_view = interval(M, M.bottom, a)
-            if dn_view.n != up_view.n:
-                continue
+        for dn_view, members in lower.get(up_view.n, ()):
             isos = _iso_tables(up_view, dn_view)
             if not len(isos):
                 continue
             if row_k is None:
-                row_k = np.array([up_view.from_parent[L.join_of(x, k)]
-                                  for x in range(L.n)], dtype=np.intp)
-            blocks.append(np.array(dn_view.members, dtype=dtype)[isos[:, row_k]])
+                pos = up_view.from_parent
+                row_k = np.array([pos[j] for j in L._join[k]], dtype=np.intp)
+            blocks.append(members[isos.take(row_k, axis=1)])
             kernels.append(k)
     counts = [len(b) for b in blocks]
     tables = np.concatenate(blocks)
     order = np.lexsort(tables.T[::-1])
     tables = tables[order]
-    if (tables[1:] == tables[:-1]).all(axis=1).any():
+    if not _ascending(tables):
         raise ConsistencyError(
             f"two factorizations give the same map from {L.name} to {M.name}")
     kernels = np.repeat(np.array(kernels, dtype=np.intp), counts)[order]

@@ -32,12 +32,12 @@ from latticelab.errors import (LatticeLabError, LinearValidationError, NotInterv
 from latticelab.lattice import (complements_of, direct_product, interval, is_modular,
                                lattice_to_json, opposite)
 from latticelab.monoid import EndoMonoid, full_monoid, generated_monoid
-from latticelab.morphisms import (compose, enumerate_linmors, iso_composites,
-                                  table_verdicts, validate_linear)
+from latticelab.morphisms import compose, enumerate_linmors, table_verdicts, validate_linear
 from latticelab.properties import (PROPERTY_NAMES, check_generation, check_property,
                                    check_rickart_family)
 
 from test_duality import ROOTS
+from test_pair_index import iso_composites
 
 # every check id named by the acceptance gate must exist
 ACCEPTANCE_CHECKS = [
@@ -592,6 +592,23 @@ def test_kerpi_reports_a_wrong_composite_kernel_like_its_loop(monkeypatch, L):
 # in a product the ids of [a, top] come in another order than those of the
 # whole lattice, so the composites of one (a, x) in the order of their
 # interval isomorphisms are not in table order
+def test_run_conformance_builds_one_product_per_pair(monkeypatch):
+    """The two product checks share each pair's product: with the pairs
+    (c2, c2), (b2, b2), (c3, c3), (c2, b2) and (m3, c3), five products."""
+    built = []
+
+    def counting(factors):
+        built.append(tuple(f.name for f in factors))
+        return direct_product(factors)
+
+    monkeypatch.setattr(conformance, "direct_product", counting)
+    report = run_conformance([fx.build_fixture(nm) for nm in ("c2", "b2", "m3", "c3")])
+    assert sorted(built) == sorted([("c2", "c2"), ("b2", "b2"), ("c3", "c3"), ("c2", "b2"),
+                                    ("m3", "c3")])
+    for name in ("prod_projections_linear", "prod_rickart_pairs"):
+        assert report.counts[name] == {"pass": 5, "fail": 0, "skip": 0}
+
+
 C3XC3 = direct_product([fx.build_fixture("c3")] * 2).lattice
 
 

@@ -1,9 +1,12 @@
 """Construction, validation, and structural queries."""
 
+import itertools
 import json
 import random
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from latticelab import config
@@ -21,6 +24,9 @@ from latticelab.errors import (
     SizeLimitExceededError,
 )
 from latticelab.lattice import (
+    Lattice,
+    ProductLattice,
+    _assemble,
     _birkhoff,
     _bits,
     _closure_masks,
@@ -355,6 +361,71 @@ class TestProduct:
         for i, cs in enumerate(prod.coords):
             expect = "(" + ",".join(f.names[c] for f, c in zip(prod.factors, cs)) + ")"
             assert prod.lattice.names[i] == expect
+
+
+def product_by_double_loop(factors):
+    """The direct product as `direct_product` once built it: order masks
+    from a double loop over coordinate tuples, join and meet tables by
+    tuple lookups, then `_assemble`. The oracle for the broadcast build."""
+    tuples = list(itertools.product(*[range(f.n) for f in factors]))
+    pos = {t: i for i, t in enumerate(tuples)}
+    names = ["(" + ",".join(f.names[c] for f, c in zip(factors, t)) + ")"
+             for t in tuples]
+    repeated = next((nm for nm, c in Counter(names).items() if c > 1), None)
+    if repeated is not None:
+        raise ValueError(f"product element name {repeated!r} is repeated")
+    n = len(tuples)
+    up = [0] * n
+    down = [0] * n
+    for i, t in enumerate(tuples):
+        for j, s in enumerate(tuples):
+            if all(f.leq(a, b) for f, a, b in zip(factors, t, s)):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    join = [[pos[tuple(f.join_of(a, b) for f, a, b in zip(factors, t, s))]
+             for s in tuples] for t in tuples]
+    meet = [[pos[tuple(f.meet_of(a, b) for f, a, b in zip(factors, t, s))]
+             for s in tuples] for t in tuples]
+    lat, order = _assemble("x".join(f.name for f in factors), names,
+                           up, down, join, meet)
+    return ProductLattice(lattice=lat, factors=tuple(factors),
+                          coords=tuple(tuples[o] for o in order))
+
+
+PRODUCT_FIELDS = ("name", "names", "n", "bottom", "top", "rank", "_up", "_down", "_join",
+                  "_meet", "_covers", "_upper_covers")
+
+
+def test_products_match_the_double_loop():
+    """Every pair of fixtures and small random lattices, some triples, and
+    products of 64 elements: the broadcast build equals the double loop
+    field by field, coords included, and its stored numpy tables are the
+    ones the lattice would unpack from its masks. Over the cap, both
+    refuse."""
+    smalls = ([fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+              + random_corpus(8, 6, 3) + [random_lattice(random.Random(2), "r", 5)])
+    cases = [[A, B] for A in smalls for B in smalls]
+    cases += [[A] for A in smalls] + [[fx.chain(2)] * 6, [fx.chain(4)] * 3,
+                                      [fx.build_fixture("b3")] * 2, smalls[:3], smalls[4:7]]
+    built = 0
+    for factors in cases:
+        total = np.prod([f.n for f in factors])
+        if total > config.DEFAULT_LATTICE_CAP:
+            with pytest.raises(SizeLimitExceededError):
+                direct_product(factors)
+            continue
+        got, want = direct_product(factors), product_by_double_loop(factors)
+        for field in PRODUCT_FIELDS:
+            assert getattr(got.lattice, field) == getattr(want.lattice, field), field
+        assert got.coords == want.coords and got.factors == want.factors
+        plain = Lattice(name="p", names=got.lattice.names, up=got.lattice._up,
+                        down=got.lattice._down, join=got.lattice._join,
+                        meet=got.lattice._meet, bottom=0, top=got.lattice.n - 1,
+                        rank=got.lattice.rank, covers=got.lattice.covers())
+        for stored, unpacked in zip(got.lattice.tables_np, plain.tables_np):
+            assert stored.dtype == unpacked.dtype and np.array_equal(stored, unpacked)
+        built += 1
+    assert built > 150
 
 
 class TestDecompose:

@@ -18,7 +18,7 @@ from latticelab.conformance import (LatticeContext, chk_baercar, chk_kercompkerg
                                     random_corpus)
 from latticelab.errors import NotClosedError, NotModularError, SizeLimitExceededError
 from latticelab.lattice import (close_under, complemented_elements, complements_of,
-                                is_modular)
+                                direct_product, is_modular)
 from latticelab.monoid import (
     MAX_GENERATED_MEMBERS,
     EndoMonoid,
@@ -196,7 +196,7 @@ class TestArrayBacked:
             for name in ("tables", "member_kernels", "member_image_tops"):
                 assert np.array_equal(getattr(other, name), getattr(m, name)), name
                 assert not getattr(other, name).flags.writeable
-            assert other.member_image_tops.dtype == np.intp
+            assert other.member_image_tops.dtype == other.tables.dtype
             assert (other.zero_idx, other.id_idx) == (m.zero_idx, m.id_idx)
             assert other.pairs == m.pairs
             for side in ("kernel", "image"):
@@ -232,6 +232,23 @@ class TestArrayBacked:
             rows = np.r_[np.arange(len(m)), len(m) // 2]
             with pytest.raises(ValueError, match=r"^a member table is repeated$"):
                 EndoMonoid(m.lattice, m.tables[rows], m.member_kernels[rows])
+
+    def test_sorted_rows_are_kept_as_they_come(self):
+        """End(L) keeps the enumeration's arrays, top column included, and
+        an induced monoid the rows `np.unique` gave it; a repeated row in
+        sorted position is refused as well."""
+        L = direct_product([fx.build_fixture("m3"), fx.chain(3)]).lattice
+        m = full_monoid(L)
+        tables, kernels = morphisms_module._linmor_tables(L, L)
+        assert np.shares_memory(m.tables, tables)
+        assert np.shares_memory(m.member_kernels, kernels)
+        assert np.shares_memory(m.member_image_tops, tables)
+        rows, kernels = m.tables.copy(), m.member_kernels.copy()
+        again = EndoMonoid(L, rows, kernels)
+        assert again.tables is rows and again.member_kernels is kernels
+        repeated = np.r_[np.arange(len(m)), len(m) - 1]
+        with pytest.raises(ValueError, match=r"^a member table is repeated$"):
+            EndoMonoid(L, m.tables[repeated], m.member_kernels[repeated])
 
     @pytest.mark.parametrize("missing", ["zero_idx", "id_idx"])
     def test_set_without_zero_or_identity_is_refused(self, missing):

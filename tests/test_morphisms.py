@@ -26,7 +26,8 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import (Lattice, _bits, _covers_from_masks, _ranks, build_lattice,
+from latticelab.lattice import (Lattice, _bits, _covers_from_masks, _ranks, _structure_key,
+                                build_lattice, is_modular,
                                 complemented_elements, complements_of, direct_product,
                                 interval, lattice_from_json, lattice_to_json)
 from latticelab.morphisms import (
@@ -40,7 +41,6 @@ from latticelab.morphisms import (
     identity_morphism,
     interval_inclusion,
     interval_quotient,
-    iso_composites,
     morphism_from_json,
     morphism_to_json,
     projection,
@@ -52,7 +52,7 @@ from latticelab.monoid import full_monoid
 from latticelab.properties import check_condition
 
 from test_duality import LATTICES, ROOTS
-from test_pair_index import monoids
+from test_pair_index import iso_composites, monoids, random_lattice
 
 
 def brute_force_linmors(L, M):
@@ -578,6 +578,107 @@ def test_interval_views_match_the_eager_build():
                 assert sub.structure_key == want.structure_key
                 count += 1
     assert count > 5000
+
+
+def view_fields_by_compress(L, lo, hi):
+    """[lo, hi] as `interval` once read it, one view at a time: the members
+    off the parent's masks, each member's up, down and upper-cover sets
+    compressed bit by bit to member indices, ranks by `_ranks` over the
+    compressed covers, and the key by `_structure_key`. The oracle for the
+    batched views."""
+    inside = L.up_mask(lo) & L.down_mask(hi)
+    members = tuple(_bits(inside))
+    pos = {p: i for i, p in enumerate(members)}
+
+    def compress(m):
+        out = 0
+        for b in _bits(m & inside):
+            out |= 1 << pos[b]
+        return out
+
+    masks = tuple(tuple(compress(table[p]) for p in members)
+                  for table in (L._up, L._down, L._upper_covers))
+    covers = [(a, b) for a, m in enumerate(masks[2]) for b in _bits(m)]
+    return members, masks, tuple(_ranks(len(members), covers)), _structure_key(masks[0])
+
+
+def graded(L):
+    return all(L.rank[b] == L.rank[a] + 1 for a, b in L.covers())
+
+
+def batch_corpus():
+    """The fixtures, random_corpus(200, 8, 42) and (60, 10, 5), products of
+    up to 64 elements, ten subgroup lattices, non-graded random lattices
+    and ng, each as a fresh copy whose modularity is not yet decided."""
+    rng = random.Random(5)
+    draws = [random_lattice(rng, f"d{i}", 5 + i % 2) for i in range(80)]
+    c2, c3, c4, b2, b3, m3 = (fx.chain(2), fx.chain(3), fx.chain(4), fx.build_fixture("b2"),
+                              fx.build_fixture("b3"), fx.build_fixture("m3"))
+    products = [direct_product(fs).lattice for fs in (
+        [b3, b3], [c2] * 6, [c4] * 3, [m3, m3], [m3, c4, c3], [b2, c2, c4, c2], [c4, fx.chain(16)])]
+    groups = ("2", "4", "6", "8", "9", "12", "2,2", "2,4", "3,3", "2,2,2")
+    corpus = ([fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+              + random_corpus(200, 8, 42) + random_corpus(60, 10, 5) + products
+              + [subgroup_lattice(AbelianGroup.from_spec(g)) for g in groups]
+              + [L for L in draws if not graded(L)] + [non_graded_lattices()[0]])
+    return [lattice_from_json(lattice_to_json(L)) for L in corpus]
+
+
+def test_batched_views_match_the_compress_route():
+    """Every lower and upper view of the batch corpus, and every interval of
+    its lattices of at most 10 elements, field by field against the
+    one-view route: members, masks, rank, structure key. Each lattice is
+    read twice, with its modularity undecided and decided, so the modular
+    ranks L.rank[y] - L.rank[lo] and the chain-length pass both meet the
+    oracle; on the decided copy `as_lattice` is pinned against the build
+    from the parent's tables too."""
+    corpus = batch_corpus()
+    assert sum(not graded(L) for L in corpus) >= 10
+    assert max(L.n for L in corpus) == 64
+    views = 0
+    for decided in (False, True):
+        for L in corpus:
+            L = lattice_from_json(lattice_to_json(L))
+            if decided:
+                is_modular(L)
+            pairs = [(L.bottom, x) for x in range(L.n)] + [(x, L.top) for x in range(L.n)]
+            if L.n <= 10:
+                pairs += [(lo, hi) for lo in range(L.n) for hi in _bits(L.up_mask(lo))]
+            for lo, hi in pairs:
+                view = interval(L, lo, hi)
+                members, masks, rank, key = view_fields_by_compress(L, lo, hi)
+                assert view.members == members
+                assert view.from_parent == {p: i for i, p in enumerate(members)}
+                assert view._order == masks, (L.name, lo, hi)
+                assert view.rank == rank, (L.name, lo, hi)
+                assert view.structure_key == key, (L.name, lo, hi)
+                if decided and (lo == L.bottom or hi == L.top):
+                    sub = view.as_lattice
+                    want = interval_lattice_by_tables(L, lo, hi)[1]
+                    for field in LATTICE_FIELDS:
+                        assert getattr(sub, field) == getattr(want, field), (L.name, field)
+                views += 1
+    assert views > 20000
+
+
+def test_views_are_made_a_side_at_a_time_and_filled_together():
+    """Asking for one lower (upper) view makes all of them; reading a field
+    of one view fills in every view of the lattice made so far, and a view
+    made later waits for its own first read."""
+    L = direct_product([fx.build_fixture("m3"), fx.chain(3)]).lattice
+    lower = interval(L, L.bottom, 3)
+    assert len(L._interval_cache) == L.n
+    upper = interval(L, 3, L.top)
+    assert len(L._interval_cache) == 2 * L.n - 1
+    assert interval(L, L.bottom, L.top) is interval(L, L.bottom, L.top)
+    assert lower.rank == view_fields_by_compress(L, L.bottom, 3)[2]
+    assert not any(view._pending for view in L._interval_cache.values())
+    assert upper.structure_key == view_fields_by_compress(L, 3, L.top)[3]
+    middle = interval(L, 3, L.id_of("(b,2)"))
+    assert middle._pending and len(L._interval_cache) == 2 * L.n
+    assert middle._order == view_fields_by_compress(L, 3, L.id_of("(b,2)"))[1]
+    with pytest.raises(AttributeError):
+        upper.no_such_field
 
 
 def test_iso_tables_read_views_as_their_lattices(monkeypatch):

@@ -12,6 +12,7 @@ lattices only: on random non-modular lattices every monoid builder refuses.
 
 import random
 
+import numpy as np
 import pytest
 
 from latticelab import conformance as conformance_mod
@@ -21,11 +22,20 @@ from latticelab.lattice import (build_lattice, close_under, complemented_element
                                 complements_of, essential_superfluous, interval,
                                 is_modular)
 from latticelab.monoid import explicit_monoid, full_monoid, generated_monoid
-from latticelab.morphisms import (enumerate_interval_isos, enumerate_linmors,
-                                  identity_morphism, iso_composites, zero_morphism)
+from latticelab.morphisms import (_iso_tables, enumerate_interval_isos, enumerate_linmors,
+                                  identity_morphism, zero_morphism)
 from latticelab.properties import check_condition, check_nonsingularity
 from latticelab.verdict import Verdict
 from test_duality import LATTICES
+
+
+def iso_composites(src, dst, pre) -> list[tuple[int, ...]]:
+    """The tables x -> theta(pre[x]) for each iso theta: src -> dst, in
+    `enumerate_interval_isos` order, read off in parent ids by one gather.
+    `pre` lists, for each x, a parent element inside src."""
+    row = [src.from_parent[p] for p in pre]
+    gathered = np.array(dst.members)[_iso_tables(src, dst)[:, row]]
+    return list(map(tuple, gathered.tolist()))
 
 
 def quotient_composites(L, a, b):
