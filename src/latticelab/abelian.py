@@ -41,7 +41,8 @@ import numpy as np
 
 from . import config
 from .errors import ConsistencyError, DomainMismatchError, SizeLimitExceededError
-from .lattice import Lattice, _assemble, _bits, complemented_elements, is_modular
+from .lattice import (Lattice, _assemble, _bits, _masks_to_ints, complemented_elements,
+                      is_modular)
 from .monoid import EndoMonoid
 from .morphisms import LinearMorphism, certify_tables, row_keys, validate_linear
 from .properties import RICKART_KINDS, check_rickart_family
@@ -148,15 +149,6 @@ def _distinct(words: np.ndarray) -> np.ndarray:
     first call, a cost paid inside the first request.)"""
     words = np.sort(words, axis=None)
     return words[np.concatenate(([True], words[1:] != words[:-1]))]
-
-
-def _masks_to_ints(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, bit j set where row[j] is."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]
 
 
 @cache

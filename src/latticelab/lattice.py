@@ -180,6 +180,21 @@ def _bit_table(masks: Sequence[int], n: int) -> np.ndarray:
                          axis=1, count=n, bitorder="little").view(bool)
 
 
+def _masks_to_ints(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, bit j set where row[j] is.
+    Rows of at most 64 columns are packed by one product with the powers
+    of two, wider rows byte by byte."""
+    width = rows.shape[1]
+    if width <= 64:
+        powers = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+        return (rows.view(np.uint8) @ powers).tolist()
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
 def _structure_key(up: Sequence[int]) -> bytes:
     """The element count, then each up-set mask, in big-endian bytes."""
     n = len(up)
@@ -641,26 +656,42 @@ class IntervalView:
     first use.
     """
 
-    __slots__ = ("parent", "lo", "hi", "members", "from_parent", "_pending",
-                 "_order", "rank", "structure_key", "_lattice")
+    __slots__ = ("parent", "lo", "hi", "members", "_from_parent", "_masks", "_rank",
+                 "_key", "_lattice")
 
     def __init__(self, parent: Lattice, lo: int, hi: int, members: tuple[int, ...]):
         self.parent = parent
         self.lo = lo
         self.hi = hi
         self.members = members
-        self._pending = True
+        self._from_parent: dict[int, int] | None = None
+        self._masks: tuple[tuple[int, ...], ...] | None = None
+        self._rank: tuple[int, ...] | None = None
+        self._key: bytes | None = None
         self._lattice: Lattice | None = None
 
-    def __getattr__(self, name: str):
-        # called only for a slot that is unset: a field not filled in yet
-        if name == "from_parent":
-            self.from_parent = dict(zip(self.members, range(len(self.members))))
-            return self.from_parent
-        if name not in ("_order", "rank", "structure_key") or not self._pending:
-            raise AttributeError(name)
-        _fill_views(self.parent)
-        return getattr(self, name)
+    @property
+    def from_parent(self) -> dict[int, int]:
+        if self._from_parent is None:
+            self._from_parent = dict(zip(self.members, range(len(self.members))))
+        return self._from_parent
+
+    def _filled(self) -> "IntervalView":
+        if self._masks is None:
+            _fill_views(self.parent, self)
+        return self
+
+    @property
+    def _order(self) -> tuple[tuple[int, ...], ...]:
+        return self._filled()._masks
+
+    @property
+    def rank(self) -> tuple[int, ...]:
+        return self._filled()._rank
+
+    @property
+    def structure_key(self) -> bytes:
+        return self._filled()._key
 
     @property
     def n(self) -> int:
@@ -721,56 +752,52 @@ def interval(L: Lattice, lo: int, hi: int) -> IntervalView:
     return cache[(lo, hi)]
 
 
-def _fill_views(L: Lattice) -> None:
-    """Fill in the masks, ranks and structure keys of every view of L made
-    so far, in one pass.
+def _fill_views(L: Lattice, view: IntervalView) -> None:
+    """Fill in the masks, ranks and structure keys of `view` and of every
+    other view of L made so far, in one pass.
 
     Bit i of the compressed up mask of a member p of a view is whether p
     lies below the view's i-th member; the down and upper-cover masks read
     the other two tables the same way. One gather reads those bits for
     every member of every view from the three tables, at its view's
-    members padded with an absent element n, and one product with the
-    powers of two packs them into uint64 words (a view has at most 64
-    members under the cap). The rank of y in [lo, hi] is the longest chain
-    from lo up to y. When lo is the bottom, or L is modular and so graded,
-    that is L.rank[y] - L.rank[lo]; otherwise one boolean product over the
-    covers per chain length finds it, as off graded lattices the
-    difference can fall short.
+    members padded with an absent element n, and `_masks_to_ints` packs
+    them. The rank of y in [lo, hi] is the longest chain from lo up to y:
+    one boolean product over the covers per chain length finds it for
+    every distinct lo at once (off graded lattices L.rank[y] - L.rank[lo]
+    can fall short).
     """
-    views = [view for view in L._interval_cache.values() if view._pending]
+    views = [v for v in list(L._interval_cache.values()) if v._masks is None and v is not view]
+    views.append(view)
     n = L.n
     tables = np.zeros((3, n + 1, n + 1), dtype=bool)  # up-sets, down-sets, upper covers
     tables[:, :n, :n] = _bit_table(L._up + L._down + L._upper_covers, n).reshape(3, n, n)
-    counts = [view.n for view in views]
-    members = np.fromiter(itertools.chain.from_iterable(view.members for view in views),
+    counts = [v.n for v in views]
+    members = np.fromiter(itertools.chain.from_iterable(v.members for v in views),
                           dtype=np.intp)
     owner = np.arange(len(views)).repeat(counts)
     at = np.fromiter(itertools.chain.from_iterable(map(range, counts)), dtype=np.intp)
     padded = np.full((len(views), max(counts)), n)  # each view's members, then n
     padded[owner, at] = members
     bits = tables.reshape(3, -1).take(members[:, None] * (n + 1) + padded[owner], axis=1)
-    powers = np.left_shift(np.uint64(1), np.arange(padded.shape[1], dtype=np.uint64))
-    up, down, upper_covers = (bits.view(np.uint8) @ powers).tolist()
-    lo = np.array([view.lo for view in views])
-    rank = np.array(L.rank)
-    if L._modular or (lo == L.bottom).all():
-        rank = rank[members] - rank[lo][owner]
-    else:
-        cover = tables[2, :n, :n].view(np.uint8)
-        reach, rank = tables[0, lo, :n], 0
-        while reach.any():  # reach[v, y]: some chain of the current length
-            reach = (reach.view(np.uint8) @ cover).astype(bool)  # runs from lo up to y
-            rank = rank + reach
-        rank = rank[owner, members]
-    rank = rank.tolist()
+    masks = _masks_to_ints(bits.reshape(-1, padded.shape[1]))
+    total = len(members)
+    up, down, upper_covers = masks[:total], masks[total:2 * total], masks[2 * total:]
+    los = sorted({v.lo for v in views})
+    row_of = dict(zip(los, range(len(los))))
+    cover = tables[2, :n, :n]
+    reach, rank = tables[0, los, :n], 0
+    while reach.any():  # reach[i, y]: some chain of the current length runs from los[i] to y
+        reach = reach @ cover
+        rank = rank + reach
+    rank = rank[np.repeat([row_of[v.lo] for v in views], counts), members].tolist()
     start = 0
-    for view, count in zip(views, counts):
+    for v, count in zip(views, counts):
         end = start + count
         ups = tuple(up[start:end])
-        view._order = (ups, tuple(down[start:end]), tuple(upper_covers[start:end]))
-        view.rank = tuple(rank[start:end])
-        view.structure_key = _structure_key(ups)
-        view._pending = False
+        v._rank = tuple(rank[start:end])
+        v._key = _structure_key(ups)
+        # set last: another thread reads the other fields once it sees the masks
+        v._masks = (ups, tuple(down[start:end]), tuple(upper_covers[start:end]))
         start = end
 
 
@@ -822,14 +849,13 @@ def direct_product(factors: Sequence[Lattice]) -> ProductLattice:
     pos = np.empty(total, dtype=np.int32)
     pos[order] = np.arange(total)
     leq, join, meet = (table[np.ix_(order, order)] for table in (leq, pos[join], pos[meet]))
-    # a cover is a pair with nothing strictly between
-    between = leq.view(np.uint8) @ leq.view(np.uint8)
-    bits = np.left_shift(np.uint64(1), np.arange(total, dtype=np.uint64))
+    # a cover is a strict pair with nothing strictly between
+    strict = leq & ~np.eye(total, dtype=bool)
     lat = Lattice(name="x".join(f.name for f in factors), names=[names[o] for o in order],
-                  up=(leq * bits).sum(axis=1).tolist(), down=(leq.T * bits).sum(axis=1).tolist(),
+                  up=_masks_to_ints(leq), down=_masks_to_ints(leq.T),
                   join=join.tolist(), meet=meet.tolist(), bottom=0, top=total - 1,
                   rank=[rank[o] for o in order],
-                  covers=list(map(tuple, np.argwhere(leq & (between == 2)).tolist())))
+                  covers=list(map(tuple, np.argwhere(strict & ~(strict @ strict)).tolist())))
     lat._np_tables = (leq, join, meet)
     return ProductLattice(lattice=lat, factors=tuple(factors),
                           coords=tuple(tuples[o] for o in order))

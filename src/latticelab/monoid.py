@@ -42,6 +42,13 @@ _COMP_CACHE: dict[tuple[bytes, bytes], np.ndarray] = {}
 _BLOCK_BYTES = 1 << 20
 
 
+def _owned(values, dtype) -> np.ndarray:
+    """values as an array of dtype that only its holder can write to: a
+    read-only array owning its data is kept, anything else is copied."""
+    arr = np.asarray(values)
+    return arr.astype(dtype, copy=arr.flags.writeable or not arr.flags.owndata)
+
+
 class EndoMonoid:
     """A composition-closed set of linear endomorphisms with zero and identity.
 
@@ -64,12 +71,14 @@ class EndoMonoid:
         """The monoid of certified rows: each row of `tables` a linear map
         table of the lattice, with its kernel. Rows that come in strictly
         increasing lexicographic order, as `_linmor_tables` and `np.unique`
-        give them, are kept as they are, arrays included; rows in any other
-        order are sorted. A repeated row raises ValueError."""
+        give them, are kept in that order; rows in any other order are
+        sorted. A repeated row raises ValueError. Read-only arrays that own
+        their data, as the enumeration cache holds, are kept; anything else
+        is copied, so no caller can change the monoid afterwards."""
         require_modular(lattice)
         n = lattice.n
-        tables = np.asarray(tables).astype(np.min_scalar_type(n - 1), copy=False)
-        kernels = np.asarray(kernels, dtype=np.intp)
+        tables = _owned(tables, np.min_scalar_type(n - 1))
+        kernels = _owned(kernels, np.intp)
         if not _ascending(tables):
             order = np.lexsort(tables.T[::-1])
             tables, kernels = tables[order], kernels[order]
@@ -175,20 +184,15 @@ class EndoMonoid:
         onto [a, top] followed by an interval isomorphism onto [bottom, b],
         so some such composite lies in the monoid exactly when b is in pairs[a]."""
         if self._pairs is None:
-            n = self.lattice.n
-            # the (kernel, image top) classes, sorted, and each one's first member
-            classes, first = np.unique(self.member_kernels * n + self.member_image_tops,
-                                       return_index=True)
-            classes, first = classes.tolist(), first.tolist()
-            firsts: dict[str, dict[int, int]] = {"kernel": {}, "image": {}}
-            for i, c in sorted(zip(first, classes)):
-                firsts["kernel"].setdefault(c // n, i)
-                firsts["image"].setdefault(c % n, i)
-            pairs: dict[int, list[int]] = {}
-            for c in classes:
-                pairs.setdefault(c // n, []).append(c % n)
-            self._first = {side: MappingProxyType(d) for side, d in firsts.items()}
-            self._pairs = {k: tuple(tops) for k, tops in pairs.items()}
+            tops: dict[int, set[int]] = {}
+            first: dict[str, dict[int, int]] = {"kernel": {}, "image": {}}
+            for i, (k, a) in enumerate(zip(self.member_kernels.tolist(),
+                                           self.member_image_tops.tolist())):
+                tops.setdefault(k, set()).add(a)
+                first["kernel"].setdefault(k, i)
+                first["image"].setdefault(a, i)
+            self._first = {side: MappingProxyType(d) for side, d in first.items()}
+            self._pairs = {k: tuple(sorted(tops[k])) for k in sorted(tops)}
         return self._pairs
 
     def first_with(self, side: str) -> Mapping[int, int]:
@@ -197,7 +201,7 @@ class EndoMonoid:
         member, read-only. A checker whose condition reads only the kernel or
         the image top names this first member as the witness of a failing
         one: it is the first failing member."""
-        self.pairs  # one pass over the classes records both sides
+        self.pairs  # the same pass over the members records both sides
         return self._first[side]
 
     def first_in_class(self, kernel: int, image_top: int, cols) -> int:

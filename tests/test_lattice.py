@@ -428,6 +428,21 @@ def test_products_match_the_double_loop():
     assert built > 150
 
 
+def test_products_over_a_raised_cap_match_the_double_loop(monkeypatch):
+    """Above 64 elements the order masks are wider than a word and an
+    element can have more than 255 elements below it: c3^4 (81 elements),
+    b2 x c2^5 (128) and c2^8 (256, 256 elements below its top) still equal
+    the double loop field by field."""
+    monkeypatch.setattr(config, "DEFAULT_LATTICE_CAP", 256)
+    b2, c2, c3 = fx.build_fixture("b2"), fx.chain(2), fx.chain(3)
+    for factors in ([c3] * 4, [b2] + [c2] * 5, [c2] * 8):
+        got, want = direct_product(factors), product_by_double_loop(factors)
+        assert got.lattice.n > 64
+        for field in PRODUCT_FIELDS:
+            assert getattr(got.lattice, field) == getattr(want.lattice, field), field
+        assert got.coords == want.coords
+
+
 class TestDecompose:
     def test_square(self, b2):
         dec = decompose(b2)

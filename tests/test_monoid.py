@@ -234,8 +234,9 @@ class TestArrayBacked:
                 EndoMonoid(m.lattice, m.tables[rows], m.member_kernels[rows])
 
     def test_sorted_rows_are_kept_as_they_come(self):
-        """End(L) keeps the enumeration's arrays, top column included, and
-        an induced monoid the rows `np.unique` gave it; a repeated row in
+        """End(L) keeps the enumeration's read-only arrays, top column
+        included; rows in order from a caller are kept only when read-only
+        and owning their data, and copied otherwise; a repeated row in
         sorted position is refused as well."""
         L = direct_product([fx.build_fixture("m3"), fx.chain(3)]).lattice
         m = full_monoid(L)
@@ -245,7 +246,19 @@ class TestArrayBacked:
         assert np.shares_memory(m.member_image_tops, tables)
         rows, kernels = m.tables.copy(), m.member_kernels.copy()
         again = EndoMonoid(L, rows, kernels)
+        assert not np.shares_memory(again.tables, rows)
+        assert not np.shares_memory(again.member_kernels, kernels)
+        assert rows.flags.writeable and kernels.flags.writeable
+        rows[:] = 0  # the caller's arrays are theirs to change
+        assert np.array_equal(again.tables, m.tables)
+        for arr in (rows, kernels):
+            arr[:] = m.tables if arr is rows else m.member_kernels
+            arr.setflags(write=False)
+        again = EndoMonoid(L, rows, kernels)
         assert again.tables is rows and again.member_kernels is kernels
+        frozen_view = m.tables.copy()[:]  # read-only, but its base is writable
+        frozen_view.setflags(write=False)
+        assert not np.shares_memory(EndoMonoid(L, frozen_view, kernels).tables, frozen_view)
         repeated = np.r_[np.arange(len(m)), len(m) - 1]
         with pytest.raises(ValueError, match=r"^a member table is repeated$"):
             EndoMonoid(L, m.tables[repeated], m.member_kernels[repeated])

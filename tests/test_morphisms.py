@@ -4,9 +4,13 @@ The enumeration oracle lives here: filter every total map through the
 definitional validator and compare against the factorized enumeration.
 """
 
+import copy
 import gc
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,10 +30,10 @@ from latticelab.errors import (
     NotIntervalIsoError,
     SizeLimitExceededError,
 )
-from latticelab.lattice import (Lattice, _bits, _covers_from_masks, _ranks, _structure_key,
-                                build_lattice, is_modular,
-                                complemented_elements, complements_of, direct_product,
-                                interval, lattice_from_json, lattice_to_json)
+from latticelab.lattice import (IntervalView, Lattice, _bits, _covers_from_masks, _ranks,
+                                _structure_key, build_lattice, complemented_elements,
+                                complements_of, direct_product, interval, lattice_from_json,
+                                lattice_to_json)
 from latticelab.morphisms import (
     LinearMorphism,
     certify_tables,
@@ -627,38 +631,50 @@ def batch_corpus():
 def test_batched_views_match_the_compress_route():
     """Every lower and upper view of the batch corpus, and every interval of
     its lattices of at most 10 elements, field by field against the
-    one-view route: members, masks, rank, structure key. Each lattice is
-    read twice, with its modularity undecided and decided, so the modular
-    ranks L.rank[y] - L.rank[lo] and the chain-length pass both meet the
-    oracle; on the decided copy `as_lattice` is pinned against the build
-    from the parent's tables too."""
+    one-view route: members, masks, rank, structure key; `as_lattice` of
+    the lower and upper views against the build from the parent's tables."""
     corpus = batch_corpus()
     assert sum(not graded(L) for L in corpus) >= 10
     assert max(L.n for L in corpus) == 64
     views = 0
-    for decided in (False, True):
-        for L in corpus:
-            L = lattice_from_json(lattice_to_json(L))
-            if decided:
-                is_modular(L)
-            pairs = [(L.bottom, x) for x in range(L.n)] + [(x, L.top) for x in range(L.n)]
-            if L.n <= 10:
-                pairs += [(lo, hi) for lo in range(L.n) for hi in _bits(L.up_mask(lo))]
-            for lo, hi in pairs:
-                view = interval(L, lo, hi)
-                members, masks, rank, key = view_fields_by_compress(L, lo, hi)
-                assert view.members == members
-                assert view.from_parent == {p: i for i, p in enumerate(members)}
-                assert view._order == masks, (L.name, lo, hi)
-                assert view.rank == rank, (L.name, lo, hi)
-                assert view.structure_key == key, (L.name, lo, hi)
-                if decided and (lo == L.bottom or hi == L.top):
-                    sub = view.as_lattice
-                    want = interval_lattice_by_tables(L, lo, hi)[1]
-                    for field in LATTICE_FIELDS:
-                        assert getattr(sub, field) == getattr(want, field), (L.name, field)
-                views += 1
-    assert views > 20000
+    for L in corpus:
+        pairs = [(L.bottom, x) for x in range(L.n)] + [(x, L.top) for x in range(L.n)]
+        if L.n <= 10:
+            pairs += [(lo, hi) for lo in range(L.n) for hi in _bits(L.up_mask(lo))]
+        for lo, hi in pairs:
+            view = interval(L, lo, hi)
+            assert_view_fields(view, view_fields_by_compress(L, lo, hi))
+            if lo == L.bottom or hi == L.top:
+                sub = view.as_lattice
+                want = interval_lattice_by_tables(L, lo, hi)[1]
+                for field in LATTICE_FIELDS:
+                    assert getattr(sub, field) == getattr(want, field), (L.name, field)
+            views += 1
+    assert views > 10000
+
+
+def assert_view_fields(view, fields):
+    members, masks, rank, key = fields
+    where = (view.parent.name, view.lo, view.hi)
+    assert view.members == members, where
+    assert view.from_parent == {p: i for i, p in enumerate(members)}, where
+    assert view._order == masks, where
+    assert view.rank == rank, where
+    assert view.structure_key == key, where
+
+
+def test_views_of_more_than_64_members_match_the_compress_route(monkeypatch):
+    """The subgroup lattice of 2,2,2,2 has 67 elements, more than a word:
+    its whole-lattice view and the two sides of a middle element keep every
+    bit, as does the 81-element product c3^4 under a raised cap."""
+    monkeypatch.setattr(config, "DEFAULT_LATTICE_CAP", 81)
+    for L in (subgroup_lattice(AbelianGroup.from_spec("2,2,2,2")),
+              direct_product([fx.chain(3)] * 4).lattice):
+        assert L.n > 64
+        mid = L.n // 2
+        for lo, hi in ((L.bottom, L.top), (L.bottom, mid), (mid, L.top), (L.bottom, 1)):
+            assert_view_fields(interval(L, lo, hi), view_fields_by_compress(L, lo, hi))
+        assert interval(L, L.bottom, L.top).n == L.n
 
 
 def test_views_are_made_a_side_at_a_time_and_filled_together():
@@ -672,13 +688,63 @@ def test_views_are_made_a_side_at_a_time_and_filled_together():
     assert len(L._interval_cache) == 2 * L.n - 1
     assert interval(L, L.bottom, L.top) is interval(L, L.bottom, L.top)
     assert lower.rank == view_fields_by_compress(L, L.bottom, 3)[2]
-    assert not any(view._pending for view in L._interval_cache.values())
+    assert not any(view._masks is None for view in L._interval_cache.values())
     assert upper.structure_key == view_fields_by_compress(L, 3, L.top)[3]
     middle = interval(L, 3, L.id_of("(b,2)"))
-    assert middle._pending and len(L._interval_cache) == 2 * L.n
+    assert middle._masks is None and len(L._interval_cache) == 2 * L.n
     assert middle._order == view_fields_by_compress(L, 3, L.id_of("(b,2)"))[1]
     with pytest.raises(AttributeError):
         upper.no_such_field
+
+
+def test_views_survive_pickle_and_copy():
+    """A lattice whose cache holds filled and unfilled views pickles and
+    copies; the copies' views fill in and read like the originals."""
+    L = direct_product([fx.build_fixture("m3"), fx.chain(3)]).lattice
+    filled = interval(L, L.bottom, 3)
+    filled.rank
+    pending = interval(L, 3, L.top)
+    assert pending._masks is None
+    for copied in (pickle.loads(pickle.dumps(L)), copy.deepcopy(L)):
+        for pair, view in L._interval_cache.items():
+            twin = copied._interval_cache[pair]
+            assert twin.parent is copied
+            assert_view_fields(twin, view_fields_by_compress(L, *pair))
+    twin = copy.copy(interval(L, L.bottom, L.top))
+    assert twin.structure_key == L.structure_key
+    with pytest.raises(AttributeError):
+        IntervalView.__new__(IntervalView).rank
+
+
+def test_views_read_from_many_threads_agree_with_the_compress_route():
+    """Threads that make and read the views of one fresh lattice at once,
+    with a short switch interval, each see every field filled in."""
+    L0 = direct_product([fx.build_fixture("m3"), fx.chain(4)]).lattice
+    pairs = [(L0.bottom, x) for x in range(L0.n)] + [(x, L0.top) for x in range(L0.n)]
+    want = {pair: view_fields_by_compress(L0, *pair) for pair in pairs}
+    interval_switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            L = lattice_from_json(lattice_to_json(L0))
+            errors = []
+
+            def read(offset):
+                try:
+                    for pair in pairs[offset:] + pairs[:offset]:
+                        assert_view_fields(interval(L, *pair), want[pair])
+                except AssertionError as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(k * 7 + round_,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors, errors[0]
+    finally:
+        sys.setswitchinterval(interval_switch)
 
 
 def test_iso_tables_read_views_as_their_lattices(monkeypatch):
