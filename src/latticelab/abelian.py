@@ -398,8 +398,26 @@ def induced_map(f: GroupHom) -> LinearMorphism:
 
 
 def _endo_sweep(g: AbelianGroup) -> np.ndarray:
-    """The distinct induced rows of End(M), one sorted row each."""
-    rows = _induced_rows(g, _hom_tables(g, _gen_images(g)))  # checks the cap first
+    """The distinct induced rows of End(M), one sorted row each.
+
+    For a unit u modulo the exponent, uH = H for every subgroup H, so u f
+    induces the same row as f. Only the first endomorphism of each orbit of
+    the unit scalars, in generator-image order, is induced; np.unique
+    removes the coincidences left."""
+    images = _gen_images(g)  # checks the cap first
+    exponent = g.invariant_factors[-1] if g.invariant_factors else 1
+    units = [u for u in range(2, exponent) if gcd(u, exponent) == 1]
+    if units:
+        # a row's key reads its images as base-|M| digits, so keys follow
+        # the order in which _gen_images enumerates the rows
+        weights = g.order ** np.arange(g.rank - 1, -1, -1, dtype=np.int64)
+        keys = images @ weights
+        sc_mul = _group_data(g).sc_mul
+        first = np.ones(len(images), dtype=bool)
+        for u in units:
+            first &= keys <= sc_mul[u][images] @ weights
+        images = images[first]
+    rows = _induced_rows(g, _hom_tables(g, images))
     _, first = np.unique(row_keys(rows), return_index=True)
     return rows[first]
 

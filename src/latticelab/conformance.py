@@ -789,13 +789,18 @@ def chk_clcomp(ctx):
     for x in comp:
         if not any(c in cset for c in complements_of(L, x)):
             return _fail(element=L.names[x], clause="no complement inside C")
-    for x in comp:
-        for y in comp:
-            ubs = [z for z in comp if L.leq(x, z) and L.leq(y, z)]
-            if not any(all(L.leq(z0, z) for z in ubs) for z0 in ubs):
+    # x and y have a least upper bound in C exactly when their common upper
+    # bounds in C are the up-set in C of one element of C, and that element
+    # is the bound; dually for the greatest lower bound
+    cmask = sum(1 << z for z in comp)
+    ups = [L.up_mask(z) & cmask for z in comp]
+    downs = [L.down_mask(z) & cmask for z in comp]
+    up_sets, down_sets = set(ups), set(downs)
+    for x, up_x, down_x in zip(comp, ups, downs):
+        for y, up_y, down_y in zip(comp, ups, downs):
+            if (up_x & up_y) not in up_sets:
                 return _fail(pair=[L.names[x], L.names[y]], clause="join in C")
-            lbs = [z for z in comp if L.leq(z, x) and L.leq(z, y)]
-            if not any(all(L.leq(z, z0) for z in lbs) for z0 in lbs):
+            if (down_x & down_y) not in down_sets:
                 return _fail(pair=[L.names[x], L.names[y]], clause="meet in C")
     return _ok()
 

@@ -44,8 +44,9 @@ class Lattice:
 
     Instances are immutable after construction; all query methods are pure
     table lookups. Derived facts (numpy tables, up-set and upper-cover
-    lists, the modularity verdict, the complement table, interval views,
-    certified projections, the opposite lattice) are memoized on the instance the first time they are computed.
+    lists, the modularity verdict, the bottom-meet and top-join masks, the
+    complement table, interval views, certified projections, the opposite
+    lattice) are memoized on the instance the first time they are computed.
     They depend only on the tables, so racing writers store equal values and
     instances stay safe to share between threads.
     """
@@ -54,7 +55,7 @@ class Lattice:
         "name", "n", "names", "bottom", "top", "rank",
         "_up", "_down", "_join", "_meet", "_covers", "_upper_covers",
         "_name_to_id", "_np_tables", "_order_lists", "_interval_cache", "_key",
-        "_modular", "_complements", "_projections", "_opposite",
+        "_modular", "_bound_masks", "_complements", "_projections", "_opposite",
     )
 
     def __init__(self, *, name, names, up, down, join, meet, bottom, top, rank, covers):
@@ -80,6 +81,7 @@ class Lattice:
         self._interval_cache: dict[tuple[int, int], IntervalView] = {}
         self._key: bytes | None = None
         self._modular: Verdict | None = None
+        self._bound_masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._complements: tuple[tuple[int, ...], ...] | None = None
         # (x, x') -> certified projection; filled by morphisms.projection
         self._projections: dict | None = None
@@ -158,6 +160,23 @@ class Lattice:
             meet = np.array(self._meet, dtype=np.int32)
             self._np_tables = (leq, join, meet)
         return self._np_tables
+
+    @property
+    def bound_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(zero_meets, top_joins): bit b of zero_meets[a] is set when
+        a ^ b = bottom, and bit b of top_joins[a] when a v b = top.
+
+        They turn order questions into one mask operation each: a is
+        essential in [bottom, c] exactly when zero_meets[a] & down_mask(c)
+        is the bottom's bit alone, a is superfluous exactly when
+        top_joins[a] is the top's bit alone, and the complements of a are
+        the bits of zero_meets[a] & top_joins[a]. Built lazily.
+        """
+        if self._bound_masks is None:
+            _, join, meet = self.tables_np
+            masks = _masks_to_ints(np.concatenate((meet == self.bottom, join == self.top)))
+            self._bound_masks = (tuple(masks[:self.n]), tuple(masks[self.n:]))
+        return self._bound_masks
 
     @property
     def order_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -535,11 +554,7 @@ def require_modular(L: Lattice) -> None:
 
 def _complement_table(L: Lattice) -> tuple[tuple[int, ...], ...]:
     if L._complements is None:
-        bottom, top = L.bottom, L.top
-        L._complements = tuple(
-            tuple(b for b in range(L.n)
-                  if row_m[b] == bottom and row_j[b] == top)
-            for row_m, row_j in zip(L._meet, L._join))
+        L._complements = tuple(tuple(_bits(z & t)) for z, t in zip(*L.bound_masks))
     return L._complements
 
 
@@ -611,6 +626,9 @@ def essential_superfluous(L: Lattice, a: int, kind: str,
 
     Superfluous: a joins to the scope's top only with the top itself. The
     scope is the whole lattice or, when `within` is given, its members.
+    This is the definition, one element scan per call; the property
+    checkers ask the same questions of `Lattice.bound_masks`, and the tests
+    hold them to this function.
     """
     if within is None:
         members = range(L.n)

@@ -13,10 +13,10 @@ import itertools
 from .errors import MissingProjectionsError
 from .lattice import (
     Lattice,
+    _bits,
     close_under,
     complemented_elements,
     complements_of,
-    essential_superfluous,
     interval,
     is_boolean,
     is_modular,
@@ -102,39 +102,34 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
     forces a to be complemented (every complement x' of x may witness).
     Both composites are the linear maps with kernel a and image top x (mD2),
     or kernel x' and image top a (mC2), so both read `m.pairs`.
+
+    C1 and D1 read `L.bound_masks`: x is essential in [bottom, c] when
+    zero_meets[x] & down(c) is the bottom's bit alone, and x ^ c' is
+    superfluous when top_joins of it is the top's bit alone. Candidates c
+    are tried in id order and, for D1, every complement c' of each c in
+    turn, so the certificates are the first found by the element scans of
+    `essential_superfluous`.
     """
     kind = kind.lower()
     comp = complemented_elements(L)
     comp_set = set(comp)
-    if kind == "c1":
+    if kind in ("c1", "d1"):
+        zero_meets, top_joins = L.bound_masks
+        comp_mask = sum(1 << c for c in comp)
+        bottom_bit, top_bit = 1 << L.bottom, 1 << L.top
         certs = {}
         for x in range(L.n):
-            found = None
-            for c in comp:
-                if L.leq(x, c) and essential_superfluous(
-                        L, x, "essential", within=interval(L, L.bottom, c)):
-                    found = c
-                    break
+            if kind == "c1":
+                found = next((L.names[c] for c in _bits(L.up_mask(x) & comp_mask)
+                              if zero_meets[x] & L.down_mask(c) == bottom_bit), None)
+            else:
+                found = next(([L.names[c], L.names[cp]]
+                              for c in _bits(L.down_mask(x) & comp_mask)
+                              for cp in _bits(zero_meets[c] & top_joins[c])
+                              if top_joins[L.meet_of(x, cp)] == top_bit), None)
             if found is None:
                 return Verdict(kind, False, witness={"element": L.names[x]})
-            certs[L.names[x]] = L.names[found]
-        return Verdict(kind, True, witness={"certificates": certs})
-    if kind == "d1":
-        certs = {}
-        for x in range(L.n):
-            found = None
-            for c in comp:
-                if not L.leq(c, x):
-                    continue
-                for cp in complements_of(L, c):
-                    if essential_superfluous(L, L.meet_of(x, cp), "superfluous"):
-                        found = (c, cp)
-                        break
-                if found:
-                    break
-            if found is None:
-                return Verdict(kind, False, witness={"element": L.names[x]})
-            certs[L.names[x]] = [L.names[found[0]], L.names[found[1]]]
+            certs[L.names[x]] = found
         return Verdict(kind, True, witness={"certificates": certs})
     if m is None:
         raise ValueError("mC2/mD2 need a monoid")
@@ -170,18 +165,24 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
 
 def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
     """Vanishing conditions tying essential kernels and superfluous images to
-    the zero morphism, plus their converses."""
+    the zero morphism, plus their converses.
+
+    a is essential exactly when zero_meets[a] (of `L.bound_masks`) is the
+    bottom's bit alone, and superfluous exactly when top_joins[a] is the
+    top's bit alone."""
     kind = kind.lower()
     if kind not in ("k", "t", "k_co", "t_co"):
         raise ValueError(f"unknown kind: {kind!r}")
+    zero_meets, top_joins = L.bound_masks
     # phi is nonzero exactly when ker phi != top, that is, when
     # phi(top) != bottom; and phi(a) = bottom exactly when a <= ker phi
-    side, trivial, sense = (("kernel", L.top, "essential") if kind[0] == "k"
-                            else ("image", L.bottom, "superfluous"))
+    side, trivial, masks, alone = (
+        ("kernel", L.top, zero_meets, 1 << L.bottom) if kind[0] == "k"
+        else ("image", L.bottom, top_joins, 1 << L.top))
     first = m.first_with(side)
     if kind in ("k", "t"):
         for e, i in first.items():
-            if e != trivial and essential_superfluous(L, e, sense):
+            if e != trivial and masks[e] == alone:
                 return Verdict(kind, False, witness={
                     "morphism": m[i].as_name_map(), side: L.names[e]})
         return Verdict(kind, True)
@@ -193,21 +194,31 @@ def check_nonsingularity(L: Lattice, m: EndoMonoid, kind: str) -> Verdict:
         if e != trivial:
             covered |= reach(e)
     for a in range(L.n):
-        if not covered >> a & 1 and not essential_superfluous(L, a, sense):
+        if not covered >> a & 1 and masks[a] != alone:
             return Verdict(kind, False, witness={"element": L.names[a]})
     return Verdict(kind, True)
 
 
 def check_retractable(L: Lattice, m: EndoMonoid) -> Verdict:
     """Local retractability toward kernels: every b below a member kernel is
-    covered by some member image inside that kernel."""
+    covered by some member image inside that kernel.
+
+    The elements below some image top inside k are the union of those image
+    tops' down-sets, so the witness, the first b in id order that is not
+    covered, is the lowest bit of down(k) outside that union."""
+    tops = sum(1 << img for img in m.image_tops)
     for k in m.kernels:
-        for b in L.down_set(k):
-            if not any(L.leq(b, img) and L.leq(img, k) for img in m.image_tops):
-                phi = m[m.first_with("kernel")[k]]
-                return Verdict("retractable", False, witness={
-                    "morphism": phi.as_name_map(), "kernel": L.names[k],
-                    "element": L.names[b]})
+        below = L.down_mask(k)
+        covered = 0
+        for img in _bits(tops & below):
+            covered |= L.down_mask(img)
+        uncovered = below & ~covered
+        if uncovered:
+            b = (uncovered & -uncovered).bit_length() - 1
+            phi = m[m.first_with("kernel")[k]]
+            return Verdict("retractable", False, witness={
+                "morphism": phi.as_name_map(), "kernel": L.names[k],
+                "element": L.names[b]})
     return Verdict("retractable", True)
 
 
@@ -249,16 +260,18 @@ def check_rickpix(L: Lattice, m: EndoMonoid) -> Verdict:
     complemented x has x ^ k = bottom and a complement x' <= k. That holds
     exactly when k is complemented, since k = x' v (x ^ k) = x' by the
     modular law, so the two sides always agree: the check pins only that
-    `check_rickart_family` and the per-kernel test do.
+    `check_rickart_family` and the per-kernel test do. The complements of x
+    are the bits of zero_meets[x] & top_joins[x] (`L.bound_masks`), so the
+    test on k asks whether one of them lies in down(k) for some x in
+    zero_meets[k].
     """
     if not m.has_all_projections:
         raise MissingProjectionsError(
             "rickpix requires a monoid containing all projections")
     lhs = check_rickart_family(L, m, "rickart").holds
-    comp = complemented_elements(L)
+    zero_meets, top_joins = L.bound_masks
     unfactored = {k for k in m.kernels if not any(
-        L.meet_of(x, k) == L.bottom and any(L.leq(xp, k) for xp in complements_of(L, x))
-        for x in comp)}
+        zero_meets[x] & top_joins[x] & L.down_mask(k) for x in _bits(zero_meets[k]))}
     failing = next((i for k, i in m.first_with("kernel").items() if k in unfactored), None)
     rhs = failing is None
     witness = None if rhs else {"morphism": m[failing].as_name_map()}

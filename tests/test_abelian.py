@@ -16,10 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from latticelab import config
+from latticelab import abelian, config
 from latticelab.abelian import (
     AbelianGroup,
     GroupHom,
+    _endo_sweep,
     _gen_images,
     _group_data,
     _hom_tables,
@@ -38,7 +39,7 @@ from latticelab.abelian import (
 from latticelab.errors import DomainMismatchError, SizeLimitExceededError
 from latticelab.cli import run as cli_run
 from latticelab.lattice import _assemble, _bits, close_under, complemented_elements, is_modular
-from latticelab.morphisms import compose, enumerate_linmors
+from latticelab.morphisms import compose, enumerate_linmors, row_keys
 from latticelab.properties import RICKART_KINDS
 
 ENUMERATION_NOTE = "lattice side via induced monoid enumeration"
@@ -504,6 +505,31 @@ class TestInducedMonoid:
                 assert (masks[rows[:, s]] == image).all(), (chain, s)
             for f, row in zip(endomorphisms(g)[:20], rows.tolist()):
                 assert induced_map(f).map == tuple(row), (chain, f)
+
+    def test_sweep_induces_one_endomorphism_per_unit_orbit(self, monkeypatch):
+        """_endo_sweep's rows are those of inducing every endomorphism, for
+        every group of order at most 32, and on 2,4,4 it induces one of each
+        pair f, 3f: 4,352 of the 8,192."""
+        induced = []
+
+        def counted(g, tables):
+            induced.append(len(tables))
+            return _induced_rows(g, tables)
+
+        monkeypatch.setattr(abelian, "_induced_rows", counted)
+        for chain in invariant_factor_chains(32):
+            g = AbelianGroup(chain)
+            if g.endo_count() > config.DEFAULT_ENDO_CAP:
+                with pytest.raises(SizeLimitExceededError):
+                    _endo_sweep(g)
+                continue
+            rows = _induced_rows(g, _hom_tables(g, _gen_images(g)))
+            _, first = np.unique(row_keys(rows), return_index=True)
+            got = _endo_sweep(g)
+            assert got.dtype == rows.dtype and np.array_equal(got, rows[first]), chain
+        induced.clear()
+        _endo_sweep(AbelianGroup((2, 4, 4)))
+        assert induced == [4352]
 
     def test_projections_are_induced(self):
         """Every lattice projection onto a complemented subgroup arises from

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import weakref
@@ -17,6 +18,7 @@ from latticelab import morphisms
 from latticelab.conformance import (
     REGISTRY,
     LatticeContext,
+    chk_clcomp,
     chk_exmorf,
     chk_isolin,
     chk_kerpi,
@@ -673,6 +675,69 @@ def test_splits_reports_a_wrong_complemented_set_like_its_loop(L):
         got = chk_splits(ctx)
         assert got[0] == "fail"
         assert got == splits_by_hom_sets(ctx), sorted(wrong)
+
+
+def clcomp_by_leq(ctx):
+    """chk_clcomp with each bound in C found by comparing every pair of C
+    with every element of C."""
+    if not (ctx.fact("baer") or ctx.op.fact("baer")):
+        return "skip", {"reason": "lattice is neither baer nor dual baer"}
+    L, comp, cset = ctx.L, ctx.comp, ctx.comp_set
+    for x in comp:
+        if not any(c in cset for c in complements_of(L, x)):
+            return "fail", {"element": L.names[x], "clause": "no complement inside C"}
+    for x in comp:
+        for y in comp:
+            ubs = [z for z in comp if L.leq(x, z) and L.leq(y, z)]
+            if not any(all(L.leq(z0, z) for z in ubs) for z0 in ubs):
+                return "fail", {"pair": [L.names[x], L.names[y]], "clause": "join in C"}
+            lbs = [z for z in comp if L.leq(z, x) and L.leq(z, y)]
+            if not any(all(L.leq(z, z0) for z in lbs) for z0 in lbs):
+                return "fail", {"pair": [L.names[x], L.names[y]], "clause": "meet in C"}
+    return "pass", None
+
+
+def test_clcomp_matches_its_loop_on_the_duality_corpus():
+    outcomes = collections.Counter()
+    for L in ROOTS + FAULT_LATTICES:
+        ctx = LatticeContext(L)
+        got = chk_clcomp(ctx)
+        assert got == clcomp_by_leq(ctx), L.name
+        outcomes[got[0]] += 1
+    assert set(outcomes) == {"pass", "skip"}, outcomes
+
+
+@pytest.mark.parametrize("name", ["b2", "b3", "m3", "m4"])
+def test_clcomp_reports_a_wrong_complemented_set_like_its_loop(name):
+    """With a complemented element missing from the context's set, the
+    first clause fails; with C cut to a subset S but the set kept whole, the
+    bounds are looked for in S. Every fault fails like the loop, and on M3
+    and M4 (where an atom's complements are the other atoms) S = {a, b, top}
+    fails the meet clause and S = {a, b} the join clause, both at (a, b)."""
+    L = fx.mk(4) if name == "m4" else fx.build_fixture(name)
+    ctx = LatticeContext(L)
+    comp = ctx.comp
+    clauses = collections.Counter()
+    for wrong in [set(comp) - {a} for a in comp]:
+        ctx._cache["comp_set"] = wrong
+        got = chk_clcomp(ctx)
+        assert got == clcomp_by_leq(ctx), sorted(wrong)
+        clauses[got[1]["clause"] if got[1] else "pass"] += 1
+    ctx._cache["comp_set"] = set(comp)
+    for size in range(1, len(comp)):
+        for cut in itertools.combinations(comp, size):
+            ctx._cache["comp"] = cut
+            got = chk_clcomp(ctx)
+            assert got == clcomp_by_leq(ctx), cut
+            clauses[got[1]["clause"] if got[1] else "pass"] += 1
+    assert clauses["no complement inside C"] and clauses["join in C"]
+    if name.startswith("m"):
+        atoms = L.atoms()
+        for cut, clause in (((atoms[0], atoms[1], L.top), "meet in C"),
+                            ((atoms[0], atoms[1]), "join in C")):
+            ctx._cache["comp"] = cut
+            assert chk_clcomp(ctx) == ("fail", {
+                "pair": [L.names[atoms[0]], L.names[atoms[1]]], "clause": clause})
 
 
 @pytest.mark.parametrize("L,rows", [(fx.mk(6), 757), (fx.build_fixture("b3"), 34)],

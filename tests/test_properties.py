@@ -2,14 +2,18 @@
 C1/D1 and the monoid-relative C2/D2, nonsingularity, retractability,
 generation, and cross-lattice checks."""
 
+import collections
 import random
 
 import pytest
 
+from latticelab import config
 from latticelab import fixtures as fx
+from latticelab.conformance import random_corpus
 from latticelab.errors import MissingProjectionsError
-from latticelab.lattice import build_lattice, complemented_elements, complements_of, interval
-from latticelab.monoid import full_monoid, generated_monoid
+from latticelab.lattice import (build_lattice, complemented_elements, complements_of,
+                                essential_superfluous, interval, lattice_from_json)
+from latticelab.monoid import MAX_GENERATED_MEMBERS, full_monoid, generated_monoid
 from latticelab.morphisms import enumerate_linmors, projection
 from latticelab.properties import (
     check_condition,
@@ -22,7 +26,9 @@ from latticelab.properties import (
     check_summand_property,
 )
 from latticelab.verdict import Verdict
+from test_cli import product_json
 from test_duality import ROOTS
+from test_pair_index import random_lattice
 
 
 def rickpix_by_tables(L, m):
@@ -39,6 +45,157 @@ def rickpix_by_tables(L, m):
     return Verdict("rickpix", lhs == rhs,
                    witness=None if failing is None else {"morphism": failing.as_name_map()},
                    notes=f"kernel-complement side={lhs}, projection side={rhs}")
+
+
+def condition_by_scans(L, kind):
+    """check_condition's C1 and D1 by the element scans of
+    essential_superfluous, trying every complemented c in id order and, for
+    D1, every complement of each c."""
+    comp = complemented_elements(L)
+    certs = {}
+    for x in range(L.n):
+        found = None
+        for c in comp:
+            if kind == "c1":
+                if L.leq(x, c) and essential_superfluous(
+                        L, x, "essential", within=interval(L, L.bottom, c)):
+                    found = L.names[c]
+                    break
+            elif L.leq(c, x):
+                cp = next((cp for cp in complements_of(L, c) if essential_superfluous(
+                    L, L.meet_of(x, cp), "superfluous")), None)
+                if cp is not None:
+                    found = [L.names[c], L.names[cp]]
+                    break
+        if found is None:
+            return Verdict(kind, False, witness={"element": L.names[x]})
+        certs[L.names[x]] = found
+    return Verdict(kind, True, witness={"certificates": certs})
+
+
+def nonsingularity_by_scans(L, m, kind):
+    """check_nonsingularity by essential_superfluous on each member kernel
+    or image top, and on each element no nonzero member reaches."""
+    side, trivial, sense = (("kernel", L.top, "essential") if kind[0] == "k"
+                            else ("image", L.bottom, "superfluous"))
+    first = m.first_with(side)
+    if kind in ("k", "t"):
+        for e, i in first.items():
+            if e != trivial and essential_superfluous(L, e, sense):
+                return Verdict(kind, False, witness={
+                    "morphism": m[i].as_name_map(), side: L.names[e]})
+        return Verdict(kind, True)
+    for a in range(L.n):
+        reached = any(e != trivial and (L.leq(a, e) if side == "kernel" else L.leq(e, a))
+                      for e in first)
+        if not reached and not essential_superfluous(L, a, sense):
+            return Verdict(kind, False, witness={"element": L.names[a]})
+    return Verdict(kind, True)
+
+
+def retractable_by_scans(L, m):
+    """check_retractable by testing every image top against each b below
+    each kernel."""
+    for k in m.kernels:
+        for b in L.down_set(k):
+            if not any(L.leq(b, img) and L.leq(img, k) for img in m.image_tops):
+                return Verdict("retractable", False, witness={
+                    "morphism": m[m.first_with("kernel")[k]].as_name_map(),
+                    "kernel": L.names[k], "element": L.names[b]})
+    return Verdict("retractable", True)
+
+
+def rickpix_by_scans(L, m):
+    """check_rickpix with the per-kernel test run over every complemented x
+    and every complement of it."""
+    lhs = check_rickart_family(L, m, "rickart").holds
+    unfactored = {k for k in m.kernels if not any(
+        L.meet_of(x, k) == L.bottom and any(L.leq(xp, k) for xp in complements_of(L, x))
+        for x in complemented_elements(L))}
+    failing = next((i for k, i in m.first_with("kernel").items() if k in unfactored), None)
+    rhs = failing is None
+    return Verdict("rickpix", lhs == rhs,
+                   witness=None if rhs else {"morphism": m[failing].as_name_map()},
+                   notes=f"kernel-complement side={lhs}, projection side={rhs}")
+
+
+# the benchmark's analyze products of at most 32 elements
+CLI_PRODUCTS = (
+    "c2xc3", "c2xc4", "c2xc5", "c2xc6", "c3xc3", "c3xc4", "c3xc5", "c4xc4", "c2xc2xc3",
+    "c4xc5", "c2xc2xc2xc2", "m3xc2", "m3xc3", "m3xc4", "b2xc3", "b2xc4", "m3xb2",
+    "c2xc2xc2xc2xc2", "c4xc8", "c3xc3xc3", "m3xm3", "b2xc2xc4", "m3xc2xc3", "m3xc6",
+    "m3xc2xc2")
+
+
+def oracle_monoids(L, seed):
+    """The full monoid of L, when it can be enumerated, and seeded generated
+    monoids with and without the projections. Their generators are drawn
+    from the full monoid, or from the projections' monoid above the
+    enumeration cap; none is drawn when the full monoid is over the closure
+    cap, where a generated monoid could be too."""
+    proj = generated_monoid(L, (), True)
+    if L.n > config.DEFAULT_ENUM_CAP:
+        monoids, pool = [proj], proj
+    else:
+        pool = full_monoid(L)
+        monoids = [pool, proj]
+        if len(pool) > MAX_GENERATED_MEMBERS:
+            return monoids
+    gens = random.Random(seed).sample(pool.members, min(2, len(pool)))
+    return monoids + [generated_monoid(L, gens), generated_monoid(L, gens, True)]
+
+
+class TestMaskRoutes:
+    """The checkers on `Lattice.bound_masks` against the element scans of
+    `essential_superfluous`, verdict, witness and notes alike."""
+
+    MODULAR = ([fx.build_fixture(nm) for nm in fx.MODULAR_FIXTURES]
+               + random_corpus(200, 8, 42) + random_corpus(60, 10, 5))
+
+    def check_lattice(self, L):
+        for kind in ("c1", "d1"):
+            got = check_condition(L, None, kind).to_json_dict()
+            assert got == condition_by_scans(L, kind).to_json_dict(), (L.name, kind)
+
+    def check_monoid(self, L, m):
+        for kind in ("k", "t", "k_co", "t_co"):
+            got = check_nonsingularity(L, m, kind).to_json_dict()
+            assert got == nonsingularity_by_scans(L, m, kind).to_json_dict(), (L.name, kind)
+        got = check_retractable(L, m).to_json_dict()
+        assert got == retractable_by_scans(L, m).to_json_dict(), L.name
+        if m.has_all_projections:
+            got = check_rickpix(L, m).to_json_dict()
+            assert got == rickpix_by_scans(L, m).to_json_dict(), L.name
+
+    def test_modular_corpora(self):
+        failed = collections.Counter()
+        for i, L in enumerate(self.MODULAR):
+            self.check_lattice(L)
+            for m in oracle_monoids(L, i):
+                self.check_monoid(L, m)
+                failed.update(kind for kind in ("k", "t", "k_co", "t_co")
+                              if not check_nonsingularity(L, m, kind).holds)
+                failed["retractable"] += not check_retractable(L, m).holds
+        # every checker fails somewhere, so the witnesses are compared too
+        assert set(failed) == {"k", "t", "k_co", "t_co", "retractable"}, failed
+
+    def test_benchmark_products(self):
+        for i, name in enumerate(CLI_PRODUCTS):
+            L = lattice_from_json(product_json(name))
+            assert L.n <= 32
+            self.check_lattice(L)
+            for m in oracle_monoids(L, i):
+                self.check_monoid(L, m)
+
+    def test_non_modular_lattices(self, n5):
+        rng = random.Random(3)
+        lattices = [n5] + [random_lattice(rng, f"r{i}", 4 + i % 3) for i in range(150)]
+        failed = collections.Counter()
+        for L in lattices:
+            self.check_lattice(L)
+            failed.update(kind for kind in ("c1", "d1")
+                          if not check_condition(L, None, kind).holds)
+        assert set(failed) == {"c1", "d1"}, failed
 
 
 class TestRickartFamily:
