@@ -112,7 +112,6 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
     """
     kind = kind.lower()
     comp = complemented_elements(L)
-    comp_set = set(comp)
     if kind in ("c1", "d1"):
         zero_meets, top_joins = L.bound_masks
         comp_mask = sum(1 << c for c in comp)
@@ -133,6 +132,7 @@ def check_condition(L: Lattice, m: EndoMonoid | None, kind: str) -> Verdict:
         return Verdict(kind, True, witness={"certificates": certs})
     if m is None:
         raise ValueError("mC2/mD2 need a monoid")
+    comp_set = set(comp)
     if kind == "md2":
         # such a composite lies in m exactly when a member has kernel a and
         # image top x; on [a, top] it is its theta, so the first on those
