@@ -41,9 +41,8 @@ import numpy as np
 
 from . import config
 from .errors import ConsistencyError, DomainMismatchError, SizeLimitExceededError
-from .lattice import (Lattice, _assemble, _bits, _masks_to_ints, complemented_elements,
-                      is_modular)
-from .monoid import EndoMonoid
+from .lattice import Lattice, _assemble, _bits, _masks_to_ints, is_modular
+from .monoid import _BLOCK_BYTES, EndoMonoid
 from .morphisms import LinearMorphism, certify_tables, row_keys, validate_linear
 from .properties import RICKART_KINDS, check_rickart_family
 from .verdict import Verdict
@@ -102,6 +101,10 @@ class AbelianGroup:
         """Closed form: the product of gcd(d_i, d_j) over all factor pairs."""
         fs = self.invariant_factors
         return prod(gcd(a, b) for a in fs for b in fs) if fs else 1
+
+    def endos_enumerable(self) -> bool:
+        """Whether End(M) fits config.DEFAULT_ENDO_CAP, read at call time."""
+        return self.endo_count() <= config.DEFAULT_ENDO_CAP
 
 
 class _GroupData(NamedTuple):
@@ -194,25 +197,31 @@ def _subgroup_masks(g: AbelianGroup) -> tuple[int, ...]:
 
 
 def _subgroup_names(g: AbelianGroup, masks) -> list[str]:
+    """The names of masks[i]: "0", "M", "<e>" for a cyclic subgroup with e
+    its first generator, else "S{i}"."""
+    return [_subgroup_name(g, i, m) for i, m in enumerate(masks)]
+
+
+def _subgroup_name(g: AbelianGroup, i: int, mask: int) -> str:
     data = _group_data(g)
+    size = mask.bit_count()
+    if size == 1:
+        return "0"
+    if size == g.order:
+        return "M"
+    gen = next((eid for eid in _bits(mask) if data.orders[eid] == size), None)
+    if gen is None:
+        return f"S{i}"
+    e = data.elements[gen]
+    return f"<{e[0]}>" if len(e) == 1 else "<(" + ",".join(str(v) for v in e) + ")>"
 
-    def render(eid: int) -> str:
-        e = data.elements[eid]
-        if len(e) == 1:
-            return str(e[0])
-        return "(" + ",".join(str(v) for v in e) + ")"
 
-    names = []
-    for i, m in enumerate(masks):
-        size = m.bit_count()
-        if size == 1:
-            names.append("0")
-        elif size == g.order:
-            names.append("M")
-        else:
-            gen = next((eid for eid in _bits(m) if data.orders[eid] == size), None)
-            names.append(f"<{render(gen)}>" if gen is not None else f"S{i}")
-    return names
+def _subgroup_perps(g: AbelianGroup, words: np.ndarray) -> np.ndarray:
+    """perps[i]: the mask of words[i]^perp, the intersection of y^perp over
+    the elements y of words[i]."""
+    has = (words[:, None] >> np.arange(g.order, dtype=np.uint64)) & np.uint64(1)
+    group = np.uint64((1 << g.order) - 1)
+    return np.bitwise_and.reduce(np.where(has == 1, _perp_words(g), group), axis=1)
 
 
 class _SubgroupLattice(NamedTuple):
@@ -234,10 +243,7 @@ def _subgroup_lattice(g: AbelianGroup) -> _SubgroupLattice:
     meets = words[:, None] & words
     leq = meets == words[:, None]  # leq[i, j]: subgroup i lies in subgroup j
     meet = index(meets)
-    # H^perp is the intersection of y^perp over the elements y of H
-    has = (words[:, None] >> np.arange(g.order, dtype=np.uint64)) & np.uint64(1)
-    dual = index(np.bitwise_and.reduce(
-        np.where(has == 1, _perp_words(g), words[-1]), axis=1))
+    dual = index(_subgroup_perps(g, words))
     join = dual[meet[np.ix_(dual, dual)]]
     # rows of shared ints: tolist() makes an int object per entry above 256,
     # 16 M of them at 2,825 subgroups
@@ -333,7 +339,7 @@ def _gen_images(g: AbelianGroup) -> np.ndarray:
     """Every endomorphism as a row of generator images, after the cap check:
     the image of a generator of order d is any element whose order divides d."""
     count = g.endo_count()
-    if count > config.DEFAULT_ENDO_CAP:
+    if not g.endos_enumerable():
         raise SizeLimitExceededError(
             f"{count} endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP}")
     orders = _group_data(g).orders
@@ -438,18 +444,42 @@ def induced_monoid(g: AbelianGroup) -> EndoMonoid:
 # -- the bridge verdicts -----------------------------------------------------------
 
 
+def _row_blocks(words: np.ndarray):
+    """Slices of words whose pair tests against all words keep their uint64
+    temporaries near monoid._BLOCK_BYTES."""
+    rows = max(1, _BLOCK_BYTES // (8 * len(words)))
+    return (slice(start, start + rows) for start in range(0, len(words), rows))
+
+
 @cache
 def _first_non_summand(g: AbelianGroup) -> int | None:
     """The first subgroup mask, in mask order, that is not a direct summand,
     or None. A subgroup C with K ^ C = 0 and |K||C| = |M| is a complement of
     K, since a trivial intersection of the right size forces K + C = M."""
-    masks = _subgroup_masks(g)
-    for kmask in sorted(masks):
-        ksize = kmask.bit_count()
-        if not any(kmask & cmask == 1 and ksize * cmask.bit_count() == g.order
-                   for cmask in masks):
-            return kmask
+    words = np.sort(_subgroup_words(g))
+    sizes = np.bitwise_count(words)
+    wants = g.order // sizes  # |C| for a complement of words[i]
+    for rows in _row_blocks(words):
+        summand = (((words[rows, None] & words) == 1)
+                   & (sizes == wants[rows, None])).any(axis=1)
+        if not summand.all():
+            return int(words[rows][summand.argmin()])
     return None
+
+
+@cache
+def _every_subgroup_complemented(g: AbelianGroup) -> bool:
+    """Whether every element of the subgroup lattice has a complement, read
+    off the masks: H ^ C = 0 is H & C == {0}, and H v C = M is
+    H^perp ^ C^perp = 0, since (H + C)^perp = H^perp ^ C^perp."""
+    words = _subgroup_words(g)
+    perps = _subgroup_perps(g, words)
+    for rows in _row_blocks(words):
+        complemented = (((words[rows, None] & words) == 1)
+                        & ((perps[rows, None] & perps) == 1)).any(axis=1)
+        if not complemented.all():
+            return False
+    return True
 
 
 def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
@@ -458,25 +488,24 @@ def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
     Every subgroup of M is the kernel and the image of an endomorphism (see
     the module docstring), and the subgroups are closed under intersection
     and sum. So for all four kinds the module side asks whether every
-    subgroup is a direct summand, tested with group arithmetic, and names the
-    first one in mask order that is not. The lattice side runs the
-    kernel/image family check over the induced monoid when End(M) fits
-    config.DEFAULT_ENDO_CAP; above the cap it asks whether every element of
-    the subgroup lattice is complemented. A disagreement raises
-    ConsistencyError.
+    subgroup is a direct summand, tested with group arithmetic on the
+    subgroup masks, and names the first one in mask order that is not. The
+    lattice side runs the kernel/image family check over the induced monoid
+    when End(M) fits config.DEFAULT_ENDO_CAP; above the cap it asks whether
+    every element of the subgroup lattice is complemented, with meets and
+    joins read off the masks and their perps, and builds no lattice. A
+    disagreement raises ConsistencyError.
     """
     if kind not in RICKART_KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
-    sub = _subgroup_lattice(g)
-    lat = sub.lattice
     module_witness = _first_non_summand(g)
     module_ok = module_witness is None
 
-    if g.endo_count() <= config.DEFAULT_ENDO_CAP:
-        lattice_ok = check_rickart_family(lat, induced_monoid(g), kind).holds
+    if g.endos_enumerable():
+        lattice_ok = check_rickart_family(subgroup_lattice(g), induced_monoid(g), kind).holds
         notes = "lattice side via induced monoid enumeration"
     else:
-        lattice_ok = len(complemented_elements(lat)) == lat.n
+        lattice_ok = _every_subgroup_complemented(g)
         notes = "lattice side via complements of all subgroups, each a kernel and an image"
 
     if module_ok != lattice_ok:
@@ -486,5 +515,6 @@ def rickart_module_direct(g: AbelianGroup, kind: str) -> Verdict:
 
     witness = None
     if not module_ok:
-        witness = {"subgroup": lat.names[sub.mask_index[module_witness]]}
+        i = int(np.flatnonzero(_subgroup_words(g) == module_witness)[0])
+        witness = {"subgroup": _subgroup_name(g, i, module_witness)}
     return Verdict(kind, module_ok, witness=witness, notes=notes)

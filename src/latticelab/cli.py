@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
-from .abelian import AbelianGroup, induced_monoid, rickart_module_direct
+from . import config, fixtures
+from .abelian import AbelianGroup, _subgroup_words, induced_monoid, rickart_module_direct
 from .conformance import REGISTRY, random_corpus, run_conformance, select_names
 from .errors import LatticeLabError
 from .lattice import (
@@ -43,9 +43,59 @@ def _load_lattice(path: str) -> Lattice:
     return lattice_from_json(Path(path).read_text())
 
 
+def _json_text(doc) -> str:
+    """The text json.dumps(doc, indent=2, ensure_ascii=False) writes, without
+    the pure-Python encoder that indent selects there."""
+    out = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append value's text at the depth whose line break is newline. str,
+    int, bool and None values, str keys and dict, list and tuple containers
+    are written here; any other value or key goes through json.dumps, which
+    writes a float on one line and raises TypeError for what JSON cannot
+    hold."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if isinstance(key, str):
+                key = encode_basestring(key)
+            else:  # '{"<key>": 0}'
+                key = json.dumps({key: 0})[1:-4]
+            out.append(f"{sep}{key}: ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(doc, as_json: bool, human_lines):
     if as_json:
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        print(_json_text(doc))
     else:
         for line in human_lines:
             print(line)
@@ -140,21 +190,30 @@ def cmd_module(args) -> int:
     # the selection is read first: a bad one exits before any group is built
     props = _parse_names(args.props, RICKART_KINDS, "module properties", lower=True)
     grp = AbelianGroup.from_spec(args.group)
-    mono = induced_monoid(grp)
-    lat = mono.lattice
+    mono = induced_monoid(grp) if grp.endos_enumerable() else None
     results = [rickart_module_direct(grp, p) for p in props]
+    head = {"group": grp.spec_string(), "order": grp.order,
+            "subgroups": len(_subgroup_words(grp))}
+    if mono is None:
+        enumerated = (f"induced monoid not enumerated ({grp.endo_count()} "
+                      f"endomorphisms exceeds cap {config.DEFAULT_ENDO_CAP})")
+    else:
+        head["induced_monoid_size"] = len(mono)
+        enumerated = f"induced monoid size {len(mono)}"
     if args.json:
-        # the document json.dumps(indent=2) writes, with the "induced_maps"
-        # list, which dominates it, rendered straight from the member rows
-        head = json.dumps({"group": grp.spec_string(), "order": grp.order,
-                           "subgroups": lat.n, "induced_monoid_size": len(mono)},
-                          indent=2, ensure_ascii=False)
-        tail = json.dumps({"results": [v.to_json_dict() for v in results]},
-                          indent=2, ensure_ascii=False)
-        print(f'{head[:-2]},\n  "induced_maps": {_name_maps_json(mono)},\n{tail[2:]}')
+        # the head without its closing "\n}", then "induced_maps", which
+        # dominates the document and is rendered straight from the member
+        # rows, then the results without their opening "{\n"
+        tail = _json_text({"results": [v.to_json_dict() for v in results]})
+        out = sys.stdout
+        out.write(_json_text(head)[:-2])
+        if mono is not None:
+            out.write(',\n  "induced_maps": ')
+            out.write(_name_maps_json(mono))
+        out.write(f",\n{tail[2:]}\n")
     else:
         print(f"group {grp.spec_string()}: order {grp.order}, "
-              f"{lat.n} subgroups, induced monoid size {len(mono)}")
+              f"{head['subgroups']} subgroups, {enumerated}")
         for v in results:
             print(f"  {v.prop}: {str(v.holds).lower()}"
                   + (f"  witness={v.witness}" if v.witness and not v.holds else ""))
@@ -204,7 +263,7 @@ def cmd_theorems(args) -> int:
             print("  skipped non-modular:", ", ".join(report.skipped_lattices))
         print(f"total failures: {report.total_failures}")
         for failure in report.failures:
-            print(json.dumps(failure, indent=2, ensure_ascii=False))
+            print(_json_text(failure))
     return 0 if report.total_failures == 0 else 1
 
 

@@ -25,6 +25,8 @@ from latticelab.abelian import (
     _group_data,
     _hom_tables,
     _cyclic,
+    _every_subgroup_complemented,
+    _first_non_summand,
     _induced_rows,
     _subgroup_lattice,
     _subgroup_masks,
@@ -566,6 +568,19 @@ class TestInducedMonoid:
             mono.comp  # materializes and verifies closure
 
 
+def first_non_summand_by_pairs(g):
+    """The pair loop over subgroup masks that the array route replaced: the
+    first mask, in mask order, with no C such that K ^ C = 0 and |K||C| =
+    |M|."""
+    masks = _subgroup_masks(g)
+    for kmask in sorted(masks):
+        ksize = kmask.bit_count()
+        if not any(kmask & cmask == 1 and ksize * cmask.bit_count() == g.order
+                   for cmask in masks):
+            return kmask
+    return None
+
+
 class TestBridgeVerdicts:
     def test_cyclic_four_fails_everywhere(self):
         g = AbelianGroup.from_spec("4")
@@ -627,6 +642,37 @@ class TestBridgeVerdicts:
             if not v.holds:
                 assert v.witness == {
                     "subgroup": sub.lattice.names[sub.mask_index[first]]}, kind
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_module_side_matches_the_pair_loop(self, block_bytes, monkeypatch):
+        """The same first non-summand as the pair loop on every nontrivial
+        group of order at most 64 but 2,2,2,2,2,2 (2,825 subgroups), and the
+        lattice-side mask route agrees with it; also with one row per block."""
+        groups = [AbelianGroup(c) for c in invariant_factor_chains(64) if c]
+        groups.remove(AbelianGroup((2,) * 6))
+        routes = (_first_non_summand, _every_subgroup_complemented)
+        if block_bytes is not None:
+            monkeypatch.setattr(abelian, "_BLOCK_BYTES", block_bytes)
+        for route in routes:
+            route.cache_clear()
+        try:
+            for g in groups:
+                witness = first_non_summand_by_pairs(g)
+                assert _first_non_summand(g) == witness, g
+                assert _every_subgroup_complemented(g) == (witness is None), g
+        finally:
+            for route in routes:
+                route.cache_clear()
+
+    def test_rank_six_elementary_group(self):
+        """Above the cap, 2,2,2,2,2,2 is answered without its 2,825-element
+        subgroup lattice: every factor is squarefree, so every verdict holds."""
+        g = AbelianGroup.from_spec("2,2,2,2,2,2")
+        misses = _subgroup_lattice.cache_info().misses
+        for kind in RICKART_KINDS:
+            v = rickart_module_direct(g, kind)
+            assert (v.holds, v.witness, v.notes) == (True, None, COMPLEMENT_NOTE), kind
+        assert _subgroup_lattice.cache_info().misses == misses
 
     def test_induced_kernel_is_the_kernel_subgroup(self):
         """The lattice kernel of f_* is exactly Ker f as a subgroup."""

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from http import HTTPStatus
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -22,13 +23,13 @@ from latticelab import fixtures as fx
 from latticelab import monoid as monoid_module
 from latticelab import properties
 from latticelab.abelian import AbelianGroup, _subgroup_lattice, induced_monoid
-from latticelab.cli import _name_maps_json, run
+from latticelab.cli import _json_text, _name_maps_json, run
 from latticelab.fixtures import FIXTURE_NAMES, fixture_json
 from latticelab.lattice import (build_lattice, direct_product, lattice_from_json,
                                 lattice_to_json)
 from latticelab.monoid import explicit_monoid, full_monoid
 from latticelab.morphisms import morphism_to_json, validate_linear
-from latticelab.properties import NO_MONOID, PROPERTY_NAMES
+from latticelab.properties import NO_MONOID, PROPERTY_NAMES, RICKART_KINDS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -655,6 +656,11 @@ class TestModule:
                   "5a7dfe62bfffe1e0696e24d7d8618bd0359a0e91a1f2866f365b10f0eaa960b6"),
         "2,4,4": (1, "b142d8128ee8da2241880dbd72c42b72997422de09d00d0251c6ab7e63e04c36",
                   "bde792fdb0ad2c0650c76c5e577ee469a66c0855ad5e8e540289cdcc9fd9a5f1"),
+        # above the endomorphism cap: no induced monoid in either form
+        "2,2,2,2,2": (0, "39bdd15c19af8b81e8b7ab9c659116c6534fdf843fb2faec20d5427a3af60e52",
+                      "813f20bce9e14e28102e14a6e3d1efe137a2265d26d2208959d7ae485188eb40"),
+        "2,2,4,4": (1, "65a863ccf11d94d95378254fd2fe636a829635855623ca6fdaa4cce629fcae81",
+                    "90403c489289d0c04231f37ec0b5393918078813fa55b4219d76aac0c11fd1d4"),
     }
 
     @pytest.mark.parametrize("group", list(OUTPUT_DIGESTS))
@@ -673,9 +679,74 @@ class TestModule:
 
     def test_above_the_endomorphism_cap_builds_no_subgroup_lattice(self, capsys):
         _subgroup_lattice.cache_clear()
-        assert run(["module", "--group", "2,2,2,2,2"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        code, out = run_capture(capsys, ["--json", "module", "--group", "2,2,2,2,2"])
+        assert code == 0
+        assert [r["holds"] for r in json.loads(out)["results"]] == [True] * 4
         assert _subgroup_lattice.cache_info().misses == 0
+
+    COMPLEMENT_NOTE = ("lattice side via complements of all subgroups, each a kernel "
+                       "and an image")
+
+    @pytest.mark.parametrize("group, code, subgroups, witness", [
+        ("2,2,2,2,2", 0, 374, None),
+        ("2,2,4,4", 1, 249, "<(0,0,0,2)>"),
+    ])
+    def test_above_the_endomorphism_cap(self, group, code, subgroups, witness, capsys):
+        """The document has no "induced_monoid_size" and no "induced_maps",
+        and the human line says why."""
+        g = AbelianGroup.from_spec(group)
+        result = {"holds": witness is None}
+        if witness is not None:
+            result["witness"] = {"subgroup": witness}
+        result["notes"] = self.COMPLEMENT_NOTE
+        got, out = run_capture(capsys, ["--json", "module", "--group", group])
+        assert got == code
+        assert json.loads(out) == {
+            "group": group, "order": g.order, "subgroups": subgroups,
+            "results": [{"property": kind, **result} for kind in RICKART_KINDS]}
+        got, out = run_capture(capsys, ["module", "--group", group, "--props", "baer"])
+        assert got == code
+        verdict = "true" if witness is None else f"false  witness={{'subgroup': '{witness}'}}"
+        assert out == (f"group {group}: order {g.order}, {subgroups} subgroups, induced "
+                       f"monoid not enumerated ({g.endo_count()} endomorphisms exceeds "
+                       f"cap 262144)\n  baer: {verdict}\n")
+
+
+json_scalars = (st.text() | st.integers() | st.booleans() | st.none()
+                | st.floats(allow_nan=True, allow_infinity=True))
+json_keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=json_docs)
+def test_json_writer_matches_json_dumps(doc):
+    """Nested dicts, lists and tuples of str, int, bool, None and float
+    values, non-str keys, empty containers and non-ASCII text."""
+    assert _json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("doc", [
+    {"k": [1, {"x": 1.5}, [float("nan"), float("-inf")]], 2.5: {}, None: [], True: ()},
+    {"é": "\u2603 \"q\" \\ \n", "n": -(10 ** 30)},
+    collections.OrderedDict(a=collections.OrderedDict(b=[1]), c=collections.Counter(d=2)),
+    {HTTPStatus.OK: [HTTPStatus.NOT_FOUND]},  # an IntEnum is written as its int
+])
+def test_json_writer_on_chosen_documents(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): 0}, [object()], {"a": {1, 2}}])
+def test_json_writer_raises_like_json_dumps(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError) as got:
+        _json_text(doc)
+    assert str(got.value) == str(expected.value)
 
 
 def name_maps_by_members(mono):
